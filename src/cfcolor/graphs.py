@@ -7,14 +7,13 @@ construction; operations never mutate their arguments.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 
 
 class Graph:
     """Finite, simple, undirected graph with array-backed adjacency."""
 
-    __slots__ = ("n", "adj", "_masks", "__dict__")
+    __slots__ = ("n", "adj", "__dict__")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -31,12 +30,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in adj)
-        # bitmask adjacency for fast set arithmetic in the solvers
-        self._masks = tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
-
-    @property
-    def vertices(self):
-        return range(self.n)
 
     @cached_property
     def edges(self):
@@ -51,9 +44,6 @@ class Graph:
 
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
-
-    def neighbor_mask(self, v):
-        return self._masks[v]
 
     def closed_neighborhood(self, v):
         return tuple(sorted(self.adj[v] + (v,)))
@@ -112,9 +102,6 @@ class Hypergraph:
     @property
     def m(self):
         return len(self.edges)
-
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
 
     def __eq__(self, other):
         return (
@@ -182,10 +169,8 @@ def max_star(g):
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    best = 0
-    for v in range(g.n):
-        best = max(best, _max_independent_in(g.neighbor_mask(v), g._masks))
-    return best
+    masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    return max(_max_independent_in(mask, masks) for mask in masks)
 
 
 def maximal_independent_set(g, order=None):
@@ -202,32 +187,14 @@ def maximal_independent_set(g, order=None):
     return frozenset(chosen)
 
 
-class GreedyClasses:
-    """Color classes S_1..S_s of a greedy proper coloring.
+def greedy_color_classes(g, order=None):
+    """Color classes S_1..S_s of a greedy proper coloring, as a tuple of
+    frozensets: each vertex gets the smallest color not used by an
+    already-colored neighbor.
 
     The classes partition the vertex set, each class is independent, and
     every vertex of S_i (i >= 2) has a neighbor in each earlier class.
     """
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes):
-        self.classes = tuple(frozenset(c) for c in classes)
-
-    @property
-    def s(self):
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __getitem__(self, i):
-        return self.classes[i]
-
-
-def greedy_color_classes(g, order=None):
-    """Greedy proper coloring: each vertex gets the smallest color not
-    used by an already-colored neighbor."""
     if order is None:
         order = range(g.n)
     color = {}
@@ -241,7 +208,7 @@ def greedy_color_classes(g, order=None):
         if c == len(classes):
             classes.append(set())
         classes[c].add(v)
-    return GreedyClasses(classes)
+    return tuple(frozenset(c) for c in classes)
 
 
 def extended_double_cover(g):

@@ -19,7 +19,4 @@ except ImportError:  # pragma: no cover - depends on the build
 solve_cf = _impl.solve_cf
 exact_one = _impl.exact_one
 
-solve_cf_py = _kernel_py.solve_cf
-exact_one_py = _kernel_py.exact_one
-
 BACKEND = "compiled" if COMPILED else "pure-python"

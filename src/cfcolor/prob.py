@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import (
-    Graph,
     Hypergraph,
     derived_hypergraph,
     greedy_color_classes,
@@ -27,7 +25,7 @@ from cfcolor.graphs import (
     maximal_independent_set,
 )
 from cfcolor.solve import SolveInstance, solve_list_cf
-from cfcolor.verify import verify_cf
+from cfcolor.verify import unique_colors, verify_cf
 
 FULL_ALPHA_FLOOR = 2**12
 FULL_ALPHA_LOG_COEFF = 136
@@ -37,7 +35,7 @@ FULL_B_LOG_COEFF = 272
 FULL_R_COEFF = 2**18
 
 
-class ResampleFailure(RuntimeError):
+class ResampleFailure(BudgetExceededError):
     """The resampling loop hit its round cap; retry with a fresh seed."""
 
     def __init__(self, rounds, worst_edge):
@@ -89,14 +87,11 @@ def count_non_unique(edge, f):
 
     Every vertex of the edge must be colored.
     """
-    colors = []
-    for v in edge:
-        c = f.get(v)
-        if c is None:
-            raise ValueError(f"vertex {v} of the edge is uncolored")
-        colors.append(c)
-    counts = Counter(colors)
-    return sum(1 for c in colors if counts[c] > 1)
+    colors = [f.get(v) for v in edge]
+    if None in colors:
+        v = edge[colors.index(None)]
+        raise ValueError(f"vertex {v} of the edge is uncolored")
+    return len(edge) - len(unique_colors(colors))
 
 
 def required_alpha(gamma, cfg):
@@ -132,8 +127,7 @@ def near_uniform_color(h, lists, cfg):
     color = [lists.sample(v, rng) for v in range(h.n)]
 
     def non_unique(edge):
-        counts = Counter(color[v] for v in edge)
-        return sum(1 for v in edge if counts[color[v]] > 1)
+        return len(edge) - len(unique_colors([color[v] for v in edge]))
 
     def first_bad():
         for i, edge in enumerate(h.edges):
@@ -233,7 +227,6 @@ class PipelineTrace:
     final: PartialColoring | None = None
     attempts: int = 0
     delegated: bool = False
-    small_k_regime: bool = False
     scaled_mode: bool = False
     constants: dict = field(default_factory=dict)
     failures: tuple = ()
@@ -319,8 +312,7 @@ def color_h1(g, a_set, b_set, lists, budget=20_000_000):
 
     coloring = PartialColoring(f)
     for edge in edges:
-        counts = Counter(coloring.get(w) for w in edge if w in coloring)
-        if not any(k == 1 for k in counts.values()):  # pragma: no cover
+        if not unique_colors([coloring.get(w) for w in edge]):  # pragma: no cover
             raise AssertionError("H1 coloring left an edge without a witness")
     return coloring
 
@@ -328,9 +320,9 @@ def color_h1(g, a_set, b_set, lists, budget=20_000_000):
 def _witness_color(g, w, a_set, f1):
     """Smallest color appearing exactly once among the closed
     A-neighbors of w under f1."""
-    cells = [f1.get(x) for x in g.closed_neighborhood(w) if x in a_set]
-    counts = Counter(c for c in cells if c is not None)
-    unique = [c for c, k in counts.items() if k == 1]
+    unique = unique_colors(
+        f1.get(x) for x in g.closed_neighborhood(w) if x in a_set
+    )
     if not unique:
         raise PipelineError("reduce_lists", f"vertex {w} has no A-witness")
     return min(unique)
@@ -421,7 +413,6 @@ def cfcn_pipeline(g, lists, cfg):
         delta=delta,
         r=r,
         scaled_mode=cfg.scaled_mode,
-        small_k_regime=(k <= log_delta / 8),
         constants={
             "b_floor": cfg.b_floor,
             "b_log_coeff": cfg.b_log_coeff,
@@ -435,7 +426,7 @@ def cfcn_pipeline(g, lists, cfg):
         trace.attempts = attempt + 1
         try:
             f, rounds = _attempt(
-                g, lists, cfg, k, delta, log_delta, trace, seed=cfg.rng_seed + attempt
+                g, lists, cfg, k, delta, trace, seed=cfg.rng_seed + attempt
             )
         except (ResampleFailure, PipelineError) as exc:
             failures.append(f"attempt {attempt + 1}: {exc}")
@@ -463,7 +454,7 @@ def cfcn_pipeline(g, lists, cfg):
     return f, trace
 
 
-def _attempt(g, lists, cfg, k, delta, log_delta, trace, seed):
+def _attempt(g, lists, cfg, k, delta, trace, seed):
     a_set = set(maximal_independent_set(g))
     gp, old_of_new = g.remove_vertices(a_set)
     classes_local = greedy_color_classes(gp)

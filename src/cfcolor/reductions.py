@@ -7,7 +7,7 @@ certificate extraction never depends on vertex numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Graph, derived_hypergraph
@@ -56,9 +56,6 @@ class ReductionOutput:
             if r == role:
                 return v
         raise KeyError(f"no vertex with role {role}")
-
-    def vertices_with(self, kind):
-        return sorted(v for v, r in self.roles.items() if r[0] == kind)
 
     def role_lines(self):
         out = []

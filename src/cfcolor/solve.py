@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import BudgetExceededError
-from cfcolor.graphs import Graph, Hypergraph, derived_hypergraph
-from cfcolor.verify import verify_cf
+from cfcolor.graphs import Hypergraph, derived_hypergraph
+from cfcolor.verify import is_pids, is_pimds, verify_cf
 
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
@@ -62,7 +62,7 @@ def _dense_colors(lists, n_cap):
     entries = [lists.entry(v) for v in range(lists.n)]
     symmetric = len(set(entries)) <= 1
     if symmetric and entries:
-        shared = list(lists.colors(0))[: max(n_cap, 1)]
+        shared = list(lists.colors(0)[: max(n_cap, 1)])
         dense = list(range(len(shared)))
         return [dense] * lists.n, shared, True
 
@@ -211,29 +211,14 @@ def decide_choosable(
     return ChoosabilityCertificate(answer=True)
 
 
-def decide_choosable_unrestricted(
-    inst, k, universe_size, budget=DEFAULT_NODE_BUDGET
-):
-    """Brute-force choosability over all k-assignments drawn from
-    {1..universe_size}, with no symmetry pruning.  Cross-check oracle for
-    the canonical enumeration; only usable on tiny instances."""
-    from itertools import combinations, product
-
-    n = inst.hypergraph.n
-    subsets = [tuple(c) for c in combinations(range(1, universe_size + 1), k)]
-    for entries in product(subsets, repeat=n):
-        lists = ListAssignment(list(entries))
-        if solve_list_cf(inst, lists, budget=budget) is None:
-            return ChoosabilityCertificate(answer=False, witness=lists)
-    return ChoosabilityCertificate(answer=True)
-
-
 def _find_exact_one(sets, n, budget):
     if any(not s for s in sets):
         return None
     status, members, nodes = kernels.exact_one(n, [list(s) for s in sets], budget)
     if status == 2:
-        raise BudgetExceededError(f"exact-one search exceeded {budget} nodes")
+        raise BudgetExceededError(
+            f"exact-one search exceeded {budget} nodes", nodes=nodes
+        )
     if status == 1:
         return None
     return frozenset(members)
@@ -246,10 +231,8 @@ def find_pimds(g, budget=DEFAULT_NODE_BUDGET):
     S, i.e. S hits every open neighborhood exactly once.
     """
     result = _find_exact_one([g.adj[v] for v in range(g.n)], g.n, budget)
-    if result is not None:
-        from cfcolor.verify import is_pimds
-
-        assert is_pimds(g, result)
+    if result is not None and not is_pimds(g, result):
+        raise AssertionError("exact-one search returned a set that is no PIMDS")
     return result
 
 
@@ -261,10 +244,8 @@ def find_pids(g, budget=DEFAULT_NODE_BUDGET):
     result = _find_exact_one(
         [g.closed_neighborhood(v) for v in range(g.n)], g.n, budget
     )
-    if result is not None:
-        from cfcolor.verify import is_pids
-
-        assert is_pids(g, result)
+    if result is not None and not is_pids(g, result):
+        raise AssertionError("exact-one search returned a set that is no PIDS")
     return result
 
 
@@ -273,48 +254,16 @@ MAX_FORMULA_VARIABLES = 30
 
 def solve_one_in_three(formula):
     """Truth assignment giving every clause exactly one true variable,
-    or None.  Exhaustive over 2^n with per-clause pruning; variables are
-    tried True first, so the first solution is lexicographically
-    greedy in x1, x2, ...
+    or None.  The clauses are the sets of the exact-one search: variables
+    are decided in order x1, x2, ..., True first, so the first solution
+    is lexicographically greedy.
     """
     n = formula.n
     if n > MAX_FORMULA_VARIABLES:
         raise BudgetExceededError(
             f"formula has {n} variables, budget is {MAX_FORMULA_VARIABLES}"
         )
-    clauses = [tuple(c) for c in formula.clauses]
-    m = len(clauses)
-    in_clauses = [[] for _ in range(n)]
-    for ci, c in enumerate(clauses):
-        for x in c:
-            in_clauses[x].append(ci)
-    true_cnt = [0] * m
-    und_cnt = [3] * m
-    value = [False] * n
-
-    def search(x):
-        if x == n:
-            return all(t == 1 for t in true_cnt)
-        for val in (True, False):
-            value[x] = val
-            ok = True
-            for ci in in_clauses[x]:
-                und_cnt[ci] -= 1
-                if val:
-                    true_cnt[ci] += 1
-            for ci in in_clauses[x]:
-                if true_cnt[ci] > 1 or (true_cnt[ci] == 0 and und_cnt[ci] == 0):
-                    ok = False
-                    break
-            if ok and search(x + 1):
-                return True
-            for ci in in_clauses[x]:
-                und_cnt[ci] += 1
-                if val:
-                    true_cnt[ci] -= 1
-        value[x] = False
-        return False
-
-    if search(0):
-        return frozenset(x for x in range(n) if value[x])
-    return None
+    result = _find_exact_one(formula.clauses, n, DEFAULT_NODE_BUDGET)
+    if result is not None and not formula.is_one_in_three(result):
+        raise AssertionError("exact-one search returned no 1-in-3 solution")
+    return result

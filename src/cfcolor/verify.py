@@ -7,7 +7,6 @@ reported, never raised.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 
@@ -39,6 +38,25 @@ class VerificationReport:
         return out
 
 
+def unique_colors(colors):
+    """The set of colors occurring exactly once in `colors`.
+
+    An edge meets the conflict-free condition iff this set, taken over the
+    colors of its vertices, is non-empty.  None entries (uncolored
+    vertices) are skipped.
+    """
+    once = set()
+    repeated = set()
+    for c in colors:
+        if c in once:
+            repeated.add(c)
+        else:
+            once.add(c)
+    once -= repeated
+    once.discard(None)
+    return once
+
+
 def verify_cf(h, f, lists=None, require_total=False):
     """Check that f is a conflict-free partial coloring of h.
 
@@ -52,17 +70,11 @@ def verify_cf(h, f, lists=None, require_total=False):
     witnesses = []
     edge_violations = []
     for i, edge in enumerate(h.edges):
-        counts = Counter()
-        holder = {}
-        for v in edge:
-            c = f.get(v)
-            if c is not None:
-                counts[c] += 1
-                holder[c] = v
-        unique = [c for c, k in counts.items() if k == 1]
+        colors = [f.get(v) for v in edge]
+        unique = unique_colors(colors)
         if unique:
             c = min(unique)
-            witnesses.append(EdgeWitness(i, holder[c], c))
+            witnesses.append(EdgeWitness(i, edge[colors.index(c)], c))
         else:
             edge_violations.append(i)
 

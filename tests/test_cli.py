@@ -175,3 +175,18 @@ def test_sweep_propositions_small(capsys):
 def test_help_exits_clean(capsys):
     assert cli.main(["--help"]) == 0
     assert "verify" in capsys.readouterr().out
+
+
+def test_lemma_round_cap_exits_2(tmp_path, capsys):
+    import random
+
+    from cfcolor.graphs import random_hypergraph
+
+    h = random_hypergraph(400, 300, 8, 12, random.Random(1))
+    hp = tmp_path / "h.txt"
+    hp.write_text(fileio.format_hypergraph(h))
+    # the round cap is a budget: exit 2, never 1 ("no") or a traceback
+    argv = ["lemma", "--hgraph", str(hp), "--list-factor", "1", "--alpha", "8"]
+    for seed in range(1, 6):
+        assert cli.main(argv + ["--max-rounds", "1", "--seed", str(seed)]) == 2
+        assert "resampling rounds" in capsys.readouterr().err

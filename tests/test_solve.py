@@ -14,7 +14,14 @@ from cfcolor.smallgraphs import (
     path_graph,
     star_graph,
 )
-from util import all_one_in_three, all_pids, all_pimds, brute_force_cf, cf_valid
+from util import (
+    all_one_in_three,
+    all_pids,
+    all_pimds,
+    brute_force_cf,
+    cf_valid,
+    decide_choosable_unrestricted,
+)
 
 
 def test_solve_instance_variants():
@@ -131,7 +138,7 @@ def test_choosability_matches_unrestricted_enumeration():
             inst = solve.SolveInstance.from_graph(g, variant)
             for k in (1, 2):
                 fast = solve.decide_choosable(inst, k)
-                slow = solve.decide_choosable_unrestricted(inst, k, k * g.n)
+                slow = decide_choosable_unrestricted(inst, k, k * g.n)
                 assert fast.answer == slow.answer
 
 
@@ -188,3 +195,67 @@ def test_one_in_three_variable_cap():
     formula = Formula(31, ((0, 1, 2),))
     with pytest.raises(BudgetExceededError):
         solve.solve_one_in_three(formula)
+
+
+_WRONG_EXACT_ONE = """
+from cfcolor import kernels, solve
+from cfcolor.reductions import FIGURE_FORMULA
+from cfcolor.smallgraphs import path_graph
+
+assert not __debug__, "run under python -O"
+kernels.exact_one = lambda n, sets, budget: (0, [0], 1)
+calls = {
+    "find_pimds": lambda: solve.find_pimds(path_graph(3)),
+    "find_pids": lambda: solve.find_pids(path_graph(3)),
+    "solve_one_in_three": lambda: solve.solve_one_in_three(FIGURE_FORMULA),
+}
+for name, call in calls.items():
+    try:
+        result = call()
+    except AssertionError:
+        print(name, "rejected")
+    else:
+        print(name, "returned", sorted(result))
+"""
+
+
+def test_exact_one_results_verified_under_optimize():
+    # {0} is no PIMDS or PIDS of P3 and no 1-in-3 solution of the figure
+    # formula; the checks must survive `python -O`, which strips asserts
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(solve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_EXACT_ONE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split("\n")
+    assert out[:3] == [
+        "find_pimds rejected",
+        "find_pids rejected",
+        "solve_one_in_three rejected",
+    ]
+
+
+def test_symmetric_range_lists_are_not_materialized():
+    import tracemalloc
+
+    inst = solve.SolveInstance.from_graph(path_graph(5), "cn-star")
+    lists = ListAssignment.uniform_range(5, 2_000_000)
+    tracemalloc.start()
+    try:
+        f = solve.solve_list_cf(inst, lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f is not None
+    assert peak < 1_000_000

@@ -6,9 +6,10 @@ instances tiny.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
-from cfcolor.coloring import PartialColoring
+from cfcolor.coloring import ListAssignment, PartialColoring
+from cfcolor.solve import ChoosabilityCertificate, solve_list_cf
 
 
 def cf_valid(h, f, require_total=False):
@@ -68,3 +69,14 @@ def all_one_in_three(formula):
         if formula.is_one_in_three(s):
             out.append(s)
     return out
+
+
+def decide_choosable_unrestricted(inst, k, universe_size):
+    """Choosability over all k-assignments drawn from {1..universe_size},
+    with no symmetry pruning.  Cross-check for the canonical enumeration."""
+    subsets = list(combinations(range(1, universe_size + 1), k))
+    for entries in product(subsets, repeat=inst.hypergraph.n):
+        lists = ListAssignment(list(entries))
+        if solve_list_cf(inst, lists) is None:
+            return ChoosabilityCertificate(answer=False, witness=lists)
+    return ChoosabilityCertificate(answer=True)
