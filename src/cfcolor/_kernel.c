@@ -1,0 +1,306 @@
+/* Compiled search kernels, loaded with ctypes by cfcolor.kernels.
+
+   A line-for-line port of _kernel_py.py: both explore the identical search
+   tree and return the same status, result and node count.  The searches
+   are iterative (an explicit per-depth state instead of recursion), so the
+   depth is bounded by the vertex count, not by the C stack.
+
+   Inputs are flat CSR int arrays built by kernels.py; every vertex index
+   must lie in [0, n) and every color in [0, num_colors).  Status codes:
+   0 = solution found, 1 = exhausted (no solution), 2 = node budget
+   exceeded, 3 = out of memory. */
+
+#include <stdlib.h>
+
+enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3 };
+enum { UNDECIDED = -2, UNCOLORED = -1 };
+
+typedef struct {
+    int n, m, num_colors, require_total, symmetric;
+    const int *edge_start, *edge_vert;  /* edge e: edge_vert[edge_start[e]..edge_start[e+1]) */
+    const int *list_lo, *list_hi, *list_color;  /* list of v: list_color[list_lo[v]..list_hi[v]) */
+    int *inc_start, *inc_edge;  /* edges of v, in edge-index order */
+    int *cnt;  /* m rows of num_colors: how often each color occurs in the edge */
+    int *uniq;  /* colors occurring exactly once in the edge */
+    int *und;  /* undecided vertices of the edge */
+    int *state;  /* color, UNCOLORED or UNDECIDED per vertex */
+    int unsat;  /* edges without a unique color */
+} CF;
+
+static int *row_of(const CF *s, int ei) {
+    return s->cnt + (size_t)ei * (size_t)s->num_colors;
+}
+
+/* An edge with no unique color can still be fixed iff some undecided
+   vertex can contribute a color unseen in the edge. */
+static int edge_alive(const CF *s, int ei) {
+    if (s->uniq[ei] != 0) return 1;
+    if (s->und[ei] == 0) return 0;
+    const int *row = row_of(s, ei);
+    for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++) {
+        int v = s->edge_vert[i];
+        if (s->state[v] != UNDECIDED) continue;
+        for (int j = s->list_lo[v]; j < s->list_hi[v]; j++)
+            if (row[s->list_color[j]] == 0) return 1;
+    }
+    return 0;
+}
+
+/* Returns 0 when some incident edge becomes dead; the assignment is made
+   either way and undone by unassign. */
+static int assign(CF *s, int v, int value) {
+    s->state[v] = value;
+    for (int i = s->inc_start[v]; i < s->inc_start[v + 1]; i++) {
+        int ei = s->inc_edge[i];
+        s->und[ei]--;
+        if (value < 0) continue;
+        int *row = row_of(s, ei);
+        if (++row[value] == 1) {
+            if (++s->uniq[ei] == 1) s->unsat--;
+        } else if (row[value] == 2) {
+            if (--s->uniq[ei] == 0) s->unsat++;
+        }
+    }
+    for (int i = s->inc_start[v]; i < s->inc_start[v + 1]; i++)
+        if (!edge_alive(s, s->inc_edge[i])) return 0;
+    return 1;
+}
+
+static void unassign(CF *s, int v, int value) {
+    s->state[v] = UNDECIDED;
+    for (int i = s->inc_start[v]; i < s->inc_start[v + 1]; i++) {
+        int ei = s->inc_edge[i];
+        s->und[ei]++;
+        if (value < 0) continue;
+        int *row = row_of(s, ei);
+        if (row[value] == 1) {
+            if (--s->uniq[ei] == 0) s->unsat++;
+        } else if (row[value] == 2) {
+            if (++s->uniq[ei] == 1) s->unsat--;
+        }
+        row[value]--;
+    }
+}
+
+/* Depth d decides vertex order[d]: its colors in list order (in symmetric
+   mode only up to max_used + 1), then UNCOLORED unless require_total. */
+static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
+                     int *max_used, long long budget, long long *nodes) {
+    int d = 0;
+    max_used[0] = -1;
+    for (;;) {
+        /* entering depth d */
+        if (!s->require_total && s->unsat == 0) return FOUND;
+        if (d == s->n) {
+            if (s->unsat == 0) return FOUND;
+        } else {
+            int v = order[d];
+            next[d] = s->list_lo[v];
+            end[d] = s->list_hi[v];
+            if (s->symmetric && end[d] - next[d] > max_used[d] + 2)
+                end[d] = next[d] + max_used[d] + 2;
+        }
+        /* find the next child to descend into, backtracking as needed */
+        for (;;) {
+            if (d < s->n) {
+                int v = order[d], c;
+                if (next[d] < end[d]) {
+                    c = s->list_color[next[d]++];
+                } else if (next[d] == end[d] && !s->require_total) {
+                    c = UNCOLORED;
+                    next[d]++;
+                } else {
+                    c = UNDECIDED;
+                }
+                if (c != UNDECIDED) {
+                    if (++*nodes > budget) return OVER_BUDGET;
+                    value[d] = c;
+                    if (assign(s, v, c)) break;
+                    unassign(s, v, c);
+                    continue;
+                }
+            }
+            if (d == 0) return EXHAUSTED;
+            d--;
+            unassign(s, order[d], value[d]);
+        }
+        max_used[d + 1] = s->symmetric && value[d] > max_used[d] ? value[d] : max_used[d];
+        d++;
+    }
+}
+
+/* Vertices by decreasing incidence degree, ties by vertex id (a counting
+   sort, so the order equals Python's sorted(key=(-degree, v))). */
+static int degree_order(int n, const int *inc_start, int *order) {
+    int max_deg = 0;
+    for (int v = 0; v < n; v++)
+        if (inc_start[v + 1] - inc_start[v] > max_deg) max_deg = inc_start[v + 1] - inc_start[v];
+    int *slot = calloc((size_t)max_deg + 2, sizeof(int));
+    if (!slot) return 0;
+    for (int v = 0; v < n; v++) slot[max_deg - (inc_start[v + 1] - inc_start[v]) + 1]++;
+    for (int k = 1; k <= max_deg + 1; k++) slot[k] += slot[k - 1];
+    for (int v = 0; v < n; v++) order[slot[max_deg - (inc_start[v + 1] - inc_start[v])]++] = v;
+    free(slot);
+    return 1;
+}
+
+/* CSR incidence of the sets: for each vertex, the sets containing it in
+   set-index order.  Returns 0 when out of memory. */
+static int incidence(int n, int m, const int *set_start, const int *set_vert,
+                     int **start_out, int **item_out) {
+    int *start = calloc((size_t)n + 1, sizeof(int));
+    int *item = calloc((size_t)set_start[m] + 1, sizeof(int));
+    int *fill = calloc((size_t)n + 1, sizeof(int));
+    if (!start || !item || !fill) {
+        free(start);
+        free(item);
+        free(fill);
+        return 0;
+    }
+    for (int i = 0; i < set_start[m]; i++) start[set_vert[i] + 1]++;
+    for (int v = 0; v < n; v++) start[v + 1] += start[v];
+    for (int si = 0; si < m; si++)
+        for (int i = set_start[si]; i < set_start[si + 1]; i++) {
+            int v = set_vert[i];
+            item[start[v] + fill[v]++] = si;
+        }
+    free(fill);
+    *start_out = start;
+    *item_out = item;
+    return 1;
+}
+
+/* Conflict-free (partial) list coloring search; see _kernel_py.solve_cf.
+   On FOUND, out[v] is v's dense color or -1 for uncolored. */
+int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
+             const int *list_lo, const int *list_hi, const int *list_color,
+             int num_colors, int require_total, int symmetric,
+             long long budget, int *out, long long *nodes) {
+    CF s = {.n = n, .m = m, .num_colors = num_colors, .require_total = require_total,
+            .symmetric = symmetric, .edge_start = edge_start, .edge_vert = edge_vert,
+            .list_lo = list_lo, .list_hi = list_hi, .list_color = list_color};
+    *nodes = 0;
+    int status = NO_MEMORY;
+    size_t depths = (size_t)n + 1;
+    int *order = calloc(depths, sizeof(int));
+    int *next = calloc(depths, sizeof(int));
+    int *end = calloc(depths, sizeof(int));
+    int *value = calloc(depths, sizeof(int));
+    int *max_used = calloc(depths, sizeof(int));
+    s.cnt = calloc((size_t)m * (size_t)num_colors + 1, sizeof(int));
+    s.uniq = calloc((size_t)m + 1, sizeof(int));
+    s.und = calloc((size_t)m + 1, sizeof(int));
+    s.state = calloc(depths, sizeof(int));
+    if (order && next && end && value && max_used && s.cnt && s.uniq && s.und && s.state
+        && incidence(n, m, edge_start, edge_vert, &s.inc_start, &s.inc_edge)) {
+        if (degree_order(n, s.inc_start, order)) {
+            for (int ei = 0; ei < m; ei++) s.und[ei] = edge_start[ei + 1] - edge_start[ei];
+            for (int v = 0; v < n; v++) s.state[v] = UNDECIDED;
+            s.unsat = m;
+            status = cf_search(&s, order, next, end, value, max_used, budget, nodes);
+            if (status == FOUND)
+                for (int v = 0; v < n; v++) out[v] = s.state[v] >= 0 ? s.state[v] : -1;
+        }
+        free(s.inc_start);
+        free(s.inc_edge);
+    }
+    free(order);
+    free(next);
+    free(end);
+    free(value);
+    free(max_used);
+    free(s.cnt);
+    free(s.uniq);
+    free(s.und);
+    free(s.state);
+    return status;
+}
+
+typedef struct {
+    int n, m;
+    int *con_start, *con_set;  /* sets containing v, in set-index order */
+    int *cnt;  /* chosen members of each set */
+    int *und;  /* undecided members of each set */
+} ExactOne;
+
+/* Returns 0 on a violated set; undone by undecide either way. */
+static int decide(ExactOne *s, int v, int inside) {
+    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
+        int si = s->con_set[i];
+        s->und[si]--;
+        if (inside) s->cnt[si]++;
+    }
+    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
+        int si = s->con_set[i];
+        if (s->cnt[si] > 1 || (s->cnt[si] == 0 && s->und[si] == 0)) return 0;
+    }
+    return 1;
+}
+
+static void undecide(ExactOne *s, int v, int inside) {
+    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
+        int si = s->con_set[i];
+        s->und[si]++;
+        if (inside) s->cnt[si]--;
+    }
+}
+
+/* Depth v decides vertex v: inside first, then outside. */
+static int exact_search(ExactOne *s, char *tried, char *chosen, long long budget,
+                        long long *nodes) {
+    int v = 0;
+    for (;;) {
+        /* entering depth v */
+        if (v == s->n) {
+            int all_one = 1;
+            for (int si = 0; si < s->m; si++)
+                if (s->cnt[si] != 1) all_one = 0;
+            if (all_one) return FOUND;
+        } else {
+            tried[v] = 0;
+        }
+        /* find the next child to descend into, backtracking as needed */
+        for (;;) {
+            if (v < s->n && tried[v] < 2) {
+                int inside = tried[v]++ == 0;
+                if (++*nodes > budget) return OVER_BUDGET;
+                chosen[v] = (char)inside;
+                if (decide(s, v, inside)) break;
+                undecide(s, v, inside);
+                continue;
+            }
+            if (v < s->n) chosen[v] = 0;
+            if (v == 0) return EXHAUSTED;
+            v--;
+            undecide(s, v, chosen[v]);
+        }
+        v++;
+    }
+}
+
+/* A vertex subset hitting every set exactly once; see
+   _kernel_py.exact_one.  On FOUND, out[v] is 1 for members, else 0. */
+int exact_one(int n, int m, const int *set_start, const int *set_vert,
+              long long budget, int *out, long long *nodes) {
+    ExactOne s = {.n = n, .m = m};
+    *nodes = 0;
+    int status = NO_MEMORY;
+    char *tried = calloc((size_t)n + 1, 1);
+    char *chosen = calloc((size_t)n + 1, 1);
+    s.cnt = calloc((size_t)m + 1, sizeof(int));
+    s.und = calloc((size_t)m + 1, sizeof(int));
+    if (tried && chosen && s.cnt && s.und
+        && incidence(n, m, set_start, set_vert, &s.con_start, &s.con_set)) {
+        for (int si = 0; si < m; si++) s.und[si] = set_start[si + 1] - set_start[si];
+        status = exact_search(&s, tried, chosen, budget, nodes);
+        if (status == FOUND)
+            for (int v = 0; v < n; v++) out[v] = chosen[v];
+        free(s.con_start);
+        free(s.con_set);
+    }
+    free(tried);
+    free(chosen);
+    free(s.cnt);
+    free(s.und);
+    return status;
+}

@@ -1,8 +1,10 @@
 """Pure-Python search kernels.
 
-Same contract as the compiled extension in ``_speedups.pyx``; the two are
+Same contract as the C kernels in ``_kernel.c``; the two are
 interchangeable and must explore the identical search tree so results are
-byte-identical.  See ``cfcolor.kernels`` for the import-time selection.
+byte-identical.  This module is the reference the parity tests compare the
+C kernels against, and the fallback when they cannot be built.  See
+``cfcolor.kernels`` for the import-time selection.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution),
 2 = node budget exceeded.

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Decision subcommands exit 0 for yes, 1 for no, 2 when a resource budget
-tripped; all subcommands exit 3 on malformed input.  Randomized paths
+tripped or the run failed for want of resources (a failed pipeline, the
+recursion limit, memory); all subcommands exit 3 on malformed input.  A
+failure never exits 1, which means "no".  Randomized paths
 require an explicit --seed; identical command and seed give byte-identical
 output.
 """
@@ -460,6 +462,9 @@ def main(argv=None):
         return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (prob.PipelineError, RecursionError, MemoryError) as exc:
+        print(f"resources exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)

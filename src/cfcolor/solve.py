@@ -98,6 +98,8 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET):
         raise BudgetExceededError(
             f"solve_list_cf exceeded {budget} nodes", nodes=nodes
         )
+    if status == 3:
+        raise BudgetExceededError("solve_list_cf ran out of memory", nodes=nodes)
     if status == 1:
         return None
     f = PartialColoring(
@@ -219,6 +221,8 @@ def _find_exact_one(sets, n, budget):
         raise BudgetExceededError(
             f"exact-one search exceeded {budget} nodes", nodes=nodes
         )
+    if status == 3:
+        raise BudgetExceededError("exact-one search ran out of memory", nodes=nodes)
     if status == 1:
         return None
     return frozenset(members)

@@ -190,3 +190,38 @@ def test_lemma_round_cap_exits_2(tmp_path, capsys):
     for seed in range(1, 6):
         assert cli.main(argv + ["--max-rounds", "1", "--seed", str(seed)]) == 2
         assert "resampling rounds" in capsys.readouterr().err
+
+
+def test_exit_code_table(tmp_path, monkeypatch, capsys):
+    """Failures exit 2, never 1 ("no"): a search too deep for the pure
+    kernel's recursion, and a pipeline whose exact fallback finds nothing."""
+    from cfcolor import _kernel_py, kernels, prob
+    from cfcolor.smallgraphs import path_graph
+
+    path = tmp_path / "path.txt"
+    path.write_text(fileio.format_graph(path_graph(2000)))
+    solve_path = ["solve", "--graph", str(path), "--uniform", "2"]
+    pipeline = ["pipeline", "--graph", write_c4(tmp_path), "--lists", "RANGE:200"]
+    pipeline += ["--seed", "1", "--scaled", "--retries", "1"]
+
+    def failed_attempt(*args, **kwargs):
+        raise prob.PipelineError("test", "attempt fails")
+
+    table = [
+        (solve_path, {}, 0 if kernels.BACKEND == "compiled" else 2),
+        (solve_path, {(kernels, "solve_cf"): _kernel_py.solve_cf}, 2),
+        (
+            pipeline,
+            {
+                (prob, "_attempt"): failed_attempt,
+                (prob, "solve_list_cf"): lambda *args, **kwargs: None,
+            },
+            2,
+        ),
+    ]
+    for argv, patches, code in table:
+        with monkeypatch.context() as patched:
+            for (module, name), value in patches.items():
+                patched.setattr(module, name, value)
+            assert cli.main(argv) == code, (argv, patches)
+        capsys.readouterr()

@@ -1,5 +1,7 @@
 """The compiled and pure-Python kernels must explore the identical search
-tree: equal status, equal result, equal node count, on every input."""
+tree: equal status, equal result, equal node count, on every input.  The
+compiled backend is ``_kernel.c``, built on import when a C compiler is
+present."""
 
 import random
 
@@ -10,7 +12,7 @@ from cfcolor import kernels
 
 
 requires_compiled = pytest.mark.skipif(
-    not kernels.COMPILED, reason="compiled backend not built"
+    kernels.BACKEND != "compiled", reason="no C compiler to build _kernel.c"
 )
 
 
@@ -38,26 +40,41 @@ def test_solve_cf_parity_randomized():
 @requires_compiled
 def test_solve_cf_parity_symmetric_mode():
     rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(2, 8)
-        m = rng.randint(1, 8)
-        edges = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(m)]
-        shared = list(range(rng.randint(1, 4)))
-        for total in (False, True):
-            assert kernels.solve_cf(
-                n, edges, [shared] * n, total, True, 100000
-            ) == pure.solve_cf(n, edges, [shared] * n, total, True, 100000)
+    # (instances, largest n, budget): small exhaustive searches, then n up
+    # to 40 (edges of at most 8 vertices) where the budget trips
+    trips = 0
+    for count, max_n, budget in ((100, 8, 100000), (20, 40, 50_000)):
+        for _ in range(count):
+            n = rng.randint(2, max_n)
+            m = rng.randint(1, max_n)
+            size = min(n, 8)
+            edges = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
+            shared = list(range(rng.randint(1, 4)))
+            for total in (False, True):
+                got = kernels.solve_cf(n, edges, [shared] * n, total, True, budget)
+                assert got == pure.solve_cf(n, edges, [shared] * n, total, True, budget)
+                trips += got[0] == 2
+    assert trips > 0
 
 
 @requires_compiled
 def test_exact_one_parity_randomized():
     rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        m = rng.randint(1, 10)
-        sets = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(m)]
-        budget = rng.choice([20, 100000])
-        assert kernels.exact_one(n, sets, budget) == pure.exact_one(n, sets, budget)
+    # (instances, largest n, largest set, budgets): small searches, then n
+    # up to 40 where the budget trips
+    trips = 0
+    bands = ((200, 10, 10, (20, 100000)), (20, 40, 4, (50_000,)))
+    for count, max_n, max_size, budgets in bands:
+        for _ in range(count):
+            n = rng.randint(1, max_n)
+            m = rng.randint(1, max_n)
+            size = min(n, max_size)
+            sets = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
+            budget = rng.choice(budgets)
+            got = kernels.exact_one(n, sets, budget)
+            assert got == pure.exact_one(n, sets, budget)
+            trips += got[0] == 2
+    assert trips > 0
 
 
 @requires_compiled
@@ -72,3 +89,22 @@ def test_budget_status_and_node_counts_match():
     b = pure.solve_cf(n, edges, lists, True, True, 5)
     assert a == b
     assert a[0] == 2 and a[2] == 6
+
+
+def test_loader_falls_back_then_reuses_its_cache(tmp_path):
+    assert kernels.load(tmp_path, compiler="no-such-compiler") == (
+        "pure-python",
+        pure.solve_cf,
+        pure.exact_one,
+    )
+    assert list(tmp_path.iterdir()) == []
+    if kernels.BACKEND != "compiled":
+        pytest.skip("no C compiler to build _kernel.c")
+    backend, solve_cf, _ = kernels.load(tmp_path)
+    assert backend == "compiled"
+    [library] = tmp_path.iterdir()
+    built = library.stat().st_mtime_ns
+    assert kernels.load(tmp_path)[0] == "compiled"
+    assert list(tmp_path.iterdir()) == [library]
+    assert library.stat().st_mtime_ns == built
+    assert solve_cf(2, [[0, 1]], [[0], [0]], True, False, 10) == (1, None, 2)
