@@ -22,7 +22,6 @@ from cfcolor.errors import BudgetExceededError, InputFormatError
 from cfcolor.graphs import (
     derived_hypergraph,
     extended_double_cover,
-    hypergraph_stats,
     line_graph,
     max_star,
     random_graph,
@@ -198,7 +197,7 @@ def cmd_pipeline(args):
 
 def cmd_lemma(args):
     h = fileio.parse_hypergraph(_read(args.hgraph))
-    _, _, _, max_size = hypergraph_stats(h)
+    max_size = max((len(e) for e in h.edges), default=0)
     if args.lists:
         lists = _load_lists(args.lists, h.n)
     else:
@@ -275,7 +274,7 @@ def _sweep_lemma(args):
     lo, hi = (int(x) for x in args.size.split(".."))
     rng = random.Random(args.seed)
     h = random_hypergraph(4 * hi, args.edges, lo, hi, rng)
-    _, _, _, max_size = hypergraph_stats(h)
+    max_size = max((len(e) for e in h.edges), default=0)
     lists = ListAssignment.uniform_range(h.n, 32 * max_size)
     cfg = prob.LemmaConfig(rng_seed=args.seed, alpha_override=lo)
     f, rounds = prob.near_uniform_color(h, lists, cfg)

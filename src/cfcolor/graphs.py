@@ -103,6 +103,15 @@ class Hypergraph:
     def m(self):
         return len(self.edges)
 
+    def incidence(self):
+        """For each vertex, the indices of the edges containing it, in
+        increasing order."""
+        incident = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                incident[v].append(i)
+        return incident
+
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraph)
@@ -132,32 +141,42 @@ def derived_hypergraph(g, mode):
 
 
 def hypergraph_stats(h):
-    """(max vertex degree, max number of other edges an edge meets,
-    min edge size, max edge size), all by exact enumeration."""
-    deg = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            deg[v] += 1
-    max_deg = max(deg, default=0)
-    edge_sets = [set(e) for e in h.edges]
+    """(max vertex degree, Gamma, min edge size, max edge size).
+
+    Gamma is the largest number of other edges that one edge meets,
+    counted for each edge as the distinct edges on the incidence lists of
+    its vertices.  Duplicate edges meet each other.
+    """
+    incident = h.incidence()
     gamma = 0
-    for i, ei in enumerate(edge_sets):
-        hits = sum(1 for j, ej in enumerate(edge_sets) if j != i and ei & ej)
-        gamma = max(gamma, hits)
+    for e in h.edges:
+        met = set()
+        for v in e:
+            met.update(incident[v])
+        gamma = max(gamma, len(met) - 1)
     sizes = [len(e) for e in h.edges]
-    return max_deg, gamma, min(sizes, default=0), max(sizes, default=0)
+    return (
+        max(map(len, incident), default=0),
+        gamma,
+        min(sizes, default=0),
+        max(sizes, default=0),
+    )
 
 
-def _max_independent_in(mask, masks):
-    """Size of a maximum independent set within the vertex bitmask `mask`."""
-    if mask == 0:
-        return 0
-    v = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << v)
-    # branch: exclude v, or include v and drop its neighbors
-    best = _max_independent_in(rest, masks)
-    with_v = 1 + _max_independent_in(rest & ~masks[v], masks)
-    return max(best, with_v)
+def _clique_cover(p, masks):
+    """Number of cliques in a greedy cover of the vertex bitmask `p`: an
+    upper bound on its independence number."""
+    count = 0
+    while p:
+        low = p & -p
+        cand = p & masks[low.bit_length() - 1]
+        p ^= low
+        while cand:
+            low = cand & -cand
+            cand &= masks[low.bit_length() - 1]
+            p ^= low
+        count += 1
+    return count
 
 
 def max_star(g):
@@ -166,11 +185,33 @@ def max_star(g):
     Equals the maximum, over vertices v, of the maximum independent set
     size inside N(v).  g is K_{1,k}-free exactly for all k > max_star(g).
     Returns 0 for edgeless graphs.
+
+    One branch-and-bound over every neighborhood, with an explicit stack:
+    a node is (chosen count, candidate bitmask); it tries "include the
+    lowest candidate" before "exclude it" and is pruned when its count
+    plus a greedy clique cover of its candidates cannot beat the best set
+    found so far in any neighborhood.  A node whose cover is all
+    singletons is an independent set and needs no branching.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
-    return max(_max_independent_in(mask, masks) for mask in masks)
+    best = 0
+    for root in masks:
+        stack = [(0, root)]
+        while stack:
+            size, p = stack.pop()
+            cover = _clique_cover(p, masks)
+            if size + cover <= best:
+                continue
+            if cover == p.bit_count():
+                best = size + cover
+                continue
+            low = p & -p
+            rest = p ^ low
+            stack.append((size, rest))
+            stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
+    return best
 
 
 def maximal_independent_set(g, order=None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,6 +108,10 @@ def near_uniform_color(h, lists, cfg):
     X_E >= bad_fraction * |E| non-uniquely colored vertices, resamples
     all vertices of the lowest-index such edge.  On success every edge
     sees at least unique_fraction * |E| unique colors.
+
+    The set of bad edges is kept across rounds: a resample can change
+    only the edges that meet the resampled one, so only those are
+    checked again (Moser & Tardos, JACM 2010).
     """
     if lists.n != h.n:
         raise ValueError("lists must cover every vertex")
@@ -125,25 +130,31 @@ def near_uniform_color(h, lists, cfg):
 
     rng = random.Random(cfg.rng_seed)
     color = [lists.sample(v, rng) for v in range(h.n)]
+    incident = h.incidence()
+    num, den = cfg.bad_fraction.numerator, cfg.bad_fraction.denominator
 
-    def non_unique(edge):
-        return len(edge) - len(unique_colors([color[v] for v in edge]))
+    def is_bad(edge):
+        non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
+        return non_unique * den >= num * len(edge)
 
-    def first_bad():
-        for i, edge in enumerate(h.edges):
-            if non_unique(edge) >= cfg.bad_fraction * len(edge):
-                return i
-        return None
-
+    bad = [i for i, edge in enumerate(h.edges) if is_bad(edge)]  # ascending
     rounds = 0
-    bad = first_bad()
-    while bad is not None:
+    while bad:
         if rounds >= cfg.max_rounds:
-            raise ResampleFailure(rounds, bad)
-        for v in h.edges[bad]:
+            raise ResampleFailure(rounds, bad[0])
+        touched = set()
+        for v in h.edges[bad[0]]:
             color[v] = lists.sample(v, rng)
+            touched.update(incident[v])
         rounds += 1
-        bad = first_bad()
+        for i in touched:
+            j = bisect_left(bad, i)
+            listed = j < len(bad) and bad[j] == i
+            if is_bad(h.edges[i]) != listed:
+                if listed:
+                    del bad[j]
+                else:
+                    bad.insert(j, i)
 
     f = PartialColoring({v: color[v] for v in range(h.n)})
     for edge in h.edges:
@@ -387,9 +398,11 @@ def cfcn_pipeline(g, lists, cfg):
     Builds a maximal independent core A, greedily classes the rest, colors
     A exactly, then resamples the near-uniform B-neighborhood hypergraph
     for the deep classes.  The output always passes verification against
-    the closed-neighborhood hypergraph and the original lists; failed
-    attempts retry with fresh seeds, and after retry_limit attempts the
-    run delegates to the exact solver (recorded in the trace).
+    the closed-neighborhood hypergraph and the original lists.  Only the
+    resampling depends on the seed: a failed resampling retries with a
+    fresh seed, and after retry_limit attempts, or at once when a stage
+    that does not depend on the seed fails, the run delegates to the
+    exact solver (recorded in the trace).
 
     Returns (coloring, trace).
     """
@@ -421,16 +434,31 @@ def cfcn_pipeline(g, lists, cfg):
         },
     )
     failures = []
+    trace.attempts = 1
+    try:
+        f1, h2_job = _core(g, lists, cfg, k, delta, trace)
+    except PipelineError as exc:
+        failures.append(f"attempt 1: {exc}")
+        tries = 0
+    else:
+        tries = cfg.retry_limit if h2_job is not None else 1
 
-    for attempt in range(cfg.retry_limit):
+    for attempt in range(tries):
         trace.attempts = attempt + 1
-        try:
-            f, rounds = _attempt(
-                g, lists, cfg, k, delta, trace, seed=cfg.rng_seed + attempt
-            )
-        except (ResampleFailure, PipelineError) as exc:
-            failures.append(f"attempt {attempt + 1}: {exc}")
-            continue
+        f, rounds = f1, 0
+        if h2_job is not None:
+            try:
+                f2, rounds = _color_h2(*h2_job, cfg, seed=cfg.rng_seed + attempt)
+            except ResampleFailure as exc:
+                failures.append(f"attempt {attempt + 1}: {exc}")
+                continue
+            except PipelineError as exc:
+                # the lemma's size checks fail before any sampling, so no
+                # other seed can pass them
+                failures.append(f"attempt {attempt + 1}: {exc}")
+                break
+            trace.h2_coloring = f2
+            f = f1.union(f2)
         report = verify_cf(closed, f, lists=lists, require_total=False)
         if report.valid:
             trace.final = f
@@ -442,8 +470,8 @@ def cfcn_pipeline(g, lists, cfg):
             f"{report.edge_violations[:5]}"
         )
 
-    # every randomized attempt failed: fall back to the exact solver in
-    # place of the general-graph construction this pipeline does not carry
+    # every attempt failed: fall back to the exact solver in place of the
+    # general-graph construction this pipeline does not carry
     trace.delegated = True
     trace.failures = tuple(failures)
     inst = SolveInstance.from_hypergraph(closed)
@@ -454,7 +482,11 @@ def cfcn_pipeline(g, lists, cfg):
     return f, trace
 
 
-def _attempt(g, lists, cfg, k, delta, trace, seed):
+def _core(g, lists, cfg, k, delta, trace):
+    """The stages that do not depend on the seed: the core A, the classes,
+    the H1 coloring f1, the reduced lists and H2.  Returns (f1, None) when
+    C is empty, else (f1, (h2, reduced lists, B in order, b)).
+    """
     a_set = set(maximal_independent_set(g))
     gp, old_of_new = g.remove_vertices(a_set)
     classes_local = greedy_color_classes(gp)
@@ -494,7 +526,7 @@ def _attempt(g, lists, cfg, k, delta, trace, seed):
         trace.removed_y = {}
         trace.reduced_lists = None
         trace.h2_coloring = None
-        return f1, 0
+        return f1, None
 
     reduced, removed_x, removed_y = reduce_lists(g, b_set, f1, lists, k=k, b=b)
     trace.removed_x = removed_x
@@ -512,7 +544,11 @@ def _attempt(g, lists, cfg, k, delta, trace, seed):
     _, gamma, _, _ = hypergraph_stats(h2)
     if gamma > delta * delta:
         raise PipelineError("h2", f"Gamma {gamma} exceeds Delta^2 {delta * delta}")
+    return f1, (h2, reduced, b_sorted, b)
 
+
+def _color_h2(h2, reduced, b_sorted, b, cfg, seed):
+    """Resample H2 from `seed`; returns (f2 on the vertices of B, rounds)."""
     lemma_cfg = LemmaConfig(
         rng_seed=seed,
         list_factor=cfg.lemma_list_factor,
@@ -522,9 +558,6 @@ def _attempt(g, lists, cfg, k, delta, trace, seed):
     try:
         f2_local, rounds = near_uniform_color(h2, reduced, lemma_cfg)
     except ValueError as exc:
-        # reduced lists or edge sizes below the lemma's thresholds; treat
-        # as a failed attempt so the run can delegate
+        # reduced lists or edge sizes below the lemma's thresholds
         raise PipelineError("h2", str(exc)) from exc
-    f2 = PartialColoring({b_sorted[i]: c for i, c in f2_local.items()})
-    trace.h2_coloring = f2
-    return f1.union(f2), rounds
+    return PartialColoring({b_sorted[i]: c for i, c in f2_local.items()}), rounds

@@ -213,7 +213,7 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
         (
             pipeline,
             {
-                (prob, "_attempt"): failed_attempt,
+                (prob, "_core"): failed_attempt,
                 (prob, "solve_list_cf"): lambda *args, **kwargs: None,
             },
             2,

@@ -83,6 +83,11 @@ def test_max_star():
                 assert max_star(lg) <= 2
 
 
+def test_max_star_has_no_recursion_limit():
+    # one neighborhood of 1500 pairwise non-adjacent vertices
+    assert max_star(Graph(1501, [(0, v) for v in range(1, 1501)])) == 1500
+
+
 def test_maximal_independent_set_properties():
     for g in nonisomorphic_graphs(5):
         s = maximal_independent_set(g)

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from cfcolor.graphs import (
     random_hypergraph,
 )
 from cfcolor.verify import verify_cf
-from util import cf_valid
+from util import cf_valid, full_rescan_near_uniform_color
 
 
 def test_lemma_config_validation():
@@ -58,6 +59,28 @@ def test_near_uniform_color_succeeds_and_is_deterministic():
     for e in h.edges:
         unique = len(e) - prob.count_non_unique(e, f1)
         assert unique >= math.ceil(len(e) / 8)
+
+
+def test_near_uniform_color_matches_full_rescan_at_scale():
+    h = random_hypergraph(400, 300, 8, 12, random.Random(1))
+    lists = ListAssignment.uniform_range(h.n, 12)
+    for seed in range(3):
+        for cap in (1, 5, 1000):
+            cfg = prob.LemmaConfig(
+                rng_seed=seed, list_factor=1, alpha_override=8, max_rounds=cap
+            )
+            try:
+                want = full_rescan_near_uniform_color(h, lists, cfg)
+            except prob.ResampleFailure as exc:
+                with pytest.raises(prob.ResampleFailure) as got:
+                    prob.near_uniform_color(h, lists, cfg)
+                assert (got.value.rounds, got.value.worst_edge) == (
+                    exc.rounds,
+                    exc.worst_edge,
+                )
+                continue
+            f, rounds = prob.near_uniform_color(h, lists, cfg)
+            assert ([f[v] for v in range(h.n)], rounds) == want
 
 
 def test_near_uniform_color_rejects_small_lists():
@@ -193,3 +216,55 @@ def test_color_h1_covers_a_union_b():
         cells = [f1.get(x) for x in g.closed_neighborhood(v) if x in a]
         cells = [c for c in cells if c is not None]
         assert any(cells.count(c) == 1 for c in set(cells))
+
+
+def test_pipeline_retries_only_the_resampling(monkeypatch):
+    """A failure that does not depend on the seed is recorded once and
+    delegates at once; a failed resampling is retried with the next seed
+    without redoing the stages before it."""
+    from cfcolor.smallgraphs import path_graph
+
+    # k = 2 forbids two A-neighbors, and vertex 1 of the path 0-1-2 has two
+    g = path_graph(3)
+    cfg = prob.PipelineConfig.scaled(rng_seed=0, k_override=2)
+    f, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    assert trace.delegated and trace.attempts == 1
+    assert trace.failures == (
+        "attempt 1: [structure] vertex 1 has 2 A-neighbors, expected 1..1",
+    )
+
+    g = claw_free_corpus(1, 12, seed=22)[0]
+    cfg = prob.PipelineConfig.scaled(rng_seed=7, retry_limit=4)
+    lists = pipeline_lists(g, cfg)
+    color_h1 = prob.color_h1
+    h1_calls, seeds = [], []
+
+    def counted_color_h1(*args, **kwargs):
+        h1_calls.append(1)
+        return color_h1(*args, **kwargs)
+
+    monkeypatch.setattr(prob, "color_h1", counted_color_h1)
+    for error, tried in (
+        (prob.ResampleFailure(1, 0), [7, 8, 9, 10]),
+        (ValueError("minimum edge size 1 below required alpha 2"), [7]),
+    ):
+        def failing_lemma(h, lists, lemma_cfg):
+            seeds.append(lemma_cfg.rng_seed)
+            raise error
+
+        monkeypatch.setattr(prob, "near_uniform_color", failing_lemma)
+        h1_calls.clear()
+        seeds.clear()
+        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
+        assert trace.delegated and trace.part_c
+        assert seeds == tried and len(trace.failures) == len(tried)
+        assert trace.attempts == len(tried) and h1_calls == [1]
+
+    # with C empty nothing depends on the seed: a failed check is not retried
+    invalid = SimpleNamespace(valid=False, edge_violations=[0])
+    monkeypatch.setattr(prob, "verify_cf", lambda *args, **kwargs: invalid)
+    cfg = prob.PipelineConfig.full(rng_seed=7, retry_limit=4)
+    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    assert not trace.part_c and trace.delegated
+    assert trace.failures == ("attempt 1: verification failed on edges [0]",)

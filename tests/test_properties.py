@@ -1,13 +1,22 @@
 import random
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcolor import fileio, solve
+from cfcolor import fileio, prob, solve
 from cfcolor.coloring import ListAssignment, PartialColoring
-from cfcolor.graphs import Graph, Hypergraph
+from cfcolor.graphs import Graph, Hypergraph, hypergraph_stats, max_star
 from cfcolor.verify import verify_cf
-from util import brute_force_cf, cf_valid
+from util import (
+    brute_force_cf,
+    brute_force_max_star,
+    cf_valid,
+    full_rescan_near_uniform_color,
+    pairwise_hypergraph_stats,
+)
 
 
 @st.composite
@@ -16,6 +25,17 @@ def graphs(draw, max_n=6):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def sparse_graphs(draw, max_n):
+    """Graphs with an edge density drawn first, so that sparse
+    neighborhoods with large independent sets occur too."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if rng.random() < p])
 
 
 @st.composite
@@ -134,3 +154,47 @@ def test_one_choosable_iff_one_colorable(g):
         alt = solve.solve_list_cf(inst, ListAssignment(entries)) is not None
         if chooser:
             assert alt
+
+
+@given(hypergraphs(max_n=12, max_m=12))
+@settings(max_examples=150, deadline=None)
+def test_hypergraph_stats_match_pairwise_reference(h):
+    assert hypergraph_stats(h) == pairwise_hypergraph_stats(h)
+
+
+@given(sparse_graphs(max_n=16))
+@settings(max_examples=150, deadline=None)
+def test_max_star_matches_brute_force(g):
+    assert max_star(g) == brute_force_max_star(g)
+
+
+@given(
+    hypergraphs(max_n=14, max_m=10),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([Fraction(7, 8), Fraction(1, 2), Fraction(2, 3)]),
+    st.sampled_from([1, 2, 5, 40]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_near_uniform_color_matches_full_rescan(h, extra, bad_fraction, cap, seed):
+    """Same colors and rounds as the full-rescan loop, and at the round
+    cap the same failure."""
+    max_size = max(len(e) for e in h.edges)
+    lists = ListAssignment.uniform_range(h.n, max_size + extra)
+    cfg = prob.LemmaConfig(
+        rng_seed=seed,
+        list_factor=1,
+        bad_fraction=bad_fraction,
+        unique_fraction=1 - bad_fraction,
+        alpha_override=1,
+        max_rounds=cap,
+    )
+    try:
+        want = full_rescan_near_uniform_color(h, lists, cfg)
+    except prob.ResampleFailure as exc:
+        with pytest.raises(prob.ResampleFailure) as got:
+            prob.near_uniform_color(h, lists, cfg)
+        assert (got.value.rounds, got.value.worst_edge) == (exc.rounds, exc.worst_edge)
+        return
+    f, rounds = prob.near_uniform_color(h, lists, cfg)
+    assert ([f[v] for v in range(h.n)], rounds) == want

@@ -1,14 +1,17 @@
-"""Brute-force reference oracles for cross-checking the solvers.
+"""Reference oracles for cross-checking the library.
 
-Everything here enumerates the full search space with no pruning; keep
-instances tiny.
+The brute-force ones enumerate the full search space with no pruning;
+keep their instances tiny.  The others are the plain, slower forms of
+optimized library routines, which must agree with them exactly.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 from cfcolor.coloring import ListAssignment, PartialColoring
+from cfcolor.prob import ResampleFailure
 from cfcolor.solve import ChoosabilityCertificate, solve_list_cf
 
 
@@ -80,3 +83,61 @@ def decide_choosable_unrestricted(inst, k, universe_size):
         if solve_list_cf(inst, lists) is None:
             return ChoosabilityCertificate(answer=False, witness=lists)
     return ChoosabilityCertificate(answer=True)
+
+
+def pairwise_hypergraph_stats(h):
+    """hypergraph_stats by intersecting every pair of edges."""
+    deg = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            deg[v] += 1
+    edge_sets = [set(e) for e in h.edges]
+    gamma = 0
+    for i, ei in enumerate(edge_sets):
+        hits = sum(1 for j, ej in enumerate(edge_sets) if j != i and ei & ej)
+        gamma = max(gamma, hits)
+    sizes = [len(e) for e in h.edges]
+    return max(deg, default=0), gamma, min(sizes, default=0), max(sizes, default=0)
+
+
+def brute_force_max_star(g):
+    """max_star by enumerating every subset of every neighborhood."""
+    best = 0
+    for v in range(g.n):
+        nbrs = g.adj[v]
+        for size in range(len(nbrs), best, -1):
+            if any(
+                not any(g.has_edge(a, b) for a, b in combinations(s, 2))
+                for s in combinations(nbrs, size)
+            ):
+                best = size
+                break
+    return best
+
+
+def full_rescan_near_uniform_color(h, lists, cfg):
+    """near_uniform_color's resampling loop that rescans every edge after
+    each round and compares Fractions.  Returns (colors by vertex,
+    rounds); raises ResampleFailure at the round cap.  Input checks are
+    left to the code under test."""
+    rng = random.Random(cfg.rng_seed)
+    color = [lists.sample(v, rng) for v in range(h.n)]
+
+    def first_bad():
+        for i, edge in enumerate(h.edges):
+            colors = [color[v] for v in edge]
+            non_unique = sum(1 for c in colors if colors.count(c) > 1)
+            if non_unique >= cfg.bad_fraction * len(edge):
+                return i
+        return None
+
+    rounds = 0
+    bad = first_bad()
+    while bad is not None:
+        if rounds >= cfg.max_rounds:
+            raise ResampleFailure(rounds, bad)
+        for v in h.edges[bad]:
+            color[v] = lists.sample(v, rng)
+        rounds += 1
+        bad = first_bad()
+    return color, rounds
