@@ -2,8 +2,8 @@
 
 Colors are opaque non-negative integers; equality is their only semantic
 operation.  Lists are either explicit sorted sets or implicit contiguous
-ranges [lo, hi) -- the latter avoids materializing the huge lists the
-randomized pipeline works with.
+ranges [lo, hi), held as `range` objects -- the latter avoids
+materializing the huge lists the randomized pipeline works with.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 class ListAssignment:
     """Per-vertex color list.
 
-    Each entry is either a sorted tuple of colors or a ("range", lo, hi)
-    marker for the implicit list {lo, .., hi-1}.
+    Each entry is either a sorted tuple of colors or a `range` with step
+    1 for the implicit list {lo, .., hi-1}.  Both index, slice, measure and
+    test membership alike, so the accessors need no case split.
     """
 
     __slots__ = ("n", "_entries")
@@ -21,18 +22,18 @@ class ListAssignment:
     def __init__(self, entries):
         normalized = []
         for e in entries:
-            if isinstance(e, tuple) and len(e) == 3 and e[0] == "range":
-                _, lo, hi = e
-                if hi <= lo:
-                    raise ValueError("empty implicit range list")
-                normalized.append(("range", lo, hi))
+            if isinstance(e, range):
+                # range(0, 1) == range(0, 1, 5): only step 1 is a list
+                if e.step != 1:
+                    raise ValueError("implicit range lists must have step 1")
+                colors = e
             else:
                 colors = tuple(sorted(set(e)))
-                if not colors:
-                    raise ValueError("every list must be non-empty")
-                if colors[0] < 0:
-                    raise ValueError("colors must be non-negative")
-                normalized.append(colors)
+            if not colors:
+                raise ValueError("every list must be non-empty")
+            if colors[0] < 0:
+                raise ValueError("colors must be non-negative")
+            normalized.append(colors)
         self.n = len(normalized)
         self._entries = tuple(normalized)
 
@@ -43,36 +44,21 @@ class ListAssignment:
 
     @classmethod
     def uniform_range(cls, n, size, lo=0):
-        return cls([("range", lo, lo + size)] * n)
-
-    def is_range(self, v):
-        e = self._entries[v]
-        return isinstance(e, tuple) and len(e) == 3 and e[0] == "range"
+        return cls([range(lo, lo + size)] * n)
 
     def size(self, v):
-        e = self._entries[v]
-        if self.is_range(v):
-            return e[2] - e[1]
-        return len(e)
+        return len(self._entries[v])
 
     def colors(self, v):
         """Colors of L_v, ascending."""
-        e = self._entries[v]
-        if self.is_range(v):
-            return range(e[1], e[2])
-        return e
+        return self._entries[v]
 
     def contains(self, v, color):
-        e = self._entries[v]
-        if self.is_range(v):
-            return e[1] <= color < e[2]
-        return color in e
+        return color in self._entries[v]
 
     def sample(self, v, rng):
         """Uniform color from L_v."""
         e = self._entries[v]
-        if self.is_range(v):
-            return rng.randrange(e[1], e[2])
         return e[rng.randrange(len(e))]
 
     def without(self, v, removed):

@@ -191,14 +191,17 @@ def parse_lists(text, n):
             if len(tokens) < 3:
                 _fail(lineno, "expected `l <vertex> <c1> ...`")
             v = _parse_vertex(lineno, tokens[1], n)
-            entries[v] = tuple(int(t) for t in tokens[2:])
+            entry = tuple(int(t) for t in tokens[2:])
         elif tokens[0] == "L":
             if len(tokens) != 4:
                 _fail(lineno, "expected `L <vertex> <lo> <hi>`")
             v = _parse_vertex(lineno, tokens[1], n)
-            entries[v] = ("range", int(tokens[2]), int(tokens[3]))
+            entry = range(int(tokens[2]), int(tokens[3]))
         else:
             _fail(lineno, f"unexpected record {tokens[0]!r}")
+        if entries[v] is not None:
+            _fail(lineno, f"vertex {v + 1} has two lists")
+        entries[v] = entry
     missing = [v + 1 for v in range(n) if entries[v] is None]
     if missing:
         raise InputFormatError(f"no list for vertices {missing}")
@@ -209,8 +212,8 @@ def format_lists(lists):
     lines = []
     for v in range(lists.n):
         e = lists.entry(v)
-        if lists.is_range(v):
-            lines.append(f"L {v + 1} {e[1]} {e[2]}")
+        if isinstance(e, range):
+            lines.append(f"L {v + 1} {e.start} {e.stop}")
         else:
             lines.append(f"l {v + 1} " + " ".join(str(c) for c in e))
     return "\n".join(lines) + "\n"

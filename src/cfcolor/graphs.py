@@ -54,22 +54,6 @@ class Graph:
     def has_isolated_vertex(self):
         return any(not a for a in self.adj)
 
-    def remove_vertices(self, drop):
-        """Induced subgraph on V minus `drop`, with the vertex relabeling map.
-
-        Returns (subgraph, old_of_new) where old_of_new[i] is the original
-        id of the subgraph's vertex i.
-        """
-        drop = set(drop)
-        keep = [v for v in range(self.n) if v not in drop]
-        new_of_old = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (new_of_old[u], new_of_old[v])
-            for u, v in self.edges
-            if u not in drop and v not in drop
-        ]
-        return Graph(len(keep), edges), keep
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -214,14 +198,11 @@ def max_star(g):
     return best
 
 
-def maximal_independent_set(g, order=None):
-    """Greedy maximal independent set, scanning vertices in `order`
-    (default: increasing id)."""
-    if order is None:
-        order = range(g.n)
+def maximal_independent_set(g):
+    """Greedy maximal independent set, scanning vertices by increasing id."""
     chosen = set()
     blocked = set()
-    for v in order:
+    for v in range(g.n):
         if v not in blocked and v not in chosen:
             chosen.add(v)
             blocked.update(g.adj[v])
@@ -229,12 +210,14 @@ def maximal_independent_set(g, order=None):
 
 
 def greedy_color_classes(g, order=None):
-    """Color classes S_1..S_s of a greedy proper coloring, as a tuple of
+    """Color classes S_1..S_s of a greedy proper coloring of the vertices
+    in `order` (default: every vertex by increasing id), as a tuple of
     frozensets: each vertex gets the smallest color not used by an
-    already-colored neighbor.
+    already-colored neighbor.  Vertices outside `order` stay uncolored.
 
-    The classes partition the vertex set, each class is independent, and
-    every vertex of S_i (i >= 2) has a neighbor in each earlier class.
+    The classes partition the colored vertices, each class is
+    independent, and every vertex of S_i (i >= 2) has a neighbor in each
+    earlier class.
     """
     if order is None:
         order = range(g.n)

@@ -13,7 +13,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import BudgetExceededError
@@ -34,6 +33,10 @@ FULL_LIST_FACTOR = 32
 FULL_B_FLOOR = 2**12
 FULL_B_LOG_COEFF = 272
 FULL_R_COEFF = 2**18
+SCALED_B_FLOOR = 2
+SCALED_B_LOG_COEFF = 0.0
+SCALED_R_COEFF = 32.0
+PIPELINE_MAX_ROUNDS = 200
 
 
 class ResampleFailure(BudgetExceededError):
@@ -58,25 +61,22 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class LemmaConfig:
-    """Knobs of the near-uniform colorer.
+    """Seed and size limits of the near-uniform colorer.
 
-    Defaults are the full-scale analysis thresholds: lists of size 32 * (max
-    edge size), an edge is bad while at least 7/8 of its vertices carry
-    non-unique colors, success means at least 1/8 of every edge is
-    uniquely colored, and the minimum edge size must reach
-    max(2^12, ceil(136 ln(16 Gamma))) unless alpha_override is set.
+    Defaults are the full-scale analysis thresholds: lists of size 32 *
+    (max edge size) and a minimum edge size of
+    max(2^12, ceil(136 ln(16 Gamma))) unless alpha_override is set.  The
+    lemma's fractions are constants: an edge is bad while at least 7/8 of
+    its vertices carry non-unique colors, so success leaves at least 1/8
+    of every edge uniquely colored.
     """
 
     rng_seed: int
     list_factor: int = FULL_LIST_FACTOR
-    bad_fraction: Fraction = Fraction(7, 8)
-    unique_fraction: Fraction = Fraction(1, 8)
     alpha_override: int | None = None
     max_rounds: int = 1000
 
     def __post_init__(self):
-        if not (0 < self.unique_fraction <= 1 - self.bad_fraction):
-            raise ValueError("need 0 < unique_fraction <= 1 - bad_fraction")
         if self.list_factor < 1:
             raise ValueError("list_factor must be >= 1")
         if self.max_rounds < 1:
@@ -105,9 +105,9 @@ def near_uniform_color(h, lists, cfg):
     """Sample-and-resample coloring of a near-uniform hypergraph.
 
     Colors every vertex uniformly from its list; while some edge E has
-    X_E >= bad_fraction * |E| non-uniquely colored vertices, resamples
-    all vertices of the lowest-index such edge.  On success every edge
-    sees at least unique_fraction * |E| unique colors.
+    X_E >= 7/8 |E| non-uniquely colored vertices, resamples all vertices
+    of the lowest-index such edge.  On success every edge sees at least
+    |E|/8 unique colors.
 
     The set of bad edges is kept across rounds: a resample can change
     only the edges that meet the resampled one, so only those are
@@ -131,11 +131,10 @@ def near_uniform_color(h, lists, cfg):
     rng = random.Random(cfg.rng_seed)
     color = [lists.sample(v, rng) for v in range(h.n)]
     incident = h.incidence()
-    num, den = cfg.bad_fraction.numerator, cfg.bad_fraction.denominator
 
     def is_bad(edge):
         non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
-        return non_unique * den >= num * len(edge)
+        return 8 * non_unique >= 7 * len(edge)
 
     bad = [i for i, edge in enumerate(h.edges) if is_bad(edge)]  # ascending
     rounds = 0
@@ -159,61 +158,52 @@ def near_uniform_color(h, lists, cfg):
     f = PartialColoring({v: color[v] for v in range(h.n)})
     for edge in h.edges:
         unique = len(edge) - count_non_unique(edge, f)
-        if unique < cfg.unique_fraction * len(edge):  # pragma: no cover
+        if 8 * unique < len(edge):  # pragma: no cover
             raise AssertionError("resampling terminated with a bad edge")
     return f, rounds
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Constants of the CFCN* pipeline.
+    """Seed and switches of the CFCN* pipeline.
 
-    Full-scale values: b = min{s, max{2^12, 272 ln(4 Delta)}} and required
-    list size r = ceil(2^18 k ln Delta).  scaled_mode marks runs with
-    desk-scale replacement constants; the constants in effect are always
-    recorded in the trace.
+    The constants are the paper's: b = min{s, max{2^12, 272 ln(4 Delta)}}
+    and required list size r = ceil(2^18 k ln Delta).  scaled_mode swaps
+    in the desk-scale b = min{s, 2} and r = ceil(32 k ln Delta).  In both
+    modes the lemma gets lists of 32 * (max edge size) colors and 200
+    resampling rounds per seed, and the exact fallback gets
+    solve.DEFAULT_NODE_BUDGET nodes.  The constants in effect are recorded
+    in the trace.
     """
 
     rng_seed: int
-    b_floor: int = FULL_B_FLOOR
-    b_log_coeff: float = FULL_B_LOG_COEFF
-    r_coeff: float = FULL_R_COEFF
     scaled_mode: bool = False
     k_override: int | None = None
     retry_limit: int = 10
-    lemma_list_factor: int = FULL_LIST_FACTOR
-    lemma_max_rounds: int = 200
-    solver_budget: int = 20_000_000
 
     def __post_init__(self):
-        if self.b_floor < 1 or self.r_coeff <= 0 or self.b_log_coeff < 0:
-            raise ValueError("pipeline constants must be positive")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
+
+    @property
+    def b_floor(self):
+        return SCALED_B_FLOOR if self.scaled_mode else FULL_B_FLOOR
+
+    @property
+    def b_log_coeff(self):
+        return SCALED_B_LOG_COEFF if self.scaled_mode else FULL_B_LOG_COEFF
+
+    @property
+    def r_coeff(self):
+        return SCALED_R_COEFF if self.scaled_mode else FULL_R_COEFF
 
     @classmethod
     def full(cls, rng_seed, **kw):
         return cls(rng_seed=rng_seed, **kw)
 
     @classmethod
-    def scaled(
-        cls,
-        rng_seed,
-        b_floor=2,
-        b_log_coeff=0.0,
-        r_coeff=32.0,
-        lemma_max_rounds=200,
-        **kw,
-    ):
-        return cls(
-            rng_seed=rng_seed,
-            b_floor=b_floor,
-            b_log_coeff=b_log_coeff,
-            r_coeff=r_coeff,
-            scaled_mode=True,
-            lemma_max_rounds=lemma_max_rounds,
-            **kw,
-        )
+    def scaled(cls, rng_seed, **kw):
+        return cls(rng_seed=rng_seed, scaled_mode=True, **kw)
 
 
 @dataclass
@@ -271,7 +261,7 @@ class PipelineTrace:
         return out
 
 
-def color_h1(g, a_set, b_set, lists, budget=20_000_000):
+def color_h1(g, a_set, b_set, lists):
     """Color the independent core so every vertex of A u B sees a unique
     color among its closed A-neighbors.
 
@@ -316,7 +306,7 @@ def color_h1(g, a_set, b_set, lists, budget=20_000_000):
             len(a_sorted), [[a_index[w] for w in e] for e in edges]
         )
         inst = SolveInstance.from_hypergraph(h1)
-        sub = solve_list_cf(inst, lists.restrict(a_sorted), budget=budget)
+        sub = solve_list_cf(inst, lists.restrict(a_sorted))
         if sub is None:
             raise PipelineError("color_h1", "A-core hypergraph is uncolorable")
         f = {a_sorted[i]: c for i, c in sub.items()}
@@ -339,7 +329,7 @@ def _witness_color(g, w, a_set, f1):
     return min(unique)
 
 
-def reduce_lists(g, b_set, f1, lists, k=None, b=None):
+def reduce_lists(g, b_set, f1, lists, k, b):
     """Strike protected colors from the lists of B.
 
     For u in B, X_u holds the colors of u's A-neighbors (each A-vertex is
@@ -359,9 +349,9 @@ def reduce_lists(g, b_set, f1, lists, k=None, b=None):
             for w in g.closed_neighborhood(u)
             if w in b_set
         }
-        if k is not None and len(xs) > k - 1:
+        if len(xs) > k - 1:
             raise PipelineError("reduce_lists", f"|X_{u}| = {len(xs)} > k-1")
-        if k is not None and b is not None and len(ys) > (k - 1) * (b - 1) + 1:
+        if len(ys) > (k - 1) * (b - 1) + 1:
             raise PipelineError(
                 "reduce_lists", f"|Y_{u}| = {len(ys)} exceeds (k-1)(b-1)+1"
             )
@@ -374,9 +364,10 @@ def reduce_lists(g, b_set, f1, lists, k=None, b=None):
     return ListAssignment(entries) if entries else None, removed_x, removed_y
 
 
-def _check_structure(g, gp, old_of_new, a_set, b_set, c_set, k, b):
-    for i in range(gp.n):
-        v = old_of_new[i]
+def _check_structure(g, a_set, b_set, c_set, k, b):
+    for v in range(g.n):
+        if v in a_set:
+            continue
         in_a = sum(1 for w in g.adj[v] if w in a_set)
         if not (1 <= in_a <= k - 1):
             raise PipelineError(
@@ -430,7 +421,7 @@ def cfcn_pipeline(g, lists, cfg):
             "b_floor": cfg.b_floor,
             "b_log_coeff": cfg.b_log_coeff,
             "r_coeff": cfg.r_coeff,
-            "list_factor": cfg.lemma_list_factor,
+            "list_factor": FULL_LIST_FACTOR,
         },
     )
     failures = []
@@ -448,7 +439,7 @@ def cfcn_pipeline(g, lists, cfg):
         f, rounds = f1, 0
         if h2_job is not None:
             try:
-                f2, rounds = _color_h2(*h2_job, cfg, seed=cfg.rng_seed + attempt)
+                f2, rounds = _color_h2(*h2_job, seed=cfg.rng_seed + attempt)
             except ResampleFailure as exc:
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 continue
@@ -475,7 +466,7 @@ def cfcn_pipeline(g, lists, cfg):
     trace.delegated = True
     trace.failures = tuple(failures)
     inst = SolveInstance.from_hypergraph(closed)
-    f = solve_list_cf(inst, lists, budget=cfg.solver_budget)
+    f = solve_list_cf(inst, lists)
     if f is None:
         raise PipelineError("delegate", "exact solver found no coloring")
     trace.final = f
@@ -487,11 +478,11 @@ def _core(g, lists, cfg, k, delta, trace):
     the H1 coloring f1, the reduced lists and H2.  Returns (f1, None) when
     C is empty, else (f1, (h2, reduced lists, B in order, b)).
     """
-    a_set = set(maximal_independent_set(g))
-    gp, old_of_new = g.remove_vertices(a_set)
-    classes_local = greedy_color_classes(gp)
-    classes = tuple(
-        frozenset(old_of_new[v] for v in cls_) for cls_ in classes_local
+    a_set = maximal_independent_set(g)
+    # A-vertices stay uncolored, so greedy-coloring the rest of g in
+    # increasing order gives the classes of g minus A
+    classes = greedy_color_classes(
+        g, order=[v for v in range(g.n) if v not in a_set]
     )
     s = len(classes)
     log_term = (
@@ -503,14 +494,14 @@ def _core(g, lists, cfg, k, delta, trace):
     b_set = set().union(*classes[:b]) if classes else set()
     c_set = set().union(*classes[b:]) if s > b else set()
 
-    trace.independent_set = frozenset(a_set)
+    trace.independent_set = a_set
     trace.classes = classes
     trace.s = s
     trace.b = b
     trace.part_b = frozenset(b_set)
     trace.part_c = frozenset(c_set)
 
-    _check_structure(g, gp, old_of_new, a_set, b_set, c_set, k, b)
+    _check_structure(g, a_set, b_set, c_set, k, b)
 
     needed = (k - 1) * b + 2
     for a in a_set:
@@ -518,7 +509,7 @@ def _core(g, lists, cfg, k, delta, trace):
             raise PipelineError(
                 "color_h1", f"list of {a} has {lists.size(a)} colors, need {needed}"
             )
-    f1 = color_h1(g, a_set, b_set, lists, budget=cfg.solver_budget)
+    f1 = color_h1(g, a_set, b_set, lists)
     trace.f1 = f1
 
     if not c_set:
@@ -547,13 +538,10 @@ def _core(g, lists, cfg, k, delta, trace):
     return f1, (h2, reduced, b_sorted, b)
 
 
-def _color_h2(h2, reduced, b_sorted, b, cfg, seed):
+def _color_h2(h2, reduced, b_sorted, b, seed):
     """Resample H2 from `seed`; returns (f2 on the vertices of B, rounds)."""
     lemma_cfg = LemmaConfig(
-        rng_seed=seed,
-        list_factor=cfg.lemma_list_factor,
-        alpha_override=b,
-        max_rounds=cfg.lemma_max_rounds,
+        rng_seed=seed, alpha_override=b, max_rounds=PIPELINE_MAX_ROUNDS
     )
     try:
         f2_local, rounds = near_uniform_color(h2, reduced, lemma_cfg)

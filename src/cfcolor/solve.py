@@ -28,7 +28,6 @@ class SolveInstance:
 
     hypergraph: Hypergraph
     require_total: bool = False
-    variant: str | None = None
 
     @classmethod
     def from_graph(cls, g, variant):
@@ -43,7 +42,6 @@ class SolveInstance:
         return cls(
             hypergraph=derived_hypergraph(g, mode),
             require_total=not variant.endswith("star"),
-            variant=variant,
         )
 
     @classmethod
@@ -57,7 +55,8 @@ def _dense_colors(lists, n_cap):
     Returns (dense_lists, colors_by_dense, symmetric).  When all lists
     are identical the search is color-symmetric and the shared list is
     truncated to the first n_cap colors (no solution uses more distinct
-    colors than there are vertices).
+    colors than there are vertices).  Otherwise the union of the range
+    lists is measured before any color is listed.
     """
     entries = [lists.entry(v) for v in range(lists.n)]
     symmetric = len(set(entries)) <= 1
@@ -66,6 +65,16 @@ def _dense_colors(lists, n_cap):
         dense = list(range(len(shared)))
         return [dense] * lists.n, shared, True
 
+    covered = end = 0
+    ranges = sorted((e.start, e.stop) for e in entries if isinstance(e, range))
+    for lo, hi in ranges:
+        if hi > end:
+            covered += hi - max(lo, end)
+            end = hi
+    if covered > MAX_DENSE_COLORS:
+        raise BudgetExceededError(
+            f"range lists span {covered} colors, over the dense-color cap"
+        )
     universe = sorted({c for v in range(lists.n) for c in lists.colors(v)})
     if len(universe) > MAX_DENSE_COLORS:
         raise BudgetExceededError(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cfcolor import fileio
@@ -86,13 +88,45 @@ def test_coloring_rejects_double_assignment():
 
 
 def test_lists_round_trip_explicit_and_range():
-    lists = ListAssignment([(1, 5, 9), ("range", 1, 100)])
+    lists = ListAssignment([(1, 5, 9), range(1, 100)])
     text = fileio.format_lists(lists)
+    assert text == "l 1 1 5 9\nL 2 1 100\n"
     back = fileio.parse_lists(text, 2)
     assert list(back.colors(0)) == [1, 5, 9]
-    assert back.is_range(1)
+    assert back.entry(1) == range(1, 100)
     assert back.size(1) == 99
     assert back.contains(1, 99) and not back.contains(1, 100)
+
+
+def test_range_lists_sample_like_randrange():
+    lists = ListAssignment.uniform_range(1, 1000, lo=17)
+    rng, ref = random.Random(3), random.Random(3)
+    assert [lists.sample(0, rng) for _ in range(500)] == [
+        ref.randrange(17, 1017) for _ in range(500)
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry", [range(-1, 3), (-1, 2), range(0, 3, 2), range(4, 4), range(5, 2), ()]
+)
+def test_lists_reject_negative_empty_and_stepped_entries(entry):
+    with pytest.raises(ValueError):
+        ListAssignment([entry])
+
+
+@pytest.mark.parametrize("line", ["L 1 -1 3", "l 1 -1 2", "L 1 3 3"])
+def test_lists_file_rejects_negative_and_empty_lists(line):
+    with pytest.raises(ValueError):
+        fileio.parse_lists(line + "\n", 1)
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [("l 1 1 2\nl 1 3 4\n", 2), ("L 1 0 5\nl 2 1\nc x\nL 1 3 4\n", 4)],
+)
+def test_lists_reject_a_second_list_for_a_vertex(text, lineno):
+    with pytest.raises(InputFormatError, match=f"line {lineno}: vertex 1 has two"):
+        fileio.parse_lists(text, 2)
 
 
 def test_lists_requires_every_vertex():

@@ -40,14 +40,6 @@ def test_graph_basics():
     assert Graph(2).has_isolated_vertex()
 
 
-def test_remove_vertices_relabels():
-    g = path_graph(5)
-    sub, old = g.remove_vertices({2})
-    assert sub.n == 4
-    assert old == [0, 1, 3, 4]
-    assert sub.edges == ((0, 1), (2, 3))
-
-
 def test_derived_hypergraph_edge_per_vertex_in_order():
     g = path_graph(3)
     open_h = derived_hypergraph(g, "open")

@@ -19,10 +19,6 @@ from util import cf_valid, full_rescan_near_uniform_color
 
 
 def test_lemma_config_validation():
-    from fractions import Fraction
-
-    with pytest.raises(ValueError):
-        prob.LemmaConfig(rng_seed=0, unique_fraction=Fraction(1, 4))
     with pytest.raises(ValueError):
         prob.LemmaConfig(rng_seed=0, list_factor=0)
 

@@ -1,7 +1,5 @@
 import random
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,12 +169,11 @@ def test_max_star_matches_brute_force(g):
 @given(
     hypergraphs(max_n=14, max_m=10),
     st.integers(min_value=0, max_value=3),
-    st.sampled_from([Fraction(7, 8), Fraction(1, 2), Fraction(2, 3)]),
     st.sampled_from([1, 2, 5, 40]),
     st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=150, deadline=None)
-def test_near_uniform_color_matches_full_rescan(h, extra, bad_fraction, cap, seed):
+def test_near_uniform_color_matches_full_rescan(h, extra, cap, seed):
     """Same colors and rounds as the full-rescan loop, and at the round
     cap the same failure."""
     max_size = max(len(e) for e in h.edges)
@@ -184,8 +181,6 @@ def test_near_uniform_color_matches_full_rescan(h, extra, bad_fraction, cap, see
     cfg = prob.LemmaConfig(
         rng_seed=seed,
         list_factor=1,
-        bad_fraction=bad_fraction,
-        unique_fraction=1 - bad_fraction,
         alpha_override=1,
         max_rounds=cap,
     )

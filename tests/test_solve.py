@@ -259,3 +259,25 @@ def test_symmetric_range_lists_are_not_materialized():
         tracemalloc.stop()
     assert f is not None
     assert peak < 1_000_000
+
+
+def test_range_list_universe_is_checked_before_it_is_built():
+    import tracemalloc
+
+    inst = solve.SolveInstance.from_graph(path_graph(2), "cn-star")
+    lists = ListAssignment([range(0, 3_000_000), range(0, 5)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="dense-color cap"):
+            solve.solve_list_cf(inst, lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # overlaps count once, gaps not at all
+    for entries, span in (
+        ([range(0, 1_500_000), range(1_000_000, 2_500_000)], 2_500_000),
+        ([range(3_000_000, 4_000_001), range(0, 1_000_000)], 2_000_001),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"span {span} colors"):
+            solve.solve_list_cf(inst, ListAssignment(entries))

@@ -8,6 +8,7 @@ optimized library routines, which must agree with them exactly.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from cfcolor.coloring import ListAssignment, PartialColoring
@@ -127,7 +128,7 @@ def full_rescan_near_uniform_color(h, lists, cfg):
         for i, edge in enumerate(h.edges):
             colors = [color[v] for v in edge]
             non_unique = sum(1 for c in colors if colors.count(c) > 1)
-            if non_unique >= cfg.bad_fraction * len(edge):
+            if non_unique >= Fraction(7, 8) * len(edge):
                 return i
         return None
 
