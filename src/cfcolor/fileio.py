@@ -31,14 +31,32 @@ def _fail(lineno, message):
     raise InputFormatError(f"line {lineno}: {message}")
 
 
-def _parse_vertex(lineno, token, n):
+def _parse_int(lineno, token, what, low=None, high=None):
+    """The integer `token`, failing with the line number when it is no
+    integer or lies outside [low, high] (either bound may be None)."""
     try:
-        v = int(token)
+        value = int(token)
     except ValueError:
-        _fail(lineno, f"not an integer: {token!r}")
-    if not (1 <= v <= n):
-        _fail(lineno, f"vertex {v} out of range 1..{n}")
-    return v - 1
+        _fail(lineno, f"{what} is not an integer: {token!r}")
+    if high is not None and not low <= value <= high:
+        _fail(lineno, f"{what} {value} out of range {low}..{high}")
+    if low is not None and value < low:
+        _fail(lineno, f"{what} {value} is below {low}")
+    return value
+
+
+def _parse_vertex(lineno, token, n):
+    """A 1-indexed vertex token as a 0-indexed vertex."""
+    return _parse_int(lineno, token, "vertex", 1, n) - 1
+
+
+def _parse_header(lineno, tokens, kind):
+    if len(tokens) != 4 or tokens[1] != kind:
+        _fail(lineno, f"expected header `p {kind} <n> <m>`")
+    return (
+        _parse_int(lineno, tokens[2], "header count", 0),
+        _parse_int(lineno, tokens[3], "header count", 0),
+    )
 
 
 def parse_graph(text):
@@ -49,16 +67,16 @@ def parse_graph(text):
         if tokens[0] == "p":
             if n is not None:
                 _fail(lineno, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "graph":
-                _fail(lineno, "expected header `p graph <n> <m>`")
-            n, m = int(tokens[2]), int(tokens[3])
+            n, m = _parse_header(lineno, tokens, "graph")
         elif tokens[0] == "e":
             if n is None:
                 _fail(lineno, "edge before header")
             if len(tokens) != 3:
                 _fail(lineno, "expected `e <u> <v>`")
-            u = _parse_vertex(lineno, tokens[1], n)
-            v = _parse_vertex(lineno, tokens[2], n)
+            # _parse_vertex inlined here and in parse_hypergraph, which run
+            # once per token of the largest inputs
+            u = _parse_int(lineno, tokens[1], "vertex", 1, n) - 1
+            v = _parse_int(lineno, tokens[2], "vertex", 1, n) - 1
             if u == v:
                 _fail(lineno, f"self-loop at vertex {u + 1}")
             key = (min(u, v), max(u, v))
@@ -88,15 +106,15 @@ def parse_hypergraph(text):
         if tokens[0] == "p":
             if n is not None:
                 _fail(lineno, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "hgraph":
-                _fail(lineno, "expected header `p hgraph <n> <m>`")
-            n, m = int(tokens[2]), int(tokens[3])
+            n, m = _parse_header(lineno, tokens, "hgraph")
         elif tokens[0] == "h":
             if n is None:
                 _fail(lineno, "edge before header")
             if len(tokens) < 2:
                 _fail(lineno, "empty hyperedge")
-            edges.append([_parse_vertex(lineno, t, n) for t in tokens[1:]])
+            edges.append(
+                [_parse_int(lineno, t, "vertex", 1, n) - 1 for t in tokens[1:]]
+            )
         else:
             _fail(lineno, f"unexpected record {tokens[0]!r}")
     if n is None:
@@ -119,16 +137,11 @@ def parse_formula(text):
         if tokens[0] == "p":
             if n is not None:
                 _fail(lineno, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                _fail(lineno, "expected header `p cnf <n> <m>`")
-            n, m = int(tokens[2]), int(tokens[3])
+            n, m = _parse_header(lineno, tokens, "cnf")
         else:
             if n is None:
                 _fail(lineno, "clause before header")
-            try:
-                lits = [int(t) for t in tokens]
-            except ValueError:
-                _fail(lineno, "clause tokens must be integers")
+            lits = [_parse_int(lineno, t, "literal") for t in tokens]
             if lits[-1] != 0:
                 _fail(lineno, "clause line must end in 0")
             lits = lits[:-1]
@@ -166,13 +179,7 @@ def parse_coloring(text, n):
         v = _parse_vertex(lineno, tokens[1], n)
         if v in mapping:
             _fail(lineno, f"vertex {v + 1} colored twice")
-        try:
-            color = int(tokens[2])
-        except ValueError:
-            _fail(lineno, "color must be an integer")
-        if color < 0:
-            _fail(lineno, "colors must be non-negative")
-        mapping[v] = color
+        mapping[v] = _parse_int(lineno, tokens[2], "color", 0)
     return PartialColoring(mapping)
 
 
@@ -191,12 +198,16 @@ def parse_lists(text, n):
             if len(tokens) < 3:
                 _fail(lineno, "expected `l <vertex> <c1> ...`")
             v = _parse_vertex(lineno, tokens[1], n)
-            entry = tuple(int(t) for t in tokens[2:])
+            entry = tuple(_parse_int(lineno, t, "color", 0) for t in tokens[2:])
         elif tokens[0] == "L":
             if len(tokens) != 4:
                 _fail(lineno, "expected `L <vertex> <lo> <hi>`")
             v = _parse_vertex(lineno, tokens[1], n)
-            entry = range(int(tokens[2]), int(tokens[3]))
+            lo = _parse_int(lineno, tokens[2], "color", 0)
+            hi = _parse_int(lineno, tokens[3], "range end")
+            if hi <= lo:
+                _fail(lineno, f"empty range [{lo}, {hi})")
+            entry = range(lo, hi)
         else:
             _fail(lineno, f"unexpected record {tokens[0]!r}")
         if entries[v] is not None:

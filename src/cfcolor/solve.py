@@ -136,12 +136,18 @@ class ChoosabilityCertificate:
     """Outcome of a choosability decision.
 
     On "no", `witness` is the canonically smallest k-assignment with no
-    valid coloring (confirmed by solve_list_cf returning None); on "yes"
-    the check was exhaustive and there is nothing to exhibit.
+    valid coloring (confirmed by solve_list_cf returning None).  On "yes",
+    `pool` holds colorings that each passed verify_cf with the lists they
+    were found for.  For k >= 2 every canonical k-assignment has a pool
+    member inside its lists, and since being conflict-free does not
+    depend on the lists, list membership alone checks the answer.  For
+    k = 1 the pool is the coloring of the constant assignment, whose
+    color class transfers to any singleton lists.
     """
 
     answer: bool
     witness: ListAssignment | None = None
+    pool: tuple = ()
 
 
 def canonical_assignments(n, k):
@@ -195,8 +201,15 @@ def decide_choosable(
 
     For k = 1 the constant singleton assignment is the hardest one (any
     monochromatic solution transfers to arbitrary singleton lists), so
-    only it is checked.  For k >= 2 every canonical k-assignment is
-    enumerated.
+    only it is checked.  For k >= 2 the canonical k-assignments are walked
+    in the order of canonical_assignments, keeping a pool of the colorings
+    found so far.  Whether a coloring is conflict-free does not depend on
+    the lists, so a pool member whose colors lie in an assignment's lists
+    colors it: solve_list_cf runs only at a leaf that no member fits, and
+    a subtree is skipped when a member fitting its prefix colors no
+    vertex below it.  The first leaf without a coloring is therefore
+    still the canonically smallest failing assignment.  The assignment
+    budget counts the leaves the walk reaches, covered or solved.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -206,20 +219,75 @@ def decide_choosable(
         f = solve_list_cf(inst, lists, budget=budget)
         if f is None:
             return ChoosabilityCertificate(answer=False, witness=lists)
-        return ChoosabilityCertificate(answer=True)
+        return ChoosabilityCertificate(answer=True, pool=(f,))
 
-    count = 0
-    for entries in canonical_assignments(n, k):
-        count += 1
-        if count > assignment_budget:
-            raise BudgetExceededError(
-                f"choosability enumeration exceeded {assignment_budget} assignments"
-            )
-        lists = ListAssignment(entries)
-        f = solve_list_cf(inst, lists, budget=budget)
-        if f is None:
-            return ChoosabilityCertificate(answer=False, witness=lists)
-    return ChoosabilityCertificate(answer=True)
+    # Pool members as bits: unc[v] leave v uncolored, col[v][c] color v
+    # with c, tail_free[d] color no vertex >= d.  fit[d] holds the members
+    # whose colors lie in the lists of the prefix entries[:d].
+    pool = []
+    unc = [0] * n
+    col = [{} for _ in range(n)]
+    tail_free = [0] * (n + 1)
+    fit = [0] * (n + 1)
+    # entries[d] is the list of vertex d, taken as choices[d][pos[d] - 1]
+    entries = [None] * n
+    choices = [None] * n
+    pos = [0] * n
+    max_used = [0] * n
+    subsets_by_max = {0: _canonical_k_subsets(k, 0)}
+    if n:
+        choices[0] = subsets_by_max[0]
+    leaves = calls = 0
+    d = 0
+    while d >= 0:
+        if d == n:
+            leaves += 1
+            if leaves > assignment_budget:
+                raise BudgetExceededError(
+                    f"choosability enumeration exceeded {assignment_budget} "
+                    f"assignments: reached {leaves - 1} leaves, made {calls} "
+                    f"solver calls, pool of {len(pool)} colorings"
+                )
+            if not fit[n]:
+                lists = ListAssignment(entries)
+                calls += 1
+                f = solve_list_cf(inst, lists, budget=budget)
+                if f is None:
+                    return ChoosabilityCertificate(answer=False, witness=lists)
+                bit = 1 << len(pool)
+                pool.append(f)
+                for v in range(n):
+                    c = f.get(v)
+                    if c is None:
+                        unc[v] |= bit
+                    else:
+                        col[v][c] = col[v].get(c, 0) | bit
+                last = max(f.domain, default=-1)
+                for j in range(last + 1, n + 1):
+                    tail_free[j] |= bit
+                # found for this leaf, so it fits every prefix on the path
+                for j in range(n + 1):
+                    fit[j] |= bit
+            d -= 1
+            continue
+        if fit[d] & tail_free[d] or pos[d] == len(choices[d]):
+            d -= 1
+            continue
+        subset = choices[d][pos[d]]
+        pos[d] += 1
+        entries[d] = subset
+        mask = unc[d]
+        colored = col[d]
+        for c in subset:
+            mask |= colored.get(c, 0)
+        fit[d + 1] = fit[d] & mask
+        d += 1
+        if d < n:
+            m = max_used[d] = max(max_used[d - 1], subset[-1])
+            if m not in subsets_by_max:
+                subsets_by_max[m] = _canonical_k_subsets(k, m)
+            choices[d], pos[d] = subsets_by_max[m], 0
+    return ChoosabilityCertificate(answer=True, pool=tuple(pool))
 
 
 def _find_exact_one(sets, n, budget):

@@ -152,6 +152,18 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_integer_input_errors_exit_3_with_line_number(tmp_path, capsys):
+    g = write_c4(tmp_path)
+    lists = tmp_path / "lists.txt"
+    lists.write_text("l 1 1 2\nl 2 -2\nl 3 1\nl 4 1\n")
+    assert cli.main(["solve", "--graph", g, "--lists", str(lists)]) == 3
+    assert "input error: line 2: color -2 is below 0" in capsys.readouterr().err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("c x\np graph 2 z\n")
+    assert cli.main(["choose", "--graph", str(bad), "--k", "2"]) == 3
+    assert "line 2: header count is not an integer" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert (
         cli.main(["solve", "--graph", str(tmp_path / "nope"), "--uniform", "2"])
@@ -165,6 +177,17 @@ def test_budget_exit_code(tmp_path, capsys):
         cli.main(["solve", "--graph", g, "--uniform", "2", "--budget", "1"]) == 2
     )
     assert "budget" in capsys.readouterr().err
+
+
+def test_choose_assignment_budget_exits_2(tmp_path, capsys):
+    g = tmp_path / "c5.txt"
+    g.write_text(fileio.format_graph(cycle_graph(5)))
+    argv = ["choose", "--graph", str(g), "--k", "2", "--assignment-budget", "5"]
+    assert cli.main(argv) == 2
+    # the error says how far the walk got
+    err = capsys.readouterr().err
+    assert "exceeded 5 assignments: reached 5 leaves, made 2 solver calls" in err
+    assert "pool of 2 colorings" in err
 
 
 def test_sweep_propositions_small(capsys):

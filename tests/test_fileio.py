@@ -132,3 +132,25 @@ def test_lists_reject_a_second_list_for_a_vertex(text, lineno):
 def test_lists_requires_every_vertex():
     with pytest.raises(InputFormatError, match="no list"):
         fileio.parse_lists("l 1 1 2\n", 2)
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (lambda t: fileio.parse_lists(t, 1), "l 1 x\n", "color is not an integer"),
+        (lambda t: fileio.parse_lists(t, 1), "L 1 0 y\n", "range end is not an"),
+        (lambda t: fileio.parse_lists(t, 1), "l 1 -2\n", "color -2 is below 0"),
+        (lambda t: fileio.parse_lists(t, 1), "L 1 3 3\n", "empty range"),
+        (fileio.parse_graph, "p graph 2 z\n", "header count is not an"),
+        (fileio.parse_hypergraph, "p hgraph x 1\n", "header count is not an"),
+        (fileio.parse_formula, "p cnf 3 -1\n", "header count -1 is below 0"),
+        (fileio.parse_formula, "p cnf 3 1\n1 2 x 0\n", "literal is not an"),
+        (lambda t: fileio.parse_coloring(t, 2), "v 1 x\n", "color is not an"),
+        (lambda t: fileio.parse_coloring(t, 2), "v 1 -1\n", "color -1 is below"),
+    ],
+)
+def test_integer_errors_carry_line_numbers(parse, text, message):
+    # the error sits on the last line, after a leading comment
+    lineno = 1 + text.count("\n")
+    with pytest.raises(InputFormatError, match=f"line {lineno}: {message}"):
+        parse("c comment\n" + text)

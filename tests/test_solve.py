@@ -5,7 +5,7 @@ import pytest
 from cfcolor import solve
 from cfcolor.coloring import ListAssignment
 from cfcolor.errors import BudgetExceededError
-from cfcolor.graphs import derived_hypergraph, random_hypergraph
+from cfcolor.graphs import Hypergraph, derived_hypergraph, random_hypergraph
 from cfcolor.reductions import FIGURE_FORMULA, Formula
 from cfcolor.smallgraphs import (
     complete_graph,
@@ -20,7 +20,9 @@ from util import (
     all_pimds,
     brute_force_cf,
     cf_valid,
+    decide_choosable_reference,
     decide_choosable_unrestricted,
+    first_uncovered_assignment,
 )
 
 
@@ -140,6 +142,65 @@ def test_choosability_matches_unrestricted_enumeration():
                 fast = solve.decide_choosable(inst, k)
                 slow = decide_choosable_unrestricted(inst, k, k * g.n)
                 assert fast.answer == slow.answer
+
+
+def _small_graph_instances():
+    for n in range(1, 5):
+        for g in nonisomorphic_graphs(n):
+            for variant in solve.VARIANTS:
+                if variant.startswith("on") and g.has_isolated_vertex():
+                    continue
+                yield solve.SolveInstance.from_graph(g, variant)
+
+
+def _assert_pool_proves_yes(inst, k, cert):
+    h = inst.hypergraph
+    assert cert.pool
+    assert all(cf_valid(h, f, require_total=inst.require_total) for f in cert.pool)
+    assert first_uncovered_assignment(h.n, k, cert.pool) is None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_choosability_matches_per_assignment_reference(k):
+    """Same answer and witness as solving every canonical assignment in
+    turn.  At k = 3 the reference is run only on a "no"; on a "yes" it is
+    replaced by what it would find, that every canonical assignment has a
+    valid pool coloring inside its lists (running the reference on every
+    "yes" takes about 17 s on two cores)."""
+    for inst in _small_graph_instances():
+        cert = solve.decide_choosable(inst, k)
+        if k == 2 or not cert.answer:
+            ref = decide_choosable_reference(inst, k)
+            assert (cert.answer, cert.witness) == (ref.answer, ref.witness)
+        if cert.answer:
+            _assert_pool_proves_yes(inst, k, cert)
+
+
+def test_choosability_no_has_the_reference_witness():
+    triangle = Hypergraph(3, [(0, 1), (0, 2), (1, 2)])
+    inst = solve.SolveInstance.from_hypergraph(triangle, require_total=True)
+    cert = solve.decide_choosable(inst, 2)
+    assert not cert.answer and not cert.pool
+    assert cert.witness == ListAssignment([(1, 2), (1, 2), (1, 2)])
+    assert cert.witness == decide_choosable_reference(inst, 2).witness
+
+
+def test_choosability_pool_covers_c5(monkeypatch):
+    solve_list_cf = solve.solve_list_cf
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_list_cf(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_list_cf", counted)
+    inst = solve.SolveInstance.from_graph(cycle_graph(5), "cn-star")
+    cert = solve.decide_choosable(inst, 2)
+    assert cert.answer
+    # 4900 canonical assignments; the pool leaves 102 to the solver
+    assert len(calls) <= 200
+    assert len(cert.pool) == len(calls)
+    _assert_pool_proves_yes(inst, 2, cert)
 
 
 def test_find_pimds_matches_enumeration():

@@ -13,7 +13,11 @@ from itertools import combinations, product
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.prob import ResampleFailure
-from cfcolor.solve import ChoosabilityCertificate, solve_list_cf
+from cfcolor.solve import (
+    ChoosabilityCertificate,
+    canonical_assignments,
+    solve_list_cf,
+)
 
 
 def cf_valid(h, f, require_total=False):
@@ -142,3 +146,38 @@ def full_rescan_near_uniform_color(h, lists, cfg):
         rounds += 1
         bad = first_bad()
     return color, rounds
+
+
+def decide_choosable_reference(inst, k):
+    """decide_choosable for k >= 2 without the pool: solve every canonical
+    k-assignment from scratch, in order, and stop at the first failure."""
+    for entries in canonical_assignments(inst.hypergraph.n, k):
+        lists = ListAssignment(entries)
+        if solve_list_cf(inst, lists) is None:
+            return ChoosabilityCertificate(answer=False, witness=lists)
+    return ChoosabilityCertificate(answer=True)
+
+
+def first_uncovered_assignment(n, k, pool):
+    """The first canonical k-assignment with no pool coloring inside its
+    lists, or None.  Each vertex keeps, per color, the set of pool indices
+    coloring it so, plus those leaving it uncolored; an assignment is
+    covered when these sets, unioned over each list and intersected over
+    the vertices, leave some index."""
+    everyone = (1 << len(pool)) - 1
+    uncolored = [everyone] * n
+    by_color = [{} for _ in range(n)]
+    for i, f in enumerate(pool):
+        for v, c in f.items():
+            uncolored[v] &= ~(1 << i)
+            by_color[v][c] = by_color[v].get(c, 0) | 1 << i
+    for entries in canonical_assignments(n, k):
+        fitting = everyone
+        for v, colors in enumerate(entries):
+            allowed = uncolored[v]
+            for c in colors:
+                allowed |= by_color[v].get(c, 0)
+            fitting &= allowed
+        if not fitting:
+            return entries
+    return None
