@@ -55,11 +55,9 @@ def _load_lists(spec_text, n):
 
 
 def _instance(args):
-    if getattr(args, "hgraph", None):
+    if args.hgraph:
         h = fileio.parse_hypergraph(_read(args.hgraph))
-        return solve.SolveInstance.from_hypergraph(
-            h, require_total=getattr(args, "total", False)
-        )
+        return solve.SolveInstance.from_hypergraph(h, require_total=args.total)
     g = fileio.parse_graph(_read(args.graph))
     return solve.SolveInstance.from_graph(g, args.variant)
 
@@ -201,7 +199,9 @@ def cmd_lemma(args):
     if args.lists:
         lists = _load_lists(args.lists, h.n)
     else:
-        lists = ListAssignment.uniform_range(h.n, args.list_factor * max_size)
+        lists = ListAssignment.uniform_range(
+            h.n, args.list_factor * max(max_size, 1)
+        )
     cfg = prob.LemmaConfig(
         rng_seed=args.seed,
         list_factor=args.list_factor,
@@ -275,7 +275,7 @@ def _sweep_lemma(args):
     rng = random.Random(args.seed)
     h = random_hypergraph(4 * hi, args.edges, lo, hi, rng)
     max_size = max((len(e) for e in h.edges), default=0)
-    lists = ListAssignment.uniform_range(h.n, 32 * max_size)
+    lists = ListAssignment.uniform_range(h.n, 32 * max(max_size, 1))
     cfg = prob.LemmaConfig(rng_seed=args.seed, alpha_override=lo)
     f, rounds = prob.near_uniform_color(h, lists, cfg)
     report = verify_cf(h, f, lists=lists, require_total=True)
@@ -343,21 +343,21 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(sp, need_variant=True):
-        sp.add_argument("--graph", help="graph file")
-        sp.add_argument("--hgraph", help="hypergraph file")
-        if need_variant:
-            sp.add_argument(
-                "--variant",
-                choices=solve.VARIANTS,
-                default="cn-star",
-                help="neighborhood variant for graph inputs",
-            )
-            sp.add_argument(
-                "--total",
-                action="store_true",
-                help="require a total coloring (hypergraph inputs)",
-            )
+    def add_instance_args(sp):
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph", help="graph file")
+        source.add_argument("--hgraph", help="hypergraph file")
+        sp.add_argument(
+            "--variant",
+            choices=solve.VARIANTS,
+            default="cn-star",
+            help="neighborhood variant for graph inputs",
+        )
+        sp.add_argument(
+            "--total",
+            action="store_true",
+            help="require a total coloring (hypergraph inputs)",
+        )
 
     sp = sub.add_parser("verify", help="check a coloring file")
     add_instance_args(sp)

@@ -7,8 +7,9 @@ Coloring:   lines `v <vertex> <color>`; omitted vertices are uncolored.
 Lists:      lines `l <vertex> <c1> <c2> ...` or `L <vertex> <lo> <hi>`
             for the implicit range [lo, hi).
 
-Blank lines and `c ...` comments are ignored everywhere.  Vertices are
-1-indexed on disk and translated to 0-indexed at this boundary.
+Tokens are separated by any whitespace.  A line whose first token is `c`
+is a comment; comments and blank lines are ignored everywhere.  Vertices
+are 1-indexed on disk and translated to 0-indexed at this boundary.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from cfcolor.reductions import Formula
 
 def _content_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
-            continue
-        yield lineno, line.split()
+        tokens = raw.split()
+        if tokens and tokens[0] != "c":
+            yield lineno, tokens
 
 
 def _fail(lineno, message):
@@ -50,47 +50,63 @@ def _parse_vertex(lineno, token, n):
     return _parse_int(lineno, token, "vertex", 1, n) - 1
 
 
-def _parse_header(lineno, tokens, kind):
-    if len(tokens) != 4 or tokens[1] != kind:
-        _fail(lineno, f"expected header `p {kind} <n> <m>`")
-    return (
-        _parse_int(lineno, tokens[2], "header count", 0),
-        _parse_int(lineno, tokens[3], "header count", 0),
-    )
+def _records(text, kind, tag, noun):
+    """The records of a file headed `p <kind> <n> <m>`: first yields
+    (n, m), then (lineno, fields) for each record line, where fields are
+    the tokens after the record type `tag` (all tokens when tag is None:
+    every line but the header is a record).  Fails on a record before the
+    header, a second header or an unknown record type; the count of
+    records against m is checked after the last line, so that a fault the
+    caller finds in a record comes first."""
+    lines = _content_lines(text)
+    for lineno, tokens in lines:
+        if tokens[0] == "p":
+            if len(tokens) != 4 or tokens[1] != kind:
+                _fail(lineno, f"expected header `p {kind} <n> <m>`")
+            n = _parse_int(lineno, tokens[2], "header count", 0)
+            m = _parse_int(lineno, tokens[3], "header count", 0)
+            break
+        if tag is None or tokens[0] == tag:
+            _fail(lineno, f"{noun} before header")
+        _fail(lineno, f"unexpected record {tokens[0]!r}")
+    else:
+        raise InputFormatError(f"missing `p {kind}` header")
+    yield n, m
+    count = 0
+    for lineno, tokens in lines:
+        if tokens[0] == "p":
+            _fail(lineno, "duplicate header")
+        if tag is None:
+            yield lineno, tokens
+        elif tokens[0] == tag:
+            yield lineno, tokens[1:]
+        else:
+            _fail(lineno, f"unexpected record {tokens[0]!r}")
+        count += 1
+    if count != m:
+        raise InputFormatError(f"header declares {m} {noun}s, found {count}")
 
 
 def parse_graph(text):
-    n = m = None
-    edges = []
-    seen = set()
-    for lineno, tokens in _content_lines(text):
-        if tokens[0] == "p":
-            if n is not None:
-                _fail(lineno, "duplicate header")
-            n, m = _parse_header(lineno, tokens, "graph")
-        elif tokens[0] == "e":
-            if n is None:
-                _fail(lineno, "edge before header")
-            if len(tokens) != 3:
-                _fail(lineno, "expected `e <u> <v>`")
-            # _parse_vertex inlined here and in parse_hypergraph, which run
-            # once per token of the largest inputs
-            u = _parse_int(lineno, tokens[1], "vertex", 1, n) - 1
-            v = _parse_int(lineno, tokens[2], "vertex", 1, n) - 1
-            if u == v:
-                _fail(lineno, f"self-loop at vertex {u + 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                _fail(lineno, f"duplicate edge {u + 1} {v + 1}")
-            seen.add(key)
-            edges.append((u, v))
-        else:
-            _fail(lineno, f"unexpected record {tokens[0]!r}")
-    if n is None:
-        raise InputFormatError("missing `p graph` header")
-    if len(edges) != m:
-        raise InputFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    """The graph of a `p graph` file.  Each edge is checked once, against
+    the adjacency sets built here, so the Graph is made from them as is."""
+    records = _records(text, "graph", "e", "edge")
+    n, _ = next(records)
+    adj = [set() for _ in range(n)]
+    for lineno, fields in records:
+        if len(fields) != 2:
+            _fail(lineno, "expected `e <u> <v>`")
+        # _parse_vertex inlined here and in parse_hypergraph, which run
+        # once per token of the largest inputs
+        u = _parse_int(lineno, fields[0], "vertex", 1, n) - 1
+        v = _parse_int(lineno, fields[1], "vertex", 1, n) - 1
+        if u == v:
+            _fail(lineno, f"self-loop at vertex {u + 1}")
+        if v in adj[u]:
+            _fail(lineno, f"duplicate edge {u + 1} {v + 1}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._from_adjacency(n, adj)
 
 
 def format_graph(g):
@@ -100,27 +116,13 @@ def format_graph(g):
 
 
 def parse_hypergraph(text):
-    n = m = None
+    records = _records(text, "hgraph", "h", "edge")
+    n, _ = next(records)
     edges = []
-    for lineno, tokens in _content_lines(text):
-        if tokens[0] == "p":
-            if n is not None:
-                _fail(lineno, "duplicate header")
-            n, m = _parse_header(lineno, tokens, "hgraph")
-        elif tokens[0] == "h":
-            if n is None:
-                _fail(lineno, "edge before header")
-            if len(tokens) < 2:
-                _fail(lineno, "empty hyperedge")
-            edges.append(
-                [_parse_int(lineno, t, "vertex", 1, n) - 1 for t in tokens[1:]]
-            )
-        else:
-            _fail(lineno, f"unexpected record {tokens[0]!r}")
-    if n is None:
-        raise InputFormatError("missing `p hgraph` header")
-    if len(edges) != m:
-        raise InputFormatError(f"header declares {m} edges, found {len(edges)}")
+    for lineno, fields in records:
+        if not fields:
+            _fail(lineno, "empty hyperedge")
+        edges.append([_parse_int(lineno, t, "vertex", 1, n) - 1 for t in fields])
     return Hypergraph(n, edges)
 
 
@@ -131,35 +133,23 @@ def format_hypergraph(h):
 
 
 def parse_formula(text):
-    n = m = None
+    records = _records(text, "cnf", None, "clause")
+    n, _ = next(records)
     clauses = []
-    for lineno, tokens in _content_lines(text):
-        if tokens[0] == "p":
-            if n is not None:
-                _fail(lineno, "duplicate header")
-            n, m = _parse_header(lineno, tokens, "cnf")
-        else:
-            if n is None:
-                _fail(lineno, "clause before header")
-            lits = [_parse_int(lineno, t, "literal") for t in tokens]
-            if lits[-1] != 0:
-                _fail(lineno, "clause line must end in 0")
-            lits = lits[:-1]
-            if len(lits) != 3:
-                _fail(lineno, "exactly 3 literals per clause")
-            if any(l <= 0 for l in lits):
-                _fail(lineno, "only positive literals are allowed")
-            if any(l > n for l in lits):
-                _fail(lineno, "literal out of range")
-            if len(set(lits)) != 3:
-                _fail(lineno, "clause variables must be distinct")
-            clauses.append(tuple(l - 1 for l in lits))
-    if n is None:
-        raise InputFormatError("missing `p cnf` header")
-    if len(clauses) != m:
-        raise InputFormatError(
-            f"header declares {m} clauses, found {len(clauses)}"
-        )
+    for lineno, tokens in records:
+        lits = [_parse_int(lineno, t, "literal") for t in tokens]
+        if lits[-1] != 0:
+            _fail(lineno, "clause line must end in 0")
+        lits = lits[:-1]
+        if len(lits) != 3:
+            _fail(lineno, "exactly 3 literals per clause")
+        if any(l <= 0 for l in lits):
+            _fail(lineno, "only positive literals are allowed")
+        if any(l > n for l in lits):
+            _fail(lineno, "literal out of range")
+        if len(set(lits)) != 3:
+            _fail(lineno, "clause variables must be distinct")
+        clauses.append(tuple(l - 1 for l in lits))
     return Formula(n, tuple(clauses))
 
 

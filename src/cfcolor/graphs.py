@@ -31,6 +31,15 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in adj)
 
+    @classmethod
+    def _from_adjacency(cls, n, adj):
+        """The graph with adjacency sets `adj`, which the caller has
+        already checked to be symmetric, in range and loop-free."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(tuple(sorted(s)) for s in adj)
+        return g
+
     @cached_property
     def edges(self):
         return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)

@@ -98,7 +98,11 @@ def count_non_unique(edge, f):
 def required_alpha(gamma, cfg):
     if cfg.alpha_override is not None:
         return cfg.alpha_override
-    return max(FULL_ALPHA_FLOOR, math.ceil(FULL_ALPHA_LOG_COEFF * math.log(16 * gamma)))
+    # with Gamma = 0 no two edges meet, and the floor alone applies
+    return max(
+        FULL_ALPHA_FLOOR,
+        math.ceil(FULL_ALPHA_LOG_COEFF * math.log(16 * max(gamma, 1))),
+    )
 
 
 def near_uniform_color(h, lists, cfg):

@@ -8,6 +8,7 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
@@ -150,45 +151,17 @@ class ChoosabilityCertificate:
     pool: tuple = ()
 
 
-def canonical_assignments(n, k):
-    """All k-assignments over {1..k*n} up to color renaming.
-
-    Lists are built vertex by vertex; scanning lists in vertex order and
-    each list ascending, a color larger than every color introduced so
-    far may only appear as previous-max + 1.  Yields lists-of-tuples in
-    lexicographic order, so the first failing assignment found is the
-    canonically smallest.
-    """
-
-    def extend(prefix, max_used):
-        if len(prefix) == n:
-            yield list(prefix)
-            return
-        for subset in _canonical_k_subsets(k, max_used):
-            prefix.append(subset)
-            yield from extend(prefix, max(max_used, subset[-1]))
-            prefix.pop()
-
-    yield from extend([], 0)
-
-
 def _canonical_k_subsets(k, max_used):
-    """Sorted k-subsets of {1..max_used+k} whose above-max part is the
-    contiguous prefix max_used+1, max_used+2, ...; lexicographic order."""
-    out = []
-    for fresh in range(0, k + 1):
-        old_needed = k - fresh
-        fresh_part = tuple(range(max_used + 1, max_used + 1 + fresh))
-        for old_part in _sorted_subsets(max_used, old_needed):
-            out.append(old_part + fresh_part)
-    out.sort()
-    return out
-
-
-def _sorted_subsets(limit, size):
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(1, limit + 1), size)]
+    """The lists a vertex may take after lists using colors up to
+    max_used, up to color renaming: the sorted k-subsets of
+    {1..max_used+k} whose colors above max_used are max_used+1,
+    max_used+2, ... without a gap; lexicographic order."""
+    m = max_used
+    return [
+        s
+        for s in combinations(range(1, m + k + 1), k)
+        if max(s[-1], m) == m + sum(c > m for c in s)
+    ]
 
 
 def decide_choosable(
@@ -201,9 +174,11 @@ def decide_choosable(
 
     For k = 1 the constant singleton assignment is the hardest one (any
     monochromatic solution transfers to arbitrary singleton lists), so
-    only it is checked.  For k >= 2 the canonical k-assignments are walked
-    in the order of canonical_assignments, keeping a pool of the colorings
-    found so far.  Whether a coloring is conflict-free does not depend on
+    only it is checked.  For k >= 2 the canonical k-assignments (every
+    k-assignment up to color renaming: vertex by vertex, a list from
+    _canonical_k_subsets of the largest color used before it) are walked
+    in lexicographic order, keeping a pool of the colorings found so
+    far.  Whether a coloring is conflict-free does not depend on
     the lists, so a pool member whose colors lie in an assignment's lists
     colors it: solve_list_cf runs only at a leaf that no member fits, and
     a subtree is skipped when a member fitting its prefix colors no

@@ -1,3 +1,5 @@
+import pytest
+
 from cfcolor import cli, fileio
 from cfcolor.reductions import FIGURE_FORMULA
 from cfcolor.smallgraphs import cycle_graph
@@ -143,6 +145,33 @@ def test_lemma_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("rounds ")
+
+
+def test_lemma_on_an_edgeless_hypergraph(tmp_path, capsys):
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 3 0\n")
+    assert cli.main(["lemma", "--hgraph", str(hp), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "rounds 0"
+    assert cli.main(["sweep", "--suite", "lemma", "--edges", "0"]) == 0
+    assert "suite lemma: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--uniform", "2"],
+        ["choose", "--k", "2"],
+        ["verify", "--coloring", "col.txt"],
+    ],
+)
+def test_instance_needs_exactly_one_of_graph_and_hgraph(tmp_path, capsys, command):
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 2 1\nh 1 2\n")
+    both = ["--graph", write_c4(tmp_path), "--hgraph", str(hp)]
+    # exit 3 (input), never 1 ("no") from a crash
+    assert cli.main(command) == 3
+    assert cli.main(command + both) == 3
+    assert "--graph" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path, capsys):

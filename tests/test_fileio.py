@@ -5,7 +5,7 @@ import pytest
 from cfcolor import fileio
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
-from cfcolor.graphs import Hypergraph
+from cfcolor.graphs import Hypergraph, random_graph
 from cfcolor.smallgraphs import cycle_graph
 
 
@@ -154,3 +154,47 @@ def test_integer_errors_carry_line_numbers(parse, text, message):
     lineno = 1 + text.count("\n")
     with pytest.raises(InputFormatError, match=f"line {lineno}: {message}"):
         parse("c comment\n" + text)
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (fileio.parse_graph, "p graph 2 1\ne 1 1\nq 1 2\n", "line 2: self-loop"),
+        (fileio.parse_graph, "p graph 2 3\ne 1 2\ne 2 1\n", "line 3: duplicate"),
+        (fileio.parse_graph, "p graph 2 1\ne 1\np graph 2 1\n", "line 2: expected"),
+        (fileio.parse_hypergraph, "p hgraph 2 1\nh 1 3\nq 1\n", "line 2: vertex 3"),
+        (fileio.parse_hypergraph, "p hgraph 2 2\nh\n", "line 2: empty hyperedge"),
+        (fileio.parse_formula, "p cnf 3 1\n1 2 0\np cnf 3 1\n", "line 2: exactly 3"),
+        (fileio.parse_formula, "p cnf 3 2\n1 2 4 0\n", "line 2: literal out of"),
+    ],
+)
+def test_headed_formats_report_the_first_fault(parse, text, message):
+    # each file has a second fault after the first: an unknown record, a
+    # second header, or a record count other than the header's
+    with pytest.raises(InputFormatError, match=message):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse,write,text",
+    [
+        (fileio.parse_graph, fileio.format_graph, "p graph 2 1\ne 1 2\n"),
+        (fileio.parse_hypergraph, fileio.format_hypergraph, "p hgraph 2 1\nh 1 2\n"),
+        (fileio.parse_formula, fileio.format_formula, "p cnf 3 1\n1 2 3 0\n"),
+        (lambda t: fileio.parse_coloring(t, 2), fileio.format_coloring, "v 1 2\n"),
+        (lambda t: fileio.parse_lists(t, 1), fileio.format_lists, "l 1 1 2\n"),
+    ],
+)
+def test_a_first_token_c_makes_a_comment_in_every_format(parse, write, text):
+    commented = "c\tnote\n" + text + "  c  x y\nc\n"
+    assert write(parse(commented)) == write(parse(text)) == text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parsed_graph_equals_the_constructed_one(seed):
+    # parse_graph builds its Graph from adjacency sets, not through
+    # Graph.__init__; both must give the same object
+    rng = random.Random(seed)
+    g = random_graph(rng.randint(1, 300), rng.choice([0.0, 0.02, 0.1, 0.5]), rng)
+    back = fileio.parse_graph(fileio.format_graph(g))
+    assert back == g and back.edges == g.edges and back.m == g.m

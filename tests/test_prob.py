@@ -27,6 +27,7 @@ def test_required_alpha_full_scale_values():
     cfg = prob.LemmaConfig(rng_seed=0)
     # floor dominates for small intersection bounds
     assert prob.required_alpha(1, cfg) == 2**12
+    assert prob.required_alpha(0, cfg) == 2**12
     # the log term takes over once 136 ln(16*Gamma) > 4096
     big = math.ceil(math.exp(4096 / 136) / 16) + 1
     assert prob.required_alpha(big, cfg) == math.ceil(136 * math.log(16 * big))

@@ -11,6 +11,7 @@ from cfcolor.verify import verify_cf
 from util import (
     brute_force_cf,
     brute_force_max_star,
+    canonical_assignments,
     cf_valid,
     full_rescan_near_uniform_color,
     pairwise_hypergraph_stats,
@@ -108,7 +109,7 @@ def test_solver_agrees_with_enumeration(h, data):
 @settings(max_examples=20, deadline=None)
 def test_canonical_assignments_are_k_assignments(n, k):
     total = 0
-    for entries in solve.canonical_assignments(n, k):
+    for entries in canonical_assignments(n, k):
         total += 1
         assert len(entries) == n
         for lst in entries:

@@ -19,6 +19,7 @@ from util import (
     all_pids,
     all_pimds,
     brute_force_cf,
+    canonical_assignments,
     cf_valid,
     decide_choosable_reference,
     decide_choosable_unrestricted,
@@ -104,18 +105,18 @@ def test_budget_raises():
 
 
 def test_canonical_assignment_counts_and_order():
-    first = list(solve.canonical_assignments(2, 2))
+    first = list(canonical_assignments(2, 2))
     assert first == [
         [(1, 2), (1, 2)],
         [(1, 2), (1, 3)],
         [(1, 2), (2, 3)],
         [(1, 2), (3, 4)],
     ]
-    assert sum(1 for _ in solve.canonical_assignments(3, 2)) == 29
+    assert sum(1 for _ in canonical_assignments(3, 2)) == 29
 
 
 def test_canonical_colors_stay_in_universe():
-    for entries in solve.canonical_assignments(3, 2):
+    for entries in canonical_assignments(3, 2):
         for lst in entries:
             assert all(1 <= c <= 6 for c in lst)
 

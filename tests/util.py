@@ -15,7 +15,7 @@ from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.prob import ResampleFailure
 from cfcolor.solve import (
     ChoosabilityCertificate,
-    canonical_assignments,
+    _canonical_k_subsets,
     solve_list_cf,
 )
 
@@ -146,6 +146,28 @@ def full_rescan_near_uniform_color(h, lists, cfg):
         rounds += 1
         bad = first_bad()
     return color, rounds
+
+
+def canonical_assignments(n, k):
+    """All k-assignments over {1..k*n} up to color renaming.
+
+    Lists are built vertex by vertex; scanning lists in vertex order and
+    each list ascending, a color larger than every color introduced so
+    far may only appear as previous-max + 1.  Yields lists-of-tuples in
+    lexicographic order, so the first failing assignment found is the
+    canonically smallest.
+    """
+
+    def extend(prefix, max_used):
+        if len(prefix) == n:
+            yield list(prefix)
+            return
+        for subset in _canonical_k_subsets(k, max_used):
+            prefix.append(subset)
+            yield from extend(prefix, max(max_used, subset[-1]))
+            prefix.pop()
+
+    yield from extend([], 0)
 
 
 def decide_choosable_reference(inst, k):
