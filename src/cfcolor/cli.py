@@ -2,10 +2,11 @@
 
 Decision subcommands exit 0 for yes, 1 for no, 2 when a resource budget
 tripped or the run failed for want of resources (a failed pipeline, the
-recursion limit, memory); all subcommands exit 3 on malformed input.  A
-failure never exits 1, which means "no".  Randomized paths
-require an explicit --seed; identical command and seed give byte-identical
-output.
+recursion limit, memory); all subcommands exit 3 on malformed input or a
+path that cannot be read or written.  A failure never exits 1, which means
+"no".  Randomized paths require an explicit --seed; identical command and
+seed give byte-identical output.  What a command prints as its coloring or
+graph is also exactly what it writes to --out.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from cfcolor.graphs import (
     derived_hypergraph,
     extended_double_cover,
     line_graph,
-    max_star,
     random_graph,
     random_hypergraph,
 )
@@ -43,13 +43,35 @@ def _read(path):
 
 
 def _write(path, text):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(text, path):
+    """Print a result and write the same text to `path` when one is given."""
+    sys.stdout.write(text)
+    if path:
+        _write(path, text)
+
+
+def _emit_built(args, built):
+    """Print a built graph, write it to --out and its roles to --rolemap."""
+    _emit(fileio.format_graph(built.graph), args.out)
+    if args.rolemap:
+        _write(args.rolemap, "\n".join(built.role_lines()) + "\n")
 
 
 def _load_lists(spec_text, n):
     """`RANGE:<r>` for uniform implicit ranges, otherwise a file path."""
     if spec_text.startswith("RANGE:"):
-        size = int(spec_text.split(":", 1)[1])
+        try:
+            size = int(spec_text[len("RANGE:"):])
+        except ValueError:
+            size = 0
+        if size < 1:
+            raise InputFormatError(f"--lists {spec_text}: r must be an integer >= 1")
         return ListAssignment.uniform_range(n, size)
     return fileio.parse_lists(_read(spec_text), n)
 
@@ -57,7 +79,7 @@ def _load_lists(spec_text, n):
 def _instance(args):
     if args.hgraph:
         h = fileio.parse_hypergraph(_read(args.hgraph))
-        return solve.SolveInstance.from_hypergraph(h, require_total=args.total)
+        return solve.SolveInstance(h, args.total)
     g = fileio.parse_graph(_read(args.graph))
     return solve.SolveInstance.from_graph(g, args.variant)
 
@@ -67,13 +89,8 @@ def cmd_verify(args):
     n = inst.hypergraph.n
     f = fileio.parse_coloring(_read(args.coloring), n)
     lists = _load_lists(args.lists, n) if args.lists else None
-    report = verify_cf(
-        inst.hypergraph, f, lists=lists, require_total=inst.require_total
-    )
-    text = "\n".join(report.lines())
-    print(text)
-    if args.report:
-        _write(args.report, text + "\n")
+    report = verify_cf(inst.hypergraph, f, lists, require_total=inst.require_total)
+    _emit("\n".join(report.lines()) + "\n", args.report)
     return EXIT_YES if report.valid else EXIT_NO
 
 
@@ -83,10 +100,7 @@ def cmd_solve(args):
     if args.chromatic:
         k, f = solve.chromatic_number(inst, budget=args.budget)
         print(f"chromatic {k}")
-        for v, c in sorted(f.items()):
-            print(f"v {v + 1} {c}")
-        if args.out:
-            _write(args.out, fileio.format_coloring(f))
+        _emit(fileio.format_coloring(f), args.out)
         return EXIT_YES
     if args.uniform:
         lists = ListAssignment.uniform(n, range(1, args.uniform + 1))
@@ -98,10 +112,7 @@ def cmd_solve(args):
     if f is None:
         print("no coloring")
         return EXIT_NO
-    for v, c in sorted(f.items()):
-        print(f"v {v + 1} {c}")
-    if args.out:
-        _write(args.out, fileio.format_coloring(f))
+    _emit(fileio.format_coloring(f), args.out)
     return EXIT_YES
 
 
@@ -136,72 +147,44 @@ def cmd_reduce(args):
         "gprime": reductions.build_g_prime,
         "gdoubleprime": reductions.build_g_double_prime,
     }[args.target]
-    out = builder(formula)
-    text = fileio.format_graph(out.graph)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, text)
-    if args.rolemap:
-        _write(args.rolemap, "\n".join(out.role_lines()) + "\n")
+    _emit_built(args, builder(formula))
     return EXIT_YES
 
 
 def cmd_gadget_hg(args):
     g = fileio.parse_graph(_read(args.graph))
-    out = reductions.build_h_gadget(g)
-    text = fileio.format_graph(out.graph)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, text)
-    if args.rolemap:
-        _write(args.rolemap, "\n".join(out.role_lines()) + "\n")
+    _emit_built(args, reductions.build_h_gadget(g))
     return EXIT_YES
 
 
 def cmd_edc(args):
     g = fileio.parse_graph(_read(args.graph))
-    d = extended_double_cover(g)
-    text = fileio.format_graph(d)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, text)
+    _emit(fileio.format_graph(extended_double_cover(g)), args.out)
     return EXIT_YES
 
 
 def cmd_pipeline(args):
     g = fileio.parse_graph(_read(args.graph))
     lists = _load_lists(args.lists, g.n)
-    if args.scaled:
-        cfg = prob.PipelineConfig.scaled(
-            rng_seed=args.seed,
-            retry_limit=args.retries,
-            k_override=args.k_override,
-        )
-    else:
-        cfg = prob.PipelineConfig.full(
-            rng_seed=args.seed,
-            retry_limit=args.retries,
-            k_override=args.k_override,
-        )
+    cfg = prob.PipelineConfig(
+        rng_seed=args.seed,
+        scaled_mode=args.scaled,
+        k_override=args.k_override,
+        retry_limit=args.retries,
+    )
     f, trace = prob.cfcn_pipeline(g, lists, cfg)
-    for v, c in sorted(f.items()):
-        print(f"v {v + 1} {c}")
+    _emit(fileio.format_coloring(f), args.out)
     if args.trace:
         _write(args.trace, "\n".join(trace.lines()) + "\n")
-    if args.out:
-        _write(args.out, fileio.format_coloring(f))
     return EXIT_YES
 
 
 def cmd_lemma(args):
     h = fileio.parse_hypergraph(_read(args.hgraph))
-    max_size = max((len(e) for e in h.edges), default=0)
     if args.lists:
         lists = _load_lists(args.lists, h.n)
     else:
-        lists = ListAssignment.uniform_range(
-            h.n, args.list_factor * max(max_size, 1)
-        )
+        lists = prob.lemma_lists(h, args.list_factor)
     cfg = prob.LemmaConfig(
         rng_seed=args.seed,
         list_factor=args.list_factor,
@@ -210,45 +193,34 @@ def cmd_lemma(args):
     )
     f, rounds = prob.near_uniform_color(h, lists, cfg)
     print(f"rounds {rounds}")
-    for v, c in sorted(f.items()):
-        print(f"v {v + 1} {c}")
-    if args.out:
-        _write(args.out, fileio.format_coloring(f))
+    _emit(fileio.format_coloring(f), args.out)
     return EXIT_YES
 
 
 def _sweep_propositions(args):
     from cfcolor.smallgraphs import nonisomorphic_graphs
 
+    def chi(g, variant):
+        return solve.chromatic_number(solve.SolveInstance.from_graph(g, variant))[0]
+
     rows = []
-    ok_all = True
-    idx = 0
     for n in range(1, args.max_n + 1):
         for g in nonisomorphic_graphs(n):
-            idx += 1
-            chi_cn_star, _ = solve.chromatic_number(
-                solve.SolveInstance.from_graph(g, "cn-star")
-            )
-            chi_cn, _ = solve.chromatic_number(
-                solve.SolveInstance.from_graph(g, "cn")
-            )
+            chi_cn_star = chi(g, "cn-star")
+            chi_cn = chi(g, "cn")
             ok = chi_cn <= chi_cn_star + 1
             detail = f"chiCN {chi_cn} chiCN* {chi_cn_star}"
             if not g.has_isolated_vertex() and g.n > 0 and g.m > 0:
-                chi_on_star, _ = solve.chromatic_number(
-                    solve.SolveInstance.from_graph(g, "on-star")
-                )
+                chi_on_star = chi(g, "on-star")
                 ok = ok and chi_cn_star <= 2 * chi_on_star
                 detail += f" chiON* {chi_on_star}"
-            rows.append((idx, ok, detail))
-            ok_all = ok_all and ok
-    return rows, ok_all
+            rows.append((len(rows) + 1, ok, detail))
+    return rows
 
 
 def _sweep_reductions(args):
     rng = random.Random(args.seed)
     rows = []
-    ok_all = True
     for t in range(args.trials):
         n = rng.randint(3, 6)
         m = rng.randint(1, min(5, math.comb(n, 3)))
@@ -266,26 +238,32 @@ def _sweep_reductions(args):
             ok = ok and reductions.certificate_to_truth(formula, on_cert, "on") == sat
             ok = ok and reductions.certificate_to_truth(formula, cn_cert, "cn") == sat
         rows.append((t + 1, ok, f"n={n} m={m} sat={'yes' if sat else 'no'}"))
-        ok_all = ok_all and ok
-    return rows, ok_all
+    return rows
+
+
+def size_range(text):
+    """`--size <lo>..<hi>` with integers 1 <= lo <= hi; argparse names the
+    flag and the value when this raises."""
+    lo, hi = (int(x) for x in text.split(".."))
+    if not 1 <= lo <= hi:
+        raise ValueError(text)
+    return lo, hi
 
 
 def _sweep_lemma(args):
-    lo, hi = (int(x) for x in args.size.split(".."))
+    lo, hi = args.size
     rng = random.Random(args.seed)
     h = random_hypergraph(4 * hi, args.edges, lo, hi, rng)
-    max_size = max((len(e) for e in h.edges), default=0)
-    lists = ListAssignment.uniform_range(h.n, 32 * max(max_size, 1))
     cfg = prob.LemmaConfig(rng_seed=args.seed, alpha_override=lo)
+    lists = prob.lemma_lists(h, cfg.list_factor)
     f, rounds = prob.near_uniform_color(h, lists, cfg)
     report = verify_cf(h, f, lists=lists, require_total=True)
-    return [(1, report.valid, f"edges={args.edges} rounds={rounds}")], report.valid
+    return [(1, report.valid, f"edges={args.edges} rounds={rounds}")]
 
 
 def _sweep_pipeline(args):
     rng = random.Random(args.seed)
     rows = []
-    ok_all = True
     for t in range(args.trials):
         base = random_graph(10, 0.35, rng)
         g, _ = line_graph(base)
@@ -293,43 +271,29 @@ def _sweep_pipeline(args):
             rows.append((t + 1, True, "empty line graph, skipped"))
             continue
         for scaled in (False, True):
-            cfg = (
-                prob.PipelineConfig.scaled(rng_seed=args.seed + t)
-                if scaled
-                else prob.PipelineConfig.full(rng_seed=args.seed + t)
-            )
-            k = max_star(g) + 1
-            delta = g.max_degree()
-            r = math.ceil(
-                cfg.r_coeff * k * (math.log(delta) if delta >= 2 else 0)
-            )
+            cfg = prob.PipelineConfig(rng_seed=args.seed + t, scaled_mode=scaled)
+            _, _, r = prob.pipeline_list_size(g, cfg)
             lists = ListAssignment.uniform_range(g.n, max(r, 1))
             f, trace = prob.cfcn_pipeline(g, lists, cfg)
-            report = verify_cf(
-                derived_hypergraph(g, "closed"), f, lists=lists
-            )
+            report = verify_cf(derived_hypergraph(g, "closed"), f, lists=lists)
             mode = "scaled" if scaled else "full"
-            rows.append(
-                (
-                    len(rows) + 1,
-                    report.valid,
-                    f"trial={t + 1} mode={mode} n={g.n} C={'empty' if not trace.part_c else len(trace.part_c)}",
-                )
-            )
-            ok_all = ok_all and report.valid
-    return rows, ok_all
+            part_c = len(trace.part_c) or "empty"
+            detail = f"trial={t + 1} mode={mode} n={g.n} C={part_c}"
+            rows.append((len(rows) + 1, report.valid, detail))
+    return rows
+
+
+SWEEPS = {
+    "propositions": _sweep_propositions,
+    "reductions": _sweep_reductions,
+    "lemma": _sweep_lemma,
+    "pipeline": _sweep_pipeline,
+}
 
 
 def cmd_sweep(args):
-    suites = {
-        "propositions": _sweep_propositions,
-        "reductions": _sweep_reductions,
-        "lemma": _sweep_lemma,
-        "pipeline": _sweep_pipeline,
-    }
-    if args.suite not in suites:
-        raise InputFormatError(f"unknown suite {args.suite!r}")
-    rows, ok_all = suites[args.suite](args)
+    rows = SWEEPS[args.suite](args)
+    ok_all = all(ok for _, ok, _ in rows)
     for idx, ok, detail in rows:
         print(f"{idx:4d} {'pass' if ok else 'FAIL'} {detail}")
     print(f"suite {args.suite}: {'pass' if ok_all else 'FAIL'} ({len(rows)} rows)")
@@ -430,16 +394,12 @@ def build_parser():
     sp.set_defaults(func=cmd_lemma)
 
     sp = sub.add_parser("sweep", help="batch invariant suites")
-    sp.add_argument(
-        "--suite",
-        required=True,
-        choices=("propositions", "reductions", "lemma", "pipeline"),
-    )
+    sp.add_argument("--suite", required=True, choices=SWEEPS)
     sp.add_argument("--max-n", type=int, default=5)
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--edges", type=int, default=100)
-    sp.add_argument("--size", default="64..128")
+    sp.add_argument("--size", type=size_range, default="64..128")
     sp.set_defaults(func=cmd_sweep)
 
     return p
@@ -451,14 +411,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; remap to the input-error code
-        if exc.code not in (0, None):
-            return EXIT_INPUT
-        return 0
+        return EXIT_INPUT if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -83,6 +83,13 @@ class LemmaConfig:
             raise ValueError("max_rounds must be >= 1")
 
 
+def lemma_lists(h, list_factor):
+    """Uniform lists of list_factor * (max edge size) colors, the sizes
+    near_uniform_color requires (list_factor colors when h has no edge)."""
+    max_size = max((len(e) for e in h.edges), default=0)
+    return ListAssignment.uniform_range(h.n, list_factor * max(max_size, 1))
+
+
 def count_non_unique(edge, f):
     """Number of vertices of the edge whose color repeats inside it.
 
@@ -201,13 +208,15 @@ class PipelineConfig:
     def r_coeff(self):
         return SCALED_R_COEFF if self.scaled_mode else FULL_R_COEFF
 
-    @classmethod
-    def full(cls, rng_seed, **kw):
-        return cls(rng_seed=rng_seed, **kw)
 
-    @classmethod
-    def scaled(cls, rng_seed, **kw):
-        return cls(rng_seed=rng_seed, scaled_mode=True, **kw)
+def pipeline_list_size(g, cfg):
+    """(k, Delta, r) on g: the claw bound k = max_star(g) + 1 or
+    cfg.k_override, never below 2, and the list size the pipeline requires,
+    r = ceil(r_coeff k ln Delta), which is 0 when Delta < 2."""
+    k = max(cfg.k_override if cfg.k_override is not None else max_star(g) + 1, 2)
+    delta = g.max_degree()
+    log_delta = math.log(delta) if delta >= 2 else 0.0
+    return k, delta, math.ceil(cfg.r_coeff * k * log_delta)
 
 
 @dataclass
@@ -309,7 +318,7 @@ def color_h1(g, a_set, b_set, lists):
         h1 = Hypergraph(
             len(a_sorted), [[a_index[w] for w in e] for e in edges]
         )
-        inst = SolveInstance.from_hypergraph(h1)
+        inst = SolveInstance(h1)
         sub = solve_list_cf(inst, lists.restrict(a_sorted))
         if sub is None:
             raise PipelineError("color_h1", "A-core hypergraph is uncolorable")
@@ -403,12 +412,7 @@ def cfcn_pipeline(g, lists, cfg):
     """
     if lists.n != g.n:
         raise ValueError("lists must cover every vertex")
-    k = cfg.k_override if cfg.k_override is not None else max_star(g) + 1
-    if k < 2:
-        k = 2
-    delta = g.max_degree()
-    log_delta = math.log(delta) if delta >= 2 else 0.0
-    r = math.ceil(cfg.r_coeff * k * log_delta)
+    k, delta, r = pipeline_list_size(g, cfg)
     for v in range(g.n):
         if lists.size(v) < max(r, 1):
             raise ValueError(
@@ -469,7 +473,7 @@ def cfcn_pipeline(g, lists, cfg):
     # general-graph construction this pipeline does not carry
     trace.delegated = True
     trace.failures = tuple(failures)
-    inst = SolveInstance.from_hypergraph(closed)
+    inst = SolveInstance(closed)
     f = solve_list_cf(inst, lists)
     if f is None:
         raise PipelineError("delegate", "exact solver found no coloring")

@@ -45,10 +45,6 @@ class SolveInstance:
             require_total=not variant.endswith("star"),
         )
 
-    @classmethod
-    def from_hypergraph(cls, h, require_total=False):
-        return cls(hypergraph=h, require_total=require_total)
-
 
 def _dense_colors(lists, n_cap):
     """Map a ListAssignment onto dense kernel colors.

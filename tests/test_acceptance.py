@@ -23,7 +23,6 @@ from cfcolor.graphs import (
     extended_double_cover,
     hypergraph_stats,
     line_graph,
-    max_star,
     random_graph,
     random_hypergraph,
 )
@@ -254,7 +253,7 @@ def test_criterion_6_hub_gadget_negative_direction():
         ]
         la = ListAssignment(entries)
         for require_total in (False, True):
-            inst = solve.SolveInstance.from_hypergraph(h, require_total)
+            inst = solve.SolveInstance(h, require_total)
             mine = solve.solve_list_cf(inst, la)
             ref = brute_force_cf(h, la, require_total=require_total)
             total += 1
@@ -360,9 +359,7 @@ def pipeline_corpus():
 
 
 def pipeline_lists(g, cfg):
-    k = max(max_star(g) + 1, 2)
-    delta = g.max_degree()
-    r = math.ceil(cfg.r_coeff * k * (math.log(delta) if delta >= 2 else 0))
+    _, _, r = prob.pipeline_list_size(g, cfg)
     return ListAssignment.uniform_range(g.n, max(r, 1))
 
 
@@ -390,7 +387,7 @@ def test_criterion_10_pipeline_end_to_end():
     closed = {id(g): derived_hypergraph(g, "closed") for g in corpus}
 
     for i, g in enumerate(corpus):
-        cfg = prob.PipelineConfig.full(rng_seed=9000 + i)
+        cfg = prob.PipelineConfig(rng_seed=9000 + i)
         lists = pipeline_lists(g, cfg)
         f, trace = prob.cfcn_pipeline(g, lists, cfg)
         assert not trace.part_c, "full-scale constants must swallow every class"
@@ -400,7 +397,7 @@ def test_criterion_10_pipeline_end_to_end():
 
     forced_c = 0
     for i, g in enumerate(corpus):
-        cfg = prob.PipelineConfig.scaled(rng_seed=9100 + i, retry_limit=20)
+        cfg = prob.PipelineConfig(rng_seed=9100 + i, scaled_mode=True, retry_limit=20)
         lists = pipeline_lists(g, cfg)
         f, trace = prob.cfcn_pipeline(g, lists, cfg)
         assert verify_cf(closed[id(g)], f, lists=lists).valid

@@ -277,3 +277,80 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
                 patched.setattr(module, name, value)
             assert cli.main(argv) == code, (argv, patches)
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--rolemap", "--report"])
+def test_unwritable_output_path_exits_3(tmp_path, capsys, flag):
+    g = write_c4(tmp_path)
+    col = tmp_path / "col.txt"
+    col.write_text("v 1 1\n")
+    argv = {
+        "--out": ["solve", "--graph", g, "--uniform", "2"],
+        "--trace": ["pipeline", "--graph", g, "--lists", "RANGE:200"]
+        + ["--seed", "3", "--scaled"],
+        "--rolemap": ["reduce", "--formula", write_figure(tmp_path)]
+        + ["--target", "gprime"],
+        "--report": ["verify", "--graph", g, "--coloring", str(col)],
+    }[flag]
+    bad = str(tmp_path / "no-such-dir" / "x.txt")
+    # exit 3 (input), never 1 ("no") from an escaped OSError
+    assert cli.main(argv + [flag, bad]) == 3
+    assert f"input error: cannot write {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["RANGE:x", "RANGE:", "RANGE:0", "RANGE:-3"])
+def test_malformed_lists_range_names_the_flag(tmp_path, capsys, spec):
+    g = write_c4(tmp_path)
+    for argv in (["solve", "--graph", g], ["pipeline", "--graph", g, "--seed", "1"]):
+        assert cli.main(argv + ["--lists", spec]) == 3
+        message = f"input error: --lists {spec}: r must be an integer >= 1"
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["5", "a..b", "10..5", "0..4"])
+def test_malformed_sweep_size_names_the_flag(capsys, size):
+    assert cli.main(["sweep", "--suite", "lemma", "--size", size]) == 3
+    message = f"argument --size: invalid size_range value: '{size}'"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "propositions", "--max-n", "4"],
+        ["--suite", "reductions"],
+        ["--suite", "lemma"],
+        ["--suite", "pipeline"],
+    ],
+)
+def test_every_sweep_suite_passes_at_its_defaults(capsys, argv):
+    assert cli.main(["sweep"] + argv) == 0
+    assert f"suite {argv[1]}: pass" in capsys.readouterr().out
+
+
+def test_out_holds_exactly_the_printed_result(tmp_path, capsys):
+    import random
+
+    from cfcolor.graphs import random_hypergraph
+
+    g = write_c4(tmp_path)
+    hp = tmp_path / "h.txt"
+    h = random_hypergraph(32, 8, 8, 12, random.Random(0))
+    hp.write_text(fileio.format_hypergraph(h))
+    # (argv, number of printed lines before the coloring or graph)
+    table = [
+        (["solve", "--graph", g, "--uniform", "2"], 0),
+        (["solve", "--graph", g, "--chromatic"], 1),
+        (["pipeline", "--graph", g, "--lists", "RANGE:200", "--seed", "3"]
+         + ["--scaled"], 0),
+        (["lemma", "--hgraph", str(hp), "--seed", "4", "--alpha", "8"], 1),
+        (["reduce", "--formula", write_figure(tmp_path), "--target", "gphi"], 0),
+        (["gadget-hg", "--graph", g], 0),
+        (["edc", "--graph", g], 0),
+    ]
+    out = tmp_path / "out.txt"
+    for argv, head in table:
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        assert out.read_text() == "".join(printed[head:]), argv
+        assert printed[head].startswith(("v ", "p graph ")), argv

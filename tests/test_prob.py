@@ -10,7 +10,6 @@ from cfcolor.graphs import (
     derived_hypergraph,
     hypergraph_stats,
     line_graph,
-    max_star,
     random_graph,
     random_hypergraph,
 )
@@ -32,6 +31,46 @@ def test_required_alpha_full_scale_values():
     big = math.ceil(math.exp(4096 / 136) / 16) + 1
     assert prob.required_alpha(big, cfg) == math.ceil(136 * math.log(16 * big))
     assert prob.required_alpha(10**9, prob.LemmaConfig(rng_seed=0, alpha_override=7)) == 7
+
+
+def test_pipeline_list_size_values():
+    from cfcolor.graphs import Graph
+    from cfcolor.smallgraphs import cycle_graph, star_graph
+
+    def sizes(g, scaled_mode, k_override):
+        cfg = prob.PipelineConfig(0, scaled_mode=scaled_mode, k_override=k_override)
+        return prob.pipeline_list_size(g, cfg)
+
+    # C5: max_star 2, Delta 2; r = ceil(2^18 k ln 2) or ceil(32 k ln 2)
+    c5 = cycle_graph(5)
+    assert sizes(c5, False, None) == (3, 2, 545114)
+    assert sizes(c5, True, None) == (3, 2, 67)
+    # an override is taken as given, but never below 2; 0 is not "unset"
+    for k_override in (0, 1):
+        assert sizes(c5, False, k_override) == (2, 2, 363409)
+        assert sizes(c5, True, k_override) == (2, 2, 45)
+    assert sizes(c5, False, 3) == (3, 2, 545114)
+    assert sizes(c5, True, 3) == (3, 2, 67)
+    # K_{1,4}: max_star 4, Delta 4
+    assert sizes(star_graph(4), False, None) == (5, 4, 1817044)
+    assert sizes(star_graph(4), True, None) == (5, 4, 222)
+    assert sizes(star_graph(4), True, 3) == (3, 4, 134)
+    # no edge: Delta < 2 needs no list size at all
+    edgeless = Graph(3)
+    for scaled_mode in (False, True):
+        assert sizes(edgeless, scaled_mode, None) == (2, 0, 0)
+        assert sizes(edgeless, scaled_mode, 3) == (3, 0, 0)
+
+
+def test_lemma_lists_sizes():
+    from cfcolor.graphs import Hypergraph
+
+    h = random_hypergraph(20, 5, 3, 7, random.Random(0))
+    top = max(len(e) for e in h.edges)
+    lists = prob.lemma_lists(h, 32)
+    assert lists.n == 20 and all(lists.colors(v) == range(32 * top) for v in range(20))
+    # an edgeless hypergraph still gets list_factor colors per vertex
+    assert prob.lemma_lists(Hypergraph(3, []), 5).colors(2) == range(5)
 
 
 def test_count_non_unique():
@@ -110,17 +149,13 @@ def claw_free_corpus(count, base_n, seed):
 
 
 def pipeline_lists(g, cfg):
-    k = max_star(g) + 1
-    if k < 2:
-        k = 2
-    delta = g.max_degree()
-    r = math.ceil(cfg.r_coeff * k * (math.log(delta) if delta >= 2 else 0))
+    _, _, r = prob.pipeline_list_size(g, cfg)
     return ListAssignment.uniform_range(g.n, max(r, 1))
 
 
 def test_pipeline_full_constants_color_claw_free_graphs():
     for i, g in enumerate(claw_free_corpus(5, 12, seed=21)):
-        cfg = prob.PipelineConfig.full(rng_seed=100 + i)
+        cfg = prob.PipelineConfig(rng_seed=100 + i)
         lists = pipeline_lists(g, cfg)
         f, trace = prob.cfcn_pipeline(g, lists, cfg)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
@@ -134,7 +169,7 @@ def test_pipeline_full_constants_color_claw_free_graphs():
 def test_pipeline_scaled_mode_exercises_the_h2_stage():
     saw_c = 0
     for i, g in enumerate(claw_free_corpus(5, 12, seed=22)):
-        cfg = prob.PipelineConfig.scaled(rng_seed=200 + i, retry_limit=20)
+        cfg = prob.PipelineConfig(rng_seed=200 + i, scaled_mode=True, retry_limit=20)
         lists = pipeline_lists(g, cfg)
         f, trace = prob.cfcn_pipeline(g, lists, cfg)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
@@ -173,7 +208,7 @@ def check_trace_invariants(g, trace):
 
 def test_pipeline_trace_lines_round_trip_key_facts():
     g = claw_free_corpus(1, 10, seed=23)[0]
-    cfg = prob.PipelineConfig.scaled(rng_seed=9)
+    cfg = prob.PipelineConfig(rng_seed=9, scaled_mode=True)
     lists = pipeline_lists(g, cfg)
     _, trace = prob.cfcn_pipeline(g, lists, cfg)
     text = "\n".join(trace.lines())
@@ -185,7 +220,7 @@ def test_pipeline_trace_lines_round_trip_key_facts():
 
 def test_pipeline_determinism():
     g = claw_free_corpus(1, 10, seed=24)[0]
-    cfg = prob.PipelineConfig.scaled(rng_seed=4)
+    cfg = prob.PipelineConfig(rng_seed=4, scaled_mode=True)
     lists = pipeline_lists(g, cfg)
     f1, _ = prob.cfcn_pipeline(g, lists, cfg)
     f2, _ = prob.cfcn_pipeline(g, lists, cfg)
@@ -194,7 +229,7 @@ def test_pipeline_determinism():
 
 def test_pipeline_rejects_undersized_lists():
     g = claw_free_corpus(1, 10, seed=25)[0]
-    cfg = prob.PipelineConfig.full(rng_seed=0)
+    cfg = prob.PipelineConfig(rng_seed=0)
     with pytest.raises(ValueError, match="pipeline needs"):
         prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 3), cfg)
 
@@ -223,7 +258,7 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
 
     # k = 2 forbids two A-neighbors, and vertex 1 of the path 0-1-2 has two
     g = path_graph(3)
-    cfg = prob.PipelineConfig.scaled(rng_seed=0, k_override=2)
+    cfg = prob.PipelineConfig(rng_seed=0, scaled_mode=True, k_override=2)
     f, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
     assert trace.delegated and trace.attempts == 1
     assert trace.failures == (
@@ -231,7 +266,7 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
     )
 
     g = claw_free_corpus(1, 12, seed=22)[0]
-    cfg = prob.PipelineConfig.scaled(rng_seed=7, retry_limit=4)
+    cfg = prob.PipelineConfig(rng_seed=7, scaled_mode=True, retry_limit=4)
     lists = pipeline_lists(g, cfg)
     color_h1 = prob.color_h1
     h1_calls, seeds = [], []
@@ -261,7 +296,7 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
     # with C empty nothing depends on the seed: a failed check is not retried
     invalid = SimpleNamespace(valid=False, edge_violations=[0])
     monkeypatch.setattr(prob, "verify_cf", lambda *args, **kwargs: invalid)
-    cfg = prob.PipelineConfig.full(rng_seed=7, retry_limit=4)
+    cfg = prob.PipelineConfig(rng_seed=7, retry_limit=4)
     _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
     assert not trace.part_c and trace.delegated
     assert trace.failures == ("attempt 1: verification failed on edges [0]",)

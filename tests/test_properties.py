@@ -97,7 +97,7 @@ def test_solver_agrees_with_enumeration(h, data):
     ]
     lists = ListAssignment(entries)
     for total in (False, True):
-        inst = solve.SolveInstance.from_hypergraph(h, require_total=total)
+        inst = solve.SolveInstance(h, require_total=total)
         mine = solve.solve_list_cf(inst, lists)
         ref = brute_force_cf(h, lists, require_total=total)
         assert (mine is None) == (ref is None)

@@ -87,7 +87,7 @@ def test_solver_agrees_with_brute_force_on_random_hypergraphs():
         ]
         lists = ListAssignment(entries)
         for total in (False, True):
-            inst = solve.SolveInstance.from_hypergraph(h, require_total=total)
+            inst = solve.SolveInstance(h, require_total=total)
             mine = solve.solve_list_cf(inst, lists)
             ref = brute_force_cf(h, lists, require_total=total)
             assert (mine is None) == (ref is None)
@@ -179,7 +179,7 @@ def test_choosability_matches_per_assignment_reference(k):
 
 def test_choosability_no_has_the_reference_witness():
     triangle = Hypergraph(3, [(0, 1), (0, 2), (1, 2)])
-    inst = solve.SolveInstance.from_hypergraph(triangle, require_total=True)
+    inst = solve.SolveInstance(triangle, require_total=True)
     cert = solve.decide_choosable(inst, 2)
     assert not cert.answer and not cert.pool
     assert cert.witness == ListAssignment([(1, 2), (1, 2), (1, 2)])
