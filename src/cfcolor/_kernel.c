@@ -1,8 +1,8 @@
-/* Compiled search kernels, loaded with ctypes by cfcolor.kernels.
+/* Compiled search kernel, loaded with ctypes by cfcolor.kernels.
 
    A line-for-line port of _kernel_py.py: both explore the identical search
-   tree and return the same status, result and node count.  The searches
-   are iterative (an explicit per-depth state instead of recursion), so the
+   tree and return the same status, result and node count.  The search is
+   iterative (an explicit per-depth state instead of recursion), so the
    depth is bounded by the vertex count, not by the C stack.
 
    Inputs are flat CSR int arrays built by kernels.py; every vertex index
@@ -213,94 +213,5 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
     free(s.uniq);
     free(s.und);
     free(s.state);
-    return status;
-}
-
-typedef struct {
-    int n, m;
-    int *con_start, *con_set;  /* sets containing v, in set-index order */
-    int *cnt;  /* chosen members of each set */
-    int *und;  /* undecided members of each set */
-} ExactOne;
-
-/* Returns 0 on a violated set; undone by undecide either way. */
-static int decide(ExactOne *s, int v, int inside) {
-    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
-        int si = s->con_set[i];
-        s->und[si]--;
-        if (inside) s->cnt[si]++;
-    }
-    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
-        int si = s->con_set[i];
-        if (s->cnt[si] > 1 || (s->cnt[si] == 0 && s->und[si] == 0)) return 0;
-    }
-    return 1;
-}
-
-static void undecide(ExactOne *s, int v, int inside) {
-    for (int i = s->con_start[v]; i < s->con_start[v + 1]; i++) {
-        int si = s->con_set[i];
-        s->und[si]++;
-        if (inside) s->cnt[si]--;
-    }
-}
-
-/* Depth v decides vertex v: inside first, then outside. */
-static int exact_search(ExactOne *s, char *tried, char *chosen, long long budget,
-                        long long *nodes) {
-    int v = 0;
-    for (;;) {
-        /* entering depth v */
-        if (v == s->n) {
-            int all_one = 1;
-            for (int si = 0; si < s->m; si++)
-                if (s->cnt[si] != 1) all_one = 0;
-            if (all_one) return FOUND;
-        } else {
-            tried[v] = 0;
-        }
-        /* find the next child to descend into, backtracking as needed */
-        for (;;) {
-            if (v < s->n && tried[v] < 2) {
-                int inside = tried[v]++ == 0;
-                if (++*nodes > budget) return OVER_BUDGET;
-                chosen[v] = (char)inside;
-                if (decide(s, v, inside)) break;
-                undecide(s, v, inside);
-                continue;
-            }
-            if (v < s->n) chosen[v] = 0;
-            if (v == 0) return EXHAUSTED;
-            v--;
-            undecide(s, v, chosen[v]);
-        }
-        v++;
-    }
-}
-
-/* A vertex subset hitting every set exactly once; see
-   _kernel_py.exact_one.  On FOUND, out[v] is 1 for members, else 0. */
-int exact_one(int n, int m, const int *set_start, const int *set_vert,
-              long long budget, int *out, long long *nodes) {
-    ExactOne s = {.n = n, .m = m};
-    *nodes = 0;
-    int status = NO_MEMORY;
-    char *tried = calloc((size_t)n + 1, 1);
-    char *chosen = calloc((size_t)n + 1, 1);
-    s.cnt = calloc((size_t)m + 1, sizeof(int));
-    s.und = calloc((size_t)m + 1, sizeof(int));
-    if (tried && chosen && s.cnt && s.und
-        && incidence(n, m, set_start, set_vert, &s.con_start, &s.con_set)) {
-        for (int si = 0; si < m; si++) s.und[si] = set_start[si + 1] - set_start[si];
-        status = exact_search(&s, tried, chosen, budget, nodes);
-        if (status == FOUND)
-            for (int v = 0; v < n; v++) out[v] = chosen[v];
-        free(s.con_start);
-        free(s.con_set);
-    }
-    free(tried);
-    free(chosen);
-    free(s.cnt);
-    free(s.und);
     return status;
 }

@@ -1,9 +1,9 @@
-"""Pure-Python search kernels.
+"""Pure-Python search kernel.
 
-Same contract as the C kernels in ``_kernel.c``; the two are
+Same contract as the C kernel in ``_kernel.c``; the two are
 interchangeable and must explore the identical search tree so results are
 byte-identical.  This module is the reference the parity tests compare the
-C kernels against, and the fallback when they cannot be built.  See
+C kernel against, and the fallback when it cannot be built.  See
 ``cfcolor.kernels`` for the import-time selection.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution),
@@ -145,62 +145,3 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
         return 0, result, nodes
     return status, None, nodes
 
-
-def exact_one(n, sets, budget):
-    """Find a vertex subset hitting every set exactly once.
-
-    Vertices are decided in id order, membership tried first, so the
-    returned set is deterministic.  Returns (status, members, nodes).
-    """
-    m = len(sets)
-    containing = [[] for _ in range(n)]
-    for si, s in enumerate(sets):
-        for v in s:
-            containing[v].append(si)
-
-    cnt = [0] * m
-    und = [len(s) for s in sets]
-    chosen = [False] * n
-    nodes = 0
-
-    def decide(v, inside):
-        # returns False on a violated set
-        ok = True
-        for si in containing[v]:
-            und[si] -= 1
-            if inside:
-                cnt[si] += 1
-        for si in containing[v]:
-            if cnt[si] > 1 or (cnt[si] == 0 and und[si] == 0):
-                ok = False
-                break
-        return ok
-
-    def undecide(v, inside):
-        for si in containing[v]:
-            und[si] += 1
-            if inside:
-                cnt[si] -= 1
-
-    def search(v):
-        nonlocal nodes
-        if v == n:
-            return 0 if all(c == 1 for c in cnt) else 1
-        for inside in (True, False):
-            nodes += 1
-            if nodes > budget:
-                return 2
-            chosen[v] = inside
-            ok = decide(v, inside)
-            if ok:
-                r = search(v + 1)
-                if r != 1:
-                    return r
-            undecide(v, inside)
-        chosen[v] = False
-        return 1
-
-    status = search(0)
-    if status == 0:
-        return 0, [v for v in range(n) if chosen[v]], nodes
-    return status, None, nodes

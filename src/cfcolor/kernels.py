@@ -1,15 +1,17 @@
-"""Kernel selection: the C kernels of ``_kernel.c`` when they build, else
-the pure-Python kernels of ``_kernel_py``.
+"""Kernel selection: the C kernel of ``_kernel.c`` when it builds, else
+the pure-Python kernel of ``_kernel_py``.
 
-Both backends implement the identical search (same branching order, same
-pruning), so any result is independent of which one got picked.  On first
-import ``_kernel.c`` is compiled with ``cc`` into the package's
-``__pycache__`` and loaded with ctypes; later imports reuse the cached
-library.  When the compiler is missing, or building or loading fails, the
-pure-Python kernels are used.  ``BACKEND`` says which backend is active.
+Both backends implement the identical conflict-free search (same
+branching order, same pruning), so any result is independent of which one
+got picked.  On first import ``_kernel.c`` is compiled with ``cc`` into
+the package's ``__pycache__`` and loaded with ctypes; later imports reuse
+the cached library.  When the compiler is missing, or building or loading
+fails, the pure-Python kernel is used.  ``BACKEND`` says which backend is
+active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
+oracle, is that search with the single color 0.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
-budget exceeded, 3 = out of memory (C kernels only).
+budget exceeded, 3 = out of memory (C kernel only).
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, solve_cf, exact_one): the C kernels built into cache_dir,
-    or the pure-Python kernels when they cannot be built or loaded."""
+    """(backend, solve_cf): the C kernel built into cache_dir, or the
+    pure-Python kernel when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.solve_cf, _kernel_py.exact_one
-    return ("compiled", *_bind(lib))
+        return "pure-python", _kernel_py.solve_cf
+    return "compiled", _bind(lib)
 
 
 def _address(buffer):
@@ -94,26 +96,19 @@ def _csr(rows):
     return start, flat
 
 
-def _check_range(values, limit, what):
-    # the C kernels index their arrays with these values unchecked
-    if values and (min(values) < 0 or max(values) >= limit):
-        raise ValueError(f"{what} out of range [0, {limit})")
-
-
 def _bind(lib):
-    """Python functions with the contract of ``_kernel_py`` around the
-    C functions of lib."""
+    """A Python function with the contract of ``_kernel_py.solve_cf``
+    around the C function of lib."""
     c_solve = lib.solve_cf
     c_solve.argtypes = [_int, _int] + [_ptr] * 5 + [_int, _int, _int, ctypes.c_longlong, _ptr, _ptr]
     c_solve.restype = _int
-    c_exact = lib.exact_one
-    c_exact.argtypes = [_int, _int, _ptr, _ptr, ctypes.c_longlong, _ptr, _ptr]
-    c_exact.restype = _int
 
     def solve_cf(n, edges, lists, require_total, symmetric, budget):
         """Same contract and search order as ``_kernel_py.solve_cf``."""
         edge_start, edge_vert = _csr(edges)
-        _check_range(edge_vert, n, "edge vertex")
+        # the C kernel indexes its arrays with vertices and colors unchecked
+        if edge_vert and (min(edge_vert) < 0 or max(edge_vert) >= n):
+            raise ValueError(f"edge vertex out of range [0, {n})")
         if symmetric and n:
             # identical lists: pass the shared one once
             colors = list(lists[0])
@@ -135,21 +130,64 @@ def _bind(lib):
         )
         return status, out.tolist() if status == 0 else None, nodes[0]
 
-    def exact_one(n, sets, budget):
-        """Same contract and search order as ``_kernel_py.exact_one``."""
-        set_start, set_vert = _csr(sets)
-        _check_range(set_vert, n, "set member")
-        inputs = [array("i", set_start), array("i", set_vert)]
-        out = array("i", [0]) * n
-        nodes = array("q", [0])
-        status = c_exact(
-            n, len(sets), *map(_address, inputs),
-            min(max(budget, 0), MAX_BUDGET), _address(out), _address(nodes),
+    return solve_cf
+
+
+BACKEND, solve_cf = load(os.path.join(HERE, "__pycache__"))
+
+
+def exact_one(n, sets, budget):
+    """A vertex subset hitting every set exactly once, as
+    (status, members, nodes).
+
+    A set has a unique color under a partial coloring with the single
+    color 0 iff exactly one of its vertices is colored, so this is the
+    conflict-free search with the list [0] everywhere; the members are the
+    vertices colored 0.  Each connected part of the sets is searched on
+    its own, under what is left of the budget: in one search, a dead end
+    in one part would backtrack through every choice made in the others.
+    A vertex in no set is never a member.  ``solve_cf`` is looked up by
+    name at call time, so a wrapper installed on it sees every part.
+    """
+    if any(not s for s in sets):
+        return 1, None, 0
+    members, nodes = [], 0
+    for vertices, part_sets in _parts(n, sets):
+        k = len(vertices)
+        status, assignment, used = solve_cf(
+            k, part_sets, [[0]] * k, False, True, budget - nodes
         )
-        members = [v for v in range(n) if out[v]] if status == 0 else None
-        return status, members, nodes[0]
+        nodes += used
+        if status != 0:
+            return status, None, nodes
+        members += [vertices[i] for i, c in enumerate(assignment) if c == 0]
+    return 0, sorted(members), nodes
 
-    return solve_cf, exact_one
 
-
-BACKEND, solve_cf, exact_one = load(os.path.join(HERE, "__pycache__"))
+def _parts(n, sets):
+    """The connected parts of the sets, by smallest vertex, each as
+    (its vertices in increasing order, its sets over positions in that
+    list).  Vertices in no set belong to no part."""
+    incident = [[] for _ in range(n)]
+    for si, s in enumerate(sets):
+        for v in s:
+            incident[v].append(si)
+    reached = [False] * n
+    taken = [False] * len(sets)
+    for v in range(n):
+        if reached[v] or not incident[v]:
+            continue
+        reached[v] = True
+        vertices, part_sets = [v], []
+        for u in vertices:  # grows while it is walked
+            for si in incident[u]:
+                if not taken[si]:
+                    taken[si] = True
+                    part_sets.append(sets[si])
+                    for w in sets[si]:
+                        if not reached[w]:
+                            reached[w] = True
+                            vertices.append(w)
+        vertices.sort()
+        position = {w: i for i, w in enumerate(vertices)}
+        yield vertices, [[position[w] for w in s] for s in part_sets]

@@ -102,9 +102,8 @@ def count_non_unique(edge, f):
     return len(edge) - len(unique_colors(colors))
 
 
-def required_alpha(gamma, cfg):
-    if cfg.alpha_override is not None:
-        return cfg.alpha_override
+def required_alpha(gamma):
+    """The lemma's minimum edge size max(2^12, ceil(136 ln(16 Gamma)))."""
     # with Gamma = 0 no two edges meet, and the floor alone applies
     return max(
         FULL_ALPHA_FLOOR,
@@ -126,13 +125,15 @@ def near_uniform_color(h, lists, cfg):
     """
     if lists.n != h.n:
         raise ValueError("lists must cover every vertex")
-    _, gamma, min_size, max_size = hypergraph_stats(h)
-    alpha = required_alpha(gamma, cfg)
-    if h.m and min_size < alpha:
+    sizes = [len(e) for e in h.edges]
+    alpha = cfg.alpha_override
+    if alpha is None:
+        alpha = required_alpha(hypergraph_stats(h)[1])
+    if sizes and min(sizes) < alpha:
         raise ValueError(
-            f"minimum edge size {min_size} below required alpha {alpha}"
+            f"minimum edge size {min(sizes)} below required alpha {alpha}"
         )
-    need = cfg.list_factor * max_size
+    need = cfg.list_factor * max(sizes, default=0)
     for v in range(h.n):
         if lists.size(v) < need:
             raise ValueError(

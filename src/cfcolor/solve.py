@@ -82,6 +82,18 @@ def _dense_colors(lists, n_cap):
     return dense_lists, universe, False
 
 
+def _kernel_result(search, budget, found):
+    """The result of a kernel's (status, result, nodes), None when the
+    search is exhausted.  Raises BudgetExceededError, with the nodes
+    explored, when the budget trips or the kernel runs out of memory."""
+    status, result, nodes = found
+    if status == 2:
+        raise BudgetExceededError(f"{search} exceeded {budget} nodes", nodes=nodes)
+    if status == 3:
+        raise BudgetExceededError(f"{search} ran out of memory", nodes=nodes)
+    return result
+
+
 def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET):
     """Exhaustive backtracking search for an L-CF(*) coloring.
 
@@ -92,21 +104,12 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET):
     if lists.n != h.n:
         raise ValueError("list assignment must cover every vertex")
     dense_lists, colors_by_dense, symmetric = _dense_colors(lists, h.n)
-    status, assignment, nodes = kernels.solve_cf(
-        h.n,
-        [list(e) for e in h.edges],
-        dense_lists,
-        inst.require_total,
-        symmetric,
-        budget,
+    edges = [list(e) for e in h.edges]
+    found = kernels.solve_cf(
+        h.n, edges, dense_lists, inst.require_total, symmetric, budget
     )
-    if status == 2:
-        raise BudgetExceededError(
-            f"solve_list_cf exceeded {budget} nodes", nodes=nodes
-        )
-    if status == 3:
-        raise BudgetExceededError("solve_list_cf ran out of memory", nodes=nodes)
-    if status == 1:
+    assignment = _kernel_result("solve_list_cf", budget, found)
+    if assignment is None:
         return None
     f = PartialColoring(
         {v: colors_by_dense[c] for v, c in enumerate(assignment) if c >= 0}
@@ -262,18 +265,9 @@ def decide_choosable(
 
 
 def _find_exact_one(sets, n, budget):
-    if any(not s for s in sets):
-        return None
-    status, members, nodes = kernels.exact_one(n, [list(s) for s in sets], budget)
-    if status == 2:
-        raise BudgetExceededError(
-            f"exact-one search exceeded {budget} nodes", nodes=nodes
-        )
-    if status == 3:
-        raise BudgetExceededError("exact-one search ran out of memory", nodes=nodes)
-    if status == 1:
-        return None
-    return frozenset(members)
+    found = kernels.exact_one(n, [list(s) for s in sets], budget)
+    members = _kernel_result("exact-one search", budget, found)
+    return None if members is None else frozenset(members)
 
 
 def find_pimds(g, budget=DEFAULT_NODE_BUDGET):
@@ -301,21 +295,15 @@ def find_pids(g, budget=DEFAULT_NODE_BUDGET):
     return result
 
 
-MAX_FORMULA_VARIABLES = 30
-
-
 def solve_one_in_three(formula):
     """Truth assignment giving every clause exactly one true variable,
-    or None.  The clauses are the sets of the exact-one search: variables
-    are decided in order x1, x2, ..., True first, so the first solution
-    is lexicographically greedy.
+    or None.  The clauses are the sets of the exact-one search, so the
+    node budget bounds it as it bounds PIMDS and PIDS.  Each group of
+    clauses linked by shared variables is searched on its own, its
+    variables by decreasing clause count, ties by index, True first; a
+    variable in no clause stays False.
     """
-    n = formula.n
-    if n > MAX_FORMULA_VARIABLES:
-        raise BudgetExceededError(
-            f"formula has {n} variables, budget is {MAX_FORMULA_VARIABLES}"
-        )
-    result = _find_exact_one(formula.clauses, n, DEFAULT_NODE_BUDGET)
+    result = _find_exact_one(formula.clauses, formula.n, DEFAULT_NODE_BUDGET)
     if result is not None and not formula.is_one_in_three(result):
         raise AssertionError("exact-one search returned no 1-in-3 solution")
     return result

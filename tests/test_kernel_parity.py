@@ -42,7 +42,7 @@ def test_solve_cf_parity_symmetric_mode():
     rng = random.Random(7)
     # (instances, largest n, budget): small exhaustive searches, then n up
     # to 40 (edges of at most 8 vertices) where the budget trips
-    trips = 0
+    trips = one_color_trips = 0
     for count, max_n, budget in ((100, 8, 100000), (20, 40, 50_000)):
         for _ in range(count):
             n = rng.randint(2, max_n)
@@ -54,27 +54,14 @@ def test_solve_cf_parity_symmetric_mode():
                 got = kernels.solve_cf(n, edges, [shared] * n, total, True, budget)
                 assert got == pure.solve_cf(n, edges, [shared] * n, total, True, budget)
                 trips += got[0] == 2
-    assert trips > 0
-
-
-@requires_compiled
-def test_exact_one_parity_randomized():
-    rng = random.Random(3)
-    # (instances, largest n, largest set, budgets): small searches, then n
-    # up to 40 where the budget trips
-    trips = 0
-    bands = ((200, 10, 10, (20, 100000)), (20, 40, 4, (50_000,)))
-    for count, max_n, max_size, budgets in bands:
-        for _ in range(count):
-            n = rng.randint(1, max_n)
-            m = rng.randint(1, max_n)
-            size = min(n, max_size)
-            sets = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
-            budget = rng.choice(budgets)
-            got = kernels.exact_one(n, sets, budget)
-            assert got == pure.exact_one(n, sets, budget)
-            trips += got[0] == 2
-    assert trips > 0
+            # the one-color list [0] in partial mode is the exact-one
+            # search behind PIMDS, PIDS and the 1-in-3 oracle; it prunes
+            # so hard that only a small budget trips it here
+            for limit in (budget, 20):
+                got = kernels.solve_cf(n, edges, [[0]] * n, False, True, limit)
+                assert got == pure.solve_cf(n, edges, [[0]] * n, False, True, limit)
+                one_color_trips += got[0] == 2
+    assert trips > 0 and one_color_trips > 0
 
 
 @requires_compiled
@@ -95,12 +82,11 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
         pure.solve_cf,
-        pure.exact_one,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, solve_cf, _ = kernels.load(tmp_path)
+    backend, solve_cf = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns

@@ -23,14 +23,34 @@ def test_lemma_config_validation():
 
 
 def test_required_alpha_full_scale_values():
-    cfg = prob.LemmaConfig(rng_seed=0)
     # floor dominates for small intersection bounds
-    assert prob.required_alpha(1, cfg) == 2**12
-    assert prob.required_alpha(0, cfg) == 2**12
+    assert prob.required_alpha(1) == 2**12
+    assert prob.required_alpha(0) == 2**12
     # the log term takes over once 136 ln(16*Gamma) > 4096
     big = math.ceil(math.exp(4096 / 136) / 16) + 1
-    assert prob.required_alpha(big, cfg) == math.ceil(136 * math.log(16 * big))
-    assert prob.required_alpha(10**9, prob.LemmaConfig(rng_seed=0, alpha_override=7)) == 7
+    assert prob.required_alpha(big) == math.ceil(136 * math.log(16 * big))
+
+
+def test_gamma_is_counted_only_when_alpha_is_not_given(monkeypatch):
+    counted = []
+    stats = prob.hypergraph_stats
+    monkeypatch.setattr(prob, "hypergraph_stats", lambda h: counted.append(h) or stats(h))
+    h = random_hypergraph(40, 10, 2, 4, random.Random(3))
+    lists = ListAssignment.uniform_range(h.n, 32 * 4)
+    # an override is the minimum edge size as given, whatever Gamma is
+    with pytest.raises(ValueError, match="below required alpha 7"):
+        prob.near_uniform_color(h, lists, prob.LemmaConfig(rng_seed=0, alpha_override=7))
+    assert counted == []
+    with pytest.raises(ValueError, match="below required alpha 4096"):
+        prob.near_uniform_color(h, lists, prob.LemmaConfig(rng_seed=0))
+    assert counted == [h]
+    # the pipeline counts H2's Gamma once, in _core, however many seeds
+    # the resampling tries
+    for i, g in enumerate(claw_free_corpus(5, 12, seed=22)):
+        counted.clear()
+        cfg = prob.PipelineConfig(rng_seed=200 + i, scaled_mode=True, retry_limit=20)
+        _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+        assert len(counted) == (1 if trace.part_c else 0)
 
 
 def test_pipeline_list_size_values():

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from cfcolor import solve
+from cfcolor import kernels, solve
 from cfcolor.coloring import ListAssignment
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import Hypergraph, derived_hypergraph, random_hypergraph
-from cfcolor.reductions import FIGURE_FORMULA, Formula
+from cfcolor.reductions import FIGURE_FORMULA, Formula, build_g_double_prime
 from cfcolor.smallgraphs import (
     complete_graph,
     cycle_graph,
@@ -14,6 +14,7 @@ from cfcolor.smallgraphs import (
     path_graph,
     star_graph,
 )
+from cfcolor.verify import is_pids
 from util import (
     all_one_in_three,
     all_pids,
@@ -253,10 +254,71 @@ def test_one_in_three_matches_enumeration():
             assert mine is None
 
 
-def test_one_in_three_variable_cap():
+def test_one_in_three_answers_formulas_over_30_variables():
+    # x4..x31 lie in no clause and stay false
     formula = Formula(31, ((0, 1, 2),))
-    with pytest.raises(BudgetExceededError):
-        solve.solve_one_in_three(formula)
+    result = solve.solve_one_in_three(formula)
+    assert formula.is_one_in_three(result) and len(result) == 1
+    # a planted solution over 60 variables: each clause has one true and
+    # two false variables
+    rng = random.Random(5)
+    planted = set(rng.sample(range(60), 20))
+    false = sorted(set(range(60)) - planted)
+    clauses = {
+        tuple(sorted([rng.choice(sorted(planted)), *rng.sample(false, 2)]))
+        for _ in range(50)
+    }
+    formula = Formula(60, tuple(sorted(clauses)))
+    assert formula.is_one_in_three(solve.solve_one_in_three(formula))
+    # every triple of x1..x4 has no solution, whatever the other variables
+    formula = Formula(40, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    assert solve.solve_one_in_three(formula) is None
+
+
+def test_exact_one_matches_subset_enumeration():
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        # vertices in `free` lie in no set
+        free = set(rng.sample(range(n), rng.randint(0, n - 1)))
+        used = [v for v in range(n) if v not in free]
+        sets = []
+        for _ in range(rng.randint(1, 8)):
+            pick = rng.random()
+            if sets and pick < 0.2:
+                sets.append(list(rng.choice(sets)))
+            elif pick < 0.4:
+                sets.append([rng.choice(used)])
+            else:
+                sets.append(sorted(rng.sample(used, rng.randint(1, len(used)))))
+        exists = any(
+            all(sum(mask >> v & 1 for v in s) == 1 for s in sets)
+            for mask in range(1 << n)
+        )
+        status, members, nodes = kernels.exact_one(n, sets, 10**6)
+        assert status == (0 if exists else 1)
+        if exists:
+            found += 1
+            chosen = set(members)
+            assert all(len(chosen.intersection(s)) == 1 for s in sets)
+            assert chosen <= set().union(*sets)
+        # the budget is shared by the parts and trips one node past it
+        assert kernels.exact_one(n, sets, nodes) == (status, members, nodes)
+        assert kernels.exact_one(n, sets, nodes - 1) == (2, None, nodes)
+    assert 0 < found < 300
+
+
+def test_exact_one_searches_each_part_on_its_own():
+    # in G'' every variable outside the clauses is a K2 part of its own;
+    # searched as one, a dead end among the clauses backtracked through
+    # all of them and ran past the default budget from 25 variables on
+    formula = Formula(26, ((1, 18, 21), (3, 9, 14), (10, 13, 22)))
+    g = build_g_double_prime(formula).graph
+    sets = [sorted(g.closed_neighborhood(v)) for v in range(g.n)]
+    status, members, nodes = kernels.exact_one(g.n, sets, solve.DEFAULT_NODE_BUDGET)
+    assert status == 0 and nodes < 1000
+    assert is_pids(g, frozenset(members))
 
 
 _WRONG_EXACT_ONE = """
