@@ -65,6 +65,28 @@ def test_solve_cf_parity_symmetric_mode():
 
 
 @requires_compiled
+def test_exact_one_parity_randomized(monkeypatch):
+    rng = random.Random(3)
+    # (instances, largest n, largest set, budgets): small searches, then n
+    # up to 40 where the budget trips
+    cases = []
+    bands = ((200, 10, 10, (20, 100000)), (20, 40, 4, (50_000,)))
+    for count, max_n, max_size, budgets in bands:
+        for _ in range(count):
+            n = rng.randint(1, max_n)
+            m = rng.randint(1, max_n)
+            size = min(n, max_size)
+            sets = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
+            cases.append((n, sets, rng.choice(budgets)))
+    compiled = [kernels.exact_one(*case) for case in cases]
+    # exact_one looks solve_cf up at call time, so this runs the same
+    # per-part search on the pure-Python kernel
+    monkeypatch.setattr(kernels, "solve_cf", pure.solve_cf)
+    assert compiled == [kernels.exact_one(*case) for case in cases]
+    assert any(got[0] == 2 for got in compiled)
+
+
+@requires_compiled
 def test_budget_status_and_node_counts_match():
     # a deliberately hard unsatisfiable-ish instance under a tiny budget
     n = 10
