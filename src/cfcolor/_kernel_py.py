@@ -16,6 +16,17 @@ UNDECIDED = -2
 UNCOLORED = -1
 
 
+def check_input(n, vertices, colors):
+    """Raise ValueError unless every edge vertex lies in [0, n) and no
+    color is negative.  Both kernels index their arrays with vertices and
+    colors, the C kernel unchecked, so each runs this, on its flattened
+    edges and lists, before its search."""
+    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+        raise ValueError(f"edge vertex out of range [0, {n})")
+    if colors and min(colors) < 0:
+        raise ValueError("negative color")
+
+
 def solve_cf(n, edges, lists, require_total, symmetric, budget):
     """Backtracking search for a conflict-free (partial) list coloring.
 
@@ -26,8 +37,12 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
     "uncolored" branch last (absent when require_total).
 
     Returns (status, assignment, nodes) where assignment[v] is a dense
-    color or -1 for uncolored.
+    color or -1 for uncolored.  Raises ValueError on a vertex or color
+    that check_input rejects.
     """
+    check_input(
+        n, [v for e in edges for v in e], [c for lst in lists for c in lst]
+    )
     m = len(edges)
     num_colors = 0
     for lst in lists:

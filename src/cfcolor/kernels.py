@@ -106,9 +106,6 @@ def _bind(lib):
     def solve_cf(n, edges, lists, require_total, symmetric, budget):
         """Same contract and search order as ``_kernel_py.solve_cf``."""
         edge_start, edge_vert = _csr(edges)
-        # the C kernel indexes its arrays with vertices and colors unchecked
-        if edge_vert and (min(edge_vert) < 0 or max(edge_vert) >= n):
-            raise ValueError(f"edge vertex out of range [0, {n})")
         if symmetric and n:
             # identical lists: pass the shared one once
             colors = list(lists[0])
@@ -116,9 +113,8 @@ def _bind(lib):
         else:
             start, colors = _csr(lists)
             lo, hi = start[:-1], start[1:]
+        _kernel_py.check_input(n, edge_vert, colors)
         num_colors = max(colors, default=-1) + 1
-        if colors and min(colors) < 0:
-            raise ValueError("negative color")
         # the buffers stay referenced here until the C call returns
         inputs = [array("i", a) for a in (edge_start, edge_vert, lo, hi, colors)]
         out = array("i", [0]) * n
@@ -149,6 +145,8 @@ def exact_one(n, sets, budget):
     A vertex in no set is never a member.  ``solve_cf`` is looked up by
     name at call time, so a wrapper installed on it sees every part.
     """
+    # checked here too: _parts indexes its lists with the vertices
+    _kernel_py.check_input(n, [v for s in sets for v in s], ())
     if any(not s for s in sets):
         return 1, None, 0
     members, nodes = [], 0

@@ -90,18 +90,6 @@ def lemma_lists(h, list_factor):
     return ListAssignment.uniform_range(h.n, list_factor * max(max_size, 1))
 
 
-def count_non_unique(edge, f):
-    """Number of vertices of the edge whose color repeats inside it.
-
-    Every vertex of the edge must be colored.
-    """
-    colors = [f.get(v) for v in edge]
-    if None in colors:
-        v = edge[colors.index(None)]
-        raise ValueError(f"vertex {v} of the edge is uncolored")
-    return len(edge) - len(unique_colors(colors))
-
-
 def required_alpha(gamma):
     """The lemma's minimum edge size max(2^12, ceil(136 ln(16 Gamma)))."""
     # with Gamma = 0 no two edges meet, and the floor alone applies
@@ -167,12 +155,9 @@ def near_uniform_color(h, lists, cfg):
                 else:
                     bad.insert(j, i)
 
-    f = PartialColoring({v: color[v] for v in range(h.n)})
-    for edge in h.edges:
-        unique = len(edge) - count_non_unique(edge, f)
-        if 8 * unique < len(edge):  # pragma: no cover
-            raise AssertionError("resampling terminated with a bad edge")
-    return f, rounds
+    if any(is_bad(edge) for edge in h.edges):  # pragma: no cover
+        raise AssertionError("resampling terminated with a bad edge")
+    return PartialColoring({v: color[v] for v in range(h.n)}), rounds
 
 
 @dataclass(frozen=True)
@@ -236,8 +221,6 @@ class PipelineTrace:
     f1: PartialColoring | None = None
     removed_x: dict = field(default_factory=dict)
     removed_y: dict = field(default_factory=dict)
-    reduced_lists: ListAssignment | None = None
-    h2_coloring: PartialColoring | None = None
     resample_rounds: int = 0
     final: PartialColoring | None = None
     attempts: int = 0
@@ -457,7 +440,6 @@ def cfcn_pipeline(g, lists, cfg):
                 # other seed can pass them
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 break
-            trace.h2_coloring = f2
             f = f1.union(f2)
         report = verify_cf(closed, f, lists=lists, require_total=False)
         if report.valid:
@@ -522,16 +504,11 @@ def _core(g, lists, cfg, k, delta, trace):
     trace.f1 = f1
 
     if not c_set:
-        trace.removed_x = {}
-        trace.removed_y = {}
-        trace.reduced_lists = None
-        trace.h2_coloring = None
         return f1, None
 
     reduced, removed_x, removed_y = reduce_lists(g, b_set, f1, lists, k=k, b=b)
     trace.removed_x = removed_x
     trace.removed_y = removed_y
-    trace.reduced_lists = reduced
 
     b_sorted = sorted(b_set)
     b_index = {v: i for i, v in enumerate(b_sorted)}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Graph, derived_hypergraph
-from cfcolor.verify import is_pimds, is_pids, verify_cf
+from cfcolor.verify import hits_each_once, is_pimds, is_pids, verify_cf
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class Formula:
         return len(self.clauses)
 
     def is_one_in_three(self, true_vars):
-        true_vars = set(true_vars)
-        return all(sum(1 for x in c if x in true_vars) == 1 for c in self.clauses)
+        return hits_each_once(self.clauses, true_vars)
 
 
 # The running example used throughout the hardness reductions:
@@ -140,6 +139,16 @@ def build_h_gadget(g):
     return ReductionOutput(Graph(12 * n + 4, edges), roles)
 
 
+def _reduction(variant):
+    """(builder, certificate check, certificate name) of the ON or the CN
+    reduction."""
+    if variant == "on":
+        return build_g_prime, is_pimds, "PIMDS"
+    if variant == "cn":
+        return build_g_double_prime, is_pids, "PIDS"
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def truth_to_certificate(formula, assignment, variant):
     """Turn a 1-in-3 solution into the matching graph certificate.
 
@@ -150,46 +159,28 @@ def truth_to_certificate(formula, assignment, variant):
     assignment = set(assignment)
     if not formula.is_one_in_three(assignment):
         raise ValueError("assignment is not a 1-in-3 solution of the formula")
-    if variant == "on":
-        out = build_g_prime(formula)
-        s = set()
-        for i in range(formula.n):
-            mid = out.vertex_with_role(("gadget-mid", i))
-            if i in assignment:
-                s.update((i, mid))
-            else:
-                s.update((mid, out.vertex_with_role(("gadget-far", i))))
-        if not is_pimds(out.graph, s):  # pragma: no cover - proof-backed
-            raise AssertionError("constructed set is not a PIMDS")
-        return frozenset(s)
-    if variant == "cn":
-        out = build_g_double_prime(formula)
-        s = set()
-        for i in range(formula.n):
-            if i in assignment:
-                s.add(i)
-            else:
-                s.add(out.vertex_with_role(("pendant", i)))
-        if not is_pids(out.graph, s):  # pragma: no cover - proof-backed
-            raise AssertionError("constructed set is not a PIDS")
-        return frozenset(s)
-    raise ValueError(f"unknown variant {variant!r}")
+    build, check, name = _reduction(variant)
+    out = build(formula)
+    false_role = "gadget-far" if variant == "on" else "pendant"
+    s = set()
+    for i in range(formula.n):
+        if variant == "on":
+            s.add(out.vertex_with_role(("gadget-mid", i)))
+        s.add(i if i in assignment else out.vertex_with_role((false_role, i)))
+    if not check(out.graph, s):  # pragma: no cover - proof-backed
+        raise AssertionError(f"constructed set is not a {name}")
+    return frozenset(s)
 
 
 def certificate_to_truth(formula, s, variant):
     """Recover the truth assignment from a PIMDS of G'_phi (ON) or a
     PIDS of G''_phi (CN): x_i is true iff the vertex x_i is in s."""
     s = set(s)
-    if variant == "on":
-        out = build_g_prime(formula)
-        if not is_pimds(out.graph, s):
-            raise ValueError("set is not a PIMDS of the ON reduction graph")
-    elif variant == "cn":
-        out = build_g_double_prime(formula)
-        if not is_pids(out.graph, s):
-            raise ValueError("set is not a PIDS of the CN reduction graph")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    build, check, name = _reduction(variant)
+    if not check(build(formula).graph, s):
+        raise ValueError(
+            f"set is not a {name} of the {variant.upper()} reduction graph"
+        )
     assignment = frozenset(i for i in range(formula.n) if i in s)
     if not formula.is_one_in_three(assignment):
         raise ValueError("certificate does not induce a 1-in-3 solution")

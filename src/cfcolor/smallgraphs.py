@@ -54,19 +54,3 @@ def is_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(n, list(combinations(range(n), 2)))
-
-
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])

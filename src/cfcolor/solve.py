@@ -14,7 +14,7 @@ from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import Hypergraph, derived_hypergraph
-from cfcolor.verify import is_pids, is_pimds, verify_cf
+from cfcolor.verify import hits_each_once, verify_cf
 
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
@@ -265,9 +265,17 @@ def decide_choosable(
 
 
 def _find_exact_one(sets, n, budget):
-    found = kernels.exact_one(n, [list(s) for s in sets], budget)
+    """Some vertex subset meeting every one of `sets` exactly once, or
+    None.  The kernel's answer is checked against the sets it searched,
+    with a raise that survives ``python -O``."""
+    sets = [list(s) for s in sets]
+    found = kernels.exact_one(n, sets, budget)
     members = _kernel_result("exact-one search", budget, found)
-    return None if members is None else frozenset(members)
+    if members is None:
+        return None
+    if not hits_each_once(sets, members):
+        raise AssertionError("exact-one answer does not meet every set once")
+    return frozenset(members)
 
 
 def find_pimds(g, budget=DEFAULT_NODE_BUDGET):
@@ -276,10 +284,7 @@ def find_pimds(g, budget=DEFAULT_NODE_BUDGET):
     A set S qualifies iff every vertex of g has exactly one neighbor in
     S, i.e. S hits every open neighborhood exactly once.
     """
-    result = _find_exact_one([g.adj[v] for v in range(g.n)], g.n, budget)
-    if result is not None and not is_pimds(g, result):
-        raise AssertionError("exact-one search returned a set that is no PIMDS")
-    return result
+    return _find_exact_one(g.adj, g.n, budget)
 
 
 def find_pids(g, budget=DEFAULT_NODE_BUDGET):
@@ -287,12 +292,8 @@ def find_pids(g, budget=DEFAULT_NODE_BUDGET):
 
     A set S qualifies iff S hits every closed neighborhood exactly once.
     """
-    result = _find_exact_one(
-        [g.closed_neighborhood(v) for v in range(g.n)], g.n, budget
-    )
-    if result is not None and not is_pids(g, result):
-        raise AssertionError("exact-one search returned a set that is no PIDS")
-    return result
+    sets = [g.closed_neighborhood(v) for v in range(g.n)]
+    return _find_exact_one(sets, g.n, budget)
 
 
 def solve_one_in_three(formula):
@@ -303,7 +304,4 @@ def solve_one_in_three(formula):
     variables by decreasing clause count, ties by index, True first; a
     variable in no clause stays False.
     """
-    result = _find_exact_one(formula.clauses, formula.n, DEFAULT_NODE_BUDGET)
-    if result is not None and not formula.is_one_in_three(result):
-        raise AssertionError("exact-one search returned no 1-in-3 solution")
-    return result
+    return _find_exact_one(formula.clauses, formula.n, DEFAULT_NODE_BUDGET)

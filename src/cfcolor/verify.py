@@ -98,24 +98,28 @@ def verify_cf(h, f, lists=None, require_total=False):
     )
 
 
+def hits_each_once(sets, members):
+    """Does `members` meet every one of `sets` in exactly one element?
+
+    This is the conflict-free condition with a single color: a set has a
+    unique color iff exactly one of its vertices is colored.  PIMDS, PIDS
+    and 1-in-3 solutions are the sets meeting a family this way.
+    """
+    members = set(members)
+    return all(sum(1 for x in s if x in members) == 1 for s in sets)
+
+
 def is_pimds(g, s):
     """Perfect induced matching dominating set: the subgraph induced by s
     is a perfect matching of s and every vertex of g has exactly one
-    neighbor in s.  Both conditions collapse to |N(v) & s| == 1 for all v.
+    neighbor in s.  Both conditions collapse to s meeting every open
+    neighborhood exactly once.
     """
-    s = set(s)
-    return all(sum(1 for w in g.adj[v] if w in s) == 1 for v in range(g.n))
+    return hits_each_once(g.adj, s)
 
 
 def is_pids(g, s):
     """Perfect independent dominating set: s is independent and every
-    vertex outside s has exactly one neighbor in s."""
-    s = set(s)
-    for v in range(g.n):
-        k = sum(1 for w in g.adj[v] if w in s)
-        if v in s:
-            if k != 0:
-                return False
-        elif k != 1:
-            return False
-    return True
+    vertex outside s has exactly one neighbor in s, i.e. s meets every
+    closed neighborhood exactly once."""
+    return hits_each_once((g.closed_neighborhood(v) for v in range(g.n)), s)

@@ -2,7 +2,7 @@ import pytest
 
 from cfcolor import cli, fileio
 from cfcolor.reductions import FIGURE_FORMULA
-from cfcolor.smallgraphs import cycle_graph
+from util import cycle_graph, path_graph
 
 
 def write_c4(tmp_path):
@@ -202,10 +202,13 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 def test_budget_exit_code(tmp_path, capsys):
     g = write_c4(tmp_path)
-    assert (
-        cli.main(["solve", "--graph", g, "--uniform", "2", "--budget", "1"]) == 2
-    )
+    out = tmp_path / "col.txt"
+    argv = ["solve", "--graph", g, "--uniform", "2"]
+    assert cli.main(argv + ["--budget", "1", "--out", str(out)]) == 2
     assert "budget" in capsys.readouterr().err
+    # a call inherits no flag from the call before it
+    assert cli.main(argv) == 0
+    assert not out.exists()
 
 
 def test_choose_assignment_budget_exits_2(tmp_path, capsys):
@@ -248,8 +251,6 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
     """Failures exit 2, never 1 ("no"): a search too deep for the pure
     kernel's recursion, and a pipeline whose exact fallback finds nothing."""
     from cfcolor import _kernel_py, kernels, prob
-    from cfcolor.smallgraphs import path_graph
-
     path = tmp_path / "path.txt"
     path.write_text(fileio.format_graph(path_graph(2000)))
     solve_path = ["solve", "--graph", str(path), "--uniform", "2"]

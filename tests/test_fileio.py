@@ -6,7 +6,7 @@ from cfcolor import fileio
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
 from cfcolor.graphs import Hypergraph, random_graph
-from cfcolor.smallgraphs import cycle_graph
+from util import cycle_graph
 
 
 def test_graph_round_trip():

@@ -12,13 +12,8 @@ from cfcolor.graphs import (
     maximal_independent_set,
     random_graph,
 )
-from cfcolor.smallgraphs import (
-    complete_graph,
-    cycle_graph,
-    nonisomorphic_graphs,
-    path_graph,
-    star_graph,
-)
+from cfcolor.smallgraphs import nonisomorphic_graphs
+from util import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def test_graph_rejects_bad_edges():

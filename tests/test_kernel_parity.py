@@ -100,6 +100,24 @@ def test_budget_status_and_node_counts_match():
     assert a[0] == 2 and a[2] == 6
 
 
+def test_both_backends_reject_out_of_range_input():
+    # a vertex outside [0, n) or a negative color is an error on either
+    # backend, never an index that wraps around or runs off an array
+    cases = [
+        ([[-1, 0]], [[0], [0]], "edge vertex out of range"),
+        ([[2, 0]], [[0], [0]], "edge vertex out of range"),
+        ([[1, 0]], [[0, -1], [0, -1]], "negative color"),
+    ]
+    for solve_cf in {pure.solve_cf, kernels.solve_cf}:
+        for edges, lists, message in cases:
+            for symmetric in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    solve_cf(2, edges, lists, False, symmetric, 10)
+    for sets in ([[-1]], [[2]]):
+        with pytest.raises(ValueError, match="edge vertex out of range"):
+            kernels.exact_one(2, sets, 10)
+
+
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",

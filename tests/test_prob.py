@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from cfcolor import prob
-from cfcolor.coloring import ListAssignment, PartialColoring
+from cfcolor.coloring import ListAssignment
 from cfcolor.graphs import (
     derived_hypergraph,
     hypergraph_stats,
@@ -13,8 +13,14 @@ from cfcolor.graphs import (
     random_graph,
     random_hypergraph,
 )
-from cfcolor.verify import verify_cf
-from util import cf_valid, full_rescan_near_uniform_color
+from cfcolor.verify import unique_colors, verify_cf
+from util import (
+    cf_valid,
+    cycle_graph,
+    full_rescan_near_uniform_color,
+    path_graph,
+    star_graph,
+)
 
 
 def test_lemma_config_validation():
@@ -55,8 +61,6 @@ def test_gamma_is_counted_only_when_alpha_is_not_given(monkeypatch):
 
 def test_pipeline_list_size_values():
     from cfcolor.graphs import Graph
-    from cfcolor.smallgraphs import cycle_graph, star_graph
-
     def sizes(g, scaled_mode, k_override):
         cfg = prob.PipelineConfig(0, scaled_mode=scaled_mode, k_override=k_override)
         return prob.pipeline_list_size(g, cfg)
@@ -93,14 +97,6 @@ def test_lemma_lists_sizes():
     assert prob.lemma_lists(Hypergraph(3, []), 5).colors(2) == range(5)
 
 
-def test_count_non_unique():
-    f = PartialColoring({0: 1, 1: 1, 2: 2, 3: 3})
-    assert prob.count_non_unique((0, 1, 2, 3), f) == 2
-    assert prob.count_non_unique((2, 3), f) == 0
-    with pytest.raises(ValueError):
-        prob.count_non_unique((0, 4), PartialColoring({0: 1}))
-
-
 def test_near_uniform_color_succeeds_and_is_deterministic():
     rng = random.Random(1)
     h = random_hypergraph(64, 30, 16, 24, rng)
@@ -113,7 +109,7 @@ def test_near_uniform_color_succeeds_and_is_deterministic():
     assert rounds1 == rounds2
     assert f1.is_total(h.n)
     for e in h.edges:
-        unique = len(e) - prob.count_non_unique(e, f1)
+        unique = len(unique_colors([f1[v] for v in e]))
         assert unique >= math.ceil(len(e) / 8)
 
 
@@ -274,8 +270,6 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
     """A failure that does not depend on the seed is recorded once and
     delegates at once; a failed resampling is retried with the next seed
     without redoing the stages before it."""
-    from cfcolor.smallgraphs import path_graph
-
     # k = 2 forbids two A-neighbors, and vertex 1 of the path 0-1-2 has two
     g = path_graph(3)
     cfg = prob.PipelineConfig(rng_seed=0, scaled_mode=True, k_override=2)

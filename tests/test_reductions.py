@@ -7,9 +7,8 @@ from cfcolor import reductions, solve
 from cfcolor.coloring import ListAssignment
 from cfcolor.graphs import derived_hypergraph, extended_double_cover
 from cfcolor.reductions import FIGURE_FORMULA, Formula
-from cfcolor.smallgraphs import complete_graph, cycle_graph, path_graph
 from cfcolor.verify import verify_cf
-from util import all_pids, all_pimds
+from util import all_pids, all_pimds, complete_graph, cycle_graph, path_graph
 
 
 def random_formula(rng, n_hi=6, m_hi=5):

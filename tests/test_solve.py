@@ -7,13 +7,7 @@ from cfcolor.coloring import ListAssignment
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import Hypergraph, derived_hypergraph, random_hypergraph
 from cfcolor.reductions import FIGURE_FORMULA, Formula, build_g_double_prime
-from cfcolor.smallgraphs import (
-    complete_graph,
-    cycle_graph,
-    nonisomorphic_graphs,
-    path_graph,
-    star_graph,
-)
+from cfcolor.smallgraphs import nonisomorphic_graphs
 from cfcolor.verify import is_pids
 from util import (
     all_one_in_three,
@@ -22,9 +16,13 @@ from util import (
     brute_force_cf,
     canonical_assignments,
     cf_valid,
+    complete_graph,
+    cycle_graph,
     decide_choosable_reference,
     decide_choosable_unrestricted,
     first_uncovered_assignment,
+    path_graph,
+    star_graph,
 )
 
 
@@ -324,13 +322,14 @@ def test_exact_one_searches_each_part_on_its_own():
 _WRONG_EXACT_ONE = """
 from cfcolor import kernels, solve
 from cfcolor.reductions import FIGURE_FORMULA
-from cfcolor.smallgraphs import path_graph
+from cfcolor.graphs import Graph
 
 assert not __debug__, "run under python -O"
 kernels.exact_one = lambda n, sets, budget: (0, [0], 1)
+p3 = Graph(3, [(0, 1), (1, 2)])
 calls = {
-    "find_pimds": lambda: solve.find_pimds(path_graph(3)),
-    "find_pids": lambda: solve.find_pids(path_graph(3)),
+    "find_pimds": lambda: solve.find_pimds(p3),
+    "find_pids": lambda: solve.find_pids(p3),
     "solve_one_in_three": lambda: solve.solve_one_in_three(FIGURE_FORMULA),
 }
 for name, call in calls.items():

@@ -2,8 +2,10 @@ import pytest
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Hypergraph, derived_hypergraph
-from cfcolor.smallgraphs import cycle_graph, path_graph, star_graph
-from cfcolor.verify import is_pimds, is_pids, verify_cf
+from cfcolor.reductions import FIGURE_FORMULA
+from cfcolor.smallgraphs import nonisomorphic_graphs
+from cfcolor.verify import is_pimds, is_pids, unique_colors, verify_cf
+from util import cycle_graph, path_graph, star_graph
 
 
 def test_valid_partial_coloring_with_witnesses():
@@ -66,6 +68,13 @@ def test_report_lines_mention_each_violation():
     assert "edge 0" in lines
 
 
+def test_unique_colors_are_the_colors_seen_once():
+    assert unique_colors([1, 1, 2, 3]) == {2, 3}
+    assert unique_colors([2, 2]) == set()
+    # uncolored vertices count for nothing, even when repeated
+    assert unique_colors([None, None, 4]) == {4}
+
+
 def test_is_pimds_on_star():
     g = star_graph(3)
     assert is_pimds(g, {0, 1})
@@ -89,9 +98,36 @@ def test_c4_has_no_pids():
 
 
 def test_pimds_matches_cf_definition():
-    # a PIMDS is exactly a 1-colored set hitting every open neighborhood once
-    g = cycle_graph(4)
-    s = {0, 1}
-    assert is_pimds(g, s)
-    f = PartialColoring({v: 1 for v in s})
-    assert verify_cf(derived_hypergraph(g, "open"), f).valid
+    # PIMDS, PIDS and 1-in-3 solutions are exactly the sets that, colored
+    # with one color, CF-color the open neighborhoods, the closed
+    # neighborhoods and the clauses; every graph on up to 5 vertices and
+    # every vertex subset
+    def subsets(n):
+        return [{v for v in range(n) if mask >> v & 1} for mask in range(1 << n)]
+
+    def one_color_cf(h, s):
+        return verify_cf(h, PartialColoring({v: 1 for v in s})).valid
+
+    found = {"pimds": 0, "pids": 0}
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            # an isolated vertex has an empty open neighborhood: no PIMDS
+            isolated = g.has_isolated_vertex()
+            opened = None if isolated else derived_hypergraph(g, "open")
+            closed = derived_hypergraph(g, "closed")
+            for s in subsets(n):
+                pimds = is_pimds(g, s)
+                assert pimds == (not isolated and one_color_cf(opened, s))
+                pids = is_pids(g, s)
+                assert pids == one_color_cf(closed, s)
+                found["pimds"] += pimds
+                found["pids"] += pids
+    assert found["pimds"] > 0 and found["pids"] > 0
+    clauses = Hypergraph(5, FIGURE_FORMULA.clauses)
+    solutions = []
+    for s in subsets(5):
+        one_in_three = FIGURE_FORMULA.is_one_in_three(s)
+        assert one_in_three == one_color_cf(clauses, s)
+        if one_in_three:
+            solutions.append(s)
+    assert solutions == [{0, 3}]

@@ -12,12 +12,29 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from cfcolor.coloring import ListAssignment, PartialColoring
+from cfcolor.graphs import Graph
 from cfcolor.prob import ResampleFailure
 from cfcolor.solve import (
     ChoosabilityCertificate,
     _canonical_k_subsets,
     solve_list_cf,
 )
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
+def star_graph(leaves):
+    return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
 def cf_valid(h, f, require_total=False):
