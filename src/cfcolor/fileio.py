@@ -1,7 +1,8 @@
 """Text file formats.
 
 Graph:      `p graph <n> <m>` then m lines `e <u> <v>` (1-indexed).
-Hypergraph: `p hgraph <n> <m>` then m lines `h <v1> <v2> ...`.
+Hypergraph: `p hgraph <n> <m>` then m lines `h <v1> <v2> ...`, the
+            vertices of an edge distinct.
 Formula:    DIMACS CNF restricted to positive literals, 3 per clause.
 Coloring:   lines `v <vertex> <color>`; omitted vertices are uncolored.
 Lists:      lines `l <vertex> <c1> <c2> ...` or `L <vertex> <lo> <hi>`
@@ -52,12 +53,12 @@ def _parse_vertex(lineno, token, n):
 
 def _records(text, kind, tag, noun):
     """The records of a file headed `p <kind> <n> <m>`: first yields
-    (n, m), then (lineno, fields) for each record line, where fields are
-    the tokens after the record type `tag` (all tokens when tag is None:
-    every line but the header is a record).  Fails on a record before the
-    header, a second header or an unknown record type; the count of
-    records against m is checked after the last line, so that a fault the
-    caller finds in a record comes first."""
+    (n, m), then (lineno, tokens) for each record line, tokens including
+    the record type `tag` (when tag is None every line but the header is
+    a record).  Fails on a record before the header, a second header or
+    an unknown record type; the count of records against m is checked
+    after the last line, so that a fault the caller finds in a record
+    comes first."""
     lines = _content_lines(text)
     for lineno, tokens in lines:
         if tokens[0] == "p":
@@ -76,12 +77,9 @@ def _records(text, kind, tag, noun):
     for lineno, tokens in lines:
         if tokens[0] == "p":
             _fail(lineno, "duplicate header")
-        if tag is None:
-            yield lineno, tokens
-        elif tokens[0] == tag:
-            yield lineno, tokens[1:]
-        else:
+        if tag is not None and tokens[0] != tag:
             _fail(lineno, f"unexpected record {tokens[0]!r}")
+        yield lineno, tokens
         count += 1
     if count != m:
         raise InputFormatError(f"header declares {m} {noun}s, found {count}")
@@ -93,13 +91,19 @@ def parse_graph(text):
     records = _records(text, "graph", "e", "edge")
     n, _ = next(records)
     adj = [set() for _ in range(n)]
-    for lineno, fields in records:
-        if len(fields) != 2:
+    for lineno, tokens in records:
+        if len(tokens) != 3:
             _fail(lineno, "expected `e <u> <v>`")
-        # _parse_vertex inlined here and in parse_hypergraph, which run
-        # once per token of the largest inputs
-        u = _parse_int(lineno, fields[0], "vertex", 1, n) - 1
-        v = _parse_int(lineno, fields[1], "vertex", 1, n) - 1
+        # converted inline, as this runs once per edge of the largest
+        # inputs; _parse_vertex only words a fault, in token order
+        try:
+            u = int(tokens[1]) - 1
+            v = int(tokens[2]) - 1
+        except ValueError:
+            u = v = -1
+        if not (0 <= u < n and 0 <= v < n):
+            u = _parse_vertex(lineno, tokens[1], n)
+            v = _parse_vertex(lineno, tokens[2], n)
         if u == v:
             _fail(lineno, f"self-loop at vertex {u + 1}")
         if v in adj[u]:
@@ -116,20 +120,30 @@ def format_graph(g):
 
 
 def parse_hypergraph(text):
+    """The hypergraph of a `p hgraph` file.  Every edge is checked to be
+    non-empty, in range and free of repeats, so the Hypergraph is made
+    from the sorted edges as they are.  A repeat names the smallest
+    repeated vertex."""
     records = _records(text, "hgraph", "h", "edge")
     n, _ = next(records)
     edges = []
-    for lineno, fields in records:
-        if not fields:
+    for lineno, tokens in records:
+        if len(tokens) == 1:
             _fail(lineno, "empty hyperedge")
-        edges.append([_parse_int(lineno, t, "vertex", 1, n) - 1 for t in fields])
-    return Hypergraph(n, edges)
-
-
-def format_hypergraph(h):
-    lines = [f"p hgraph {h.n} {h.m}"]
-    lines.extend("h " + " ".join(str(v + 1) for v in e) for e in h.edges)
-    return "\n".join(lines) + "\n"
+        # converted inline as in parse_graph; on a fault, _parse_vertex
+        # words it for the first faulty token
+        try:
+            edge = sorted([int(t) - 1 for t in tokens[1:]])
+        except ValueError:
+            edge = [-1]
+        if edge[0] < 0 or edge[-1] >= n:
+            for t in tokens[1:]:
+                _parse_vertex(lineno, t, n)
+        if len(set(edge)) < len(edge):
+            v = next(a for a, b in zip(edge, edge[1:]) if a == b)
+            _fail(lineno, f"vertex {v + 1} repeated in hyperedge")
+        edges.append(tuple(edge))
+    return Hypergraph._from_sorted(n, edges)
 
 
 def parse_formula(text):
@@ -151,14 +165,6 @@ def parse_formula(text):
             _fail(lineno, "clause variables must be distinct")
         clauses.append(tuple(l - 1 for l in lits))
     return Formula(n, tuple(clauses))
-
-
-def format_formula(formula):
-    lines = [f"p cnf {formula.n} {formula.m}"]
-    lines.extend(
-        " ".join(str(x + 1) for x in clause) + " 0" for clause in formula.clauses
-    )
-    return "\n".join(lines) + "\n"
 
 
 def parse_coloring(text, n):

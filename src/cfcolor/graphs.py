@@ -2,11 +2,14 @@
 used by the randomized coloring pipeline.
 
 Vertices are dense integers 0..n-1.  All objects are immutable after
-construction; operations never mutate their arguments.
+construction; operations never mutate their arguments.  A graph builds its
+closed neighborhoods once, on first use, as `Graph.closed`; every closed
+neighborhood in the package is read from there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 
 
@@ -44,6 +47,15 @@ class Graph:
     def edges(self):
         return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
+    @cached_property
+    def closed(self):
+        """N[v] for every vertex v: v inserted into its sorted adjacency."""
+        out = []
+        for v, nbrs in enumerate(self.adj):
+            i = bisect_left(nbrs, v)
+            out.append(nbrs[:i] + (v,) + nbrs[i:])
+        return tuple(out)
+
     @property
     def m(self):
         return len(self.edges)
@@ -55,10 +67,7 @@ class Graph:
         return max((len(a) for a in self.adj), default=0)
 
     def closed_neighborhood(self, v):
-        return tuple(sorted(self.adj[v] + (v,)))
-
-    def has_edge(self, u, v):
-        return v in self.adj[u]
+        return self.closed[v]
 
     def has_isolated_vertex(self):
         return any(not a for a in self.adj)
@@ -91,6 +100,15 @@ class Hypergraph:
                 raise ValueError(f"edge {e} out of range for n={n}")
         self.n = n
         self.edges = edges
+
+    @classmethod
+    def _from_sorted(cls, n, edges):
+        """The hypergraph with edges `edges`, which the caller has already
+        checked to be non-empty, sorted, duplicate-free tuples in range."""
+        h = cls.__new__(cls)
+        h.n = n
+        h.edges = tuple(edges)
+        return h
 
     @property
     def m(self):
@@ -129,8 +147,8 @@ def derived_hypergraph(g, mode):
         for v in range(g.n):
             if not g.adj[v]:
                 raise ValueError(f"vertex {v} is isolated; open neighborhood empty")
-        return Hypergraph(g.n, [g.adj[v] for v in range(g.n)])
-    return Hypergraph(g.n, [g.closed_neighborhood(v) for v in range(g.n)])
+        return Hypergraph._from_sorted(g.n, g.adj)
+    return Hypergraph._from_sorted(g.n, g.closed)
 
 
 def hypergraph_stats(h):
@@ -143,9 +161,7 @@ def hypergraph_stats(h):
     incident = h.incidence()
     gamma = 0
     for e in h.edges:
-        met = set()
-        for v in e:
-            met.update(incident[v])
+        met = set().union(*[incident[v] for v in e])
         gamma = max(gamma, len(met) - 1)
     sizes = [len(e) for e in h.edges]
     return (
@@ -188,7 +204,12 @@ def max_star(g):
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    masks = []
+    for nbrs in g.adj:
+        mask = 0
+        for w in nbrs:
+            mask |= 1 << w
+        masks.append(mask)
     best = 0
     for root in masks:
         stack = [(0, root)]

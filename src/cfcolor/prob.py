@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 from cfcolor.coloring import ListAssignment, PartialColoring
@@ -109,7 +110,11 @@ def near_uniform_color(h, lists, cfg):
 
     The set of bad edges is kept across rounds: a resample can change
     only the edges that meet the resampled one, so only those are
-    checked again (Moser & Tardos, JACM 2010).
+    checked again (Moser & Tardos, JACM 2010).  The check reads counts
+    kept per edge, not the edge's colors: a color -> count dict and the
+    number of colors counted once, which is the number of uniquely
+    colored vertices.  Each recolored vertex updates them on its incident
+    edges.  The finished coloring is checked by a full scan.
     """
     if lists.n != h.n:
         raise ValueError("lists must cover every vertex")
@@ -131,32 +136,48 @@ def near_uniform_color(h, lists, cfg):
     rng = random.Random(cfg.rng_seed)
     color = [lists.sample(v, rng) for v in range(h.n)]
     incident = h.incidence()
+    counts = [Counter([color[v] for v in edge]) for edge in h.edges]
+    once = [list(cnt.values()).count(1) for cnt in counts]
 
-    def is_bad(edge):
-        non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
-        return 8 * non_unique >= 7 * len(edge)
+    def is_bad(i):
+        return 8 * (sizes[i] - once[i]) >= 7 * sizes[i]
 
-    bad = [i for i, edge in enumerate(h.edges) if is_bad(edge)]  # ascending
+    bad = [i for i in range(h.m) if is_bad(i)]  # ascending
     rounds = 0
     while bad:
         if rounds >= cfg.max_rounds:
             raise ResampleFailure(rounds, bad[0])
         touched = set()
         for v in h.edges[bad[0]]:
-            color[v] = lists.sample(v, rng)
+            old = color[v]
+            new = color[v] = lists.sample(v, rng)
             touched.update(incident[v])
+            if new == old:
+                continue
+            for i in incident[v]:
+                cnt = counts[i]
+                x = cnt.pop(old)
+                if x > 1:
+                    cnt[old] = x - 1
+                y = cnt.get(new, 0)
+                cnt[new] = y + 1
+                # old: 1 -> 0 loses a unique color, 2 -> 1 gains one;
+                # new: 0 -> 1 gains one, 1 -> 2 loses one
+                once[i] += (x == 2) - (x == 1) + (y == 0) - (y == 1)
         rounds += 1
         for i in touched:
             j = bisect_left(bad, i)
             listed = j < len(bad) and bad[j] == i
-            if is_bad(h.edges[i]) != listed:
+            if is_bad(i) != listed:
                 if listed:
                     del bad[j]
                 else:
                     bad.insert(j, i)
 
-    if any(is_bad(edge) for edge in h.edges):  # pragma: no cover
-        raise AssertionError("resampling terminated with a bad edge")
+    for edge in h.edges:
+        non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
+        if 8 * non_unique >= 7 * len(edge):  # pragma: no cover
+            raise AssertionError("resampling terminated with a bad edge")
     return PartialColoring({v: color[v] for v in range(h.n)}), rounds
 
 
@@ -339,13 +360,18 @@ def reduce_lists(g, b_set, f1, lists, k, b):
     removed_x = {}
     removed_y = {}
     entries = []
+    # each witness color is computed once, at its first use, so a vertex
+    # without one is reported at the same point of the scan
+    witness = {}
     for u in b_sorted:
         xs = {f1[a] for a in g.adj[u] if a in a_set}
-        ys = {
-            _witness_color(g, w, a_set, f1)
-            for w in g.closed_neighborhood(u)
-            if w in b_set
-        }
+        ys = set()
+        for w in g.closed_neighborhood(u):
+            if w in b_set:
+                c = witness.get(w)
+                if c is None:
+                    c = witness[w] = _witness_color(g, w, a_set, f1)
+                ys.add(c)
         if len(xs) > k - 1:
             raise PipelineError("reduce_lists", f"|X_{u}| = {len(xs)} > k-1")
         if len(ys) > (k - 1) * (b - 1) + 1:
@@ -365,14 +391,14 @@ def _check_structure(g, a_set, b_set, c_set, k, b):
     for v in range(g.n):
         if v in a_set:
             continue
-        in_a = sum(1 for w in g.adj[v] if w in a_set)
+        in_a = len(a_set.intersection(g.adj[v]))
         if not (1 <= in_a <= k - 1):
             raise PipelineError(
                 "structure",
                 f"vertex {v} has {in_a} A-neighbors, expected 1..{k - 1}",
             )
     for v in c_set:
-        in_b = sum(1 for w in g.adj[v] if w in b_set)
+        in_b = len(b_set.intersection(g.adj[v]))
         if not (b <= in_b <= (k - 1) * b):
             raise PipelineError(
                 "structure",

@@ -67,10 +67,11 @@ def verify_cf(h, f, lists=None, require_total=False):
     uniqueness count.  When several unique colors exist in an edge the
     reported witness carries the smallest one.
     """
+    get = dict(f.items()).get
     witnesses = []
     edge_violations = []
     for i, edge in enumerate(h.edges):
-        colors = [f.get(v) for v in edge]
+        colors = [get(v) for v in edge]
         unique = unique_colors(colors)
         if unique:
             c = min(unique)

@@ -37,6 +37,8 @@ from util import (
     cf_valid,
     complete_graph,
     cycle_graph,
+    format_formula,
+    has_edge,
     path_graph,
 )
 
@@ -59,7 +61,7 @@ def random_formula(rng, n_hi=6, m_hi=5):
 def test_criterion_1_figure_fidelity(tmp_path, capsys):
     t0 = time.time()
     formula_path = tmp_path / "fig.cnf"
-    formula_path.write_text(fileio.format_formula(FIGURE_FORMULA))
+    formula_path.write_text(format_formula(FIGURE_FORMULA))
 
     assert cli.main(["oracle", "--formula", str(formula_path)]) == 0
     assert capsys.readouterr().out.strip() == "x1 x4"
@@ -369,7 +371,7 @@ def pipeline_lists(g, cfg):
 
 def check_trace(g, trace):
     a = trace.independent_set
-    assert all(not g.has_edge(u, v) for u in a for v in a if u < v)
+    assert all(not has_edge(g, u, v) for u in a for v in a if u < v)
     assert all(v in a or any(w in a for w in g.adj[v]) for v in range(g.n))
     seen = set()
     for cls_ in trace.classes:

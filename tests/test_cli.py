@@ -2,7 +2,7 @@ import pytest
 
 from cfcolor import cli, fileio
 from cfcolor.reductions import FIGURE_FORMULA
-from util import cycle_graph, path_graph
+from util import cycle_graph, format_formula, format_hypergraph, path_graph
 
 
 def write_c4(tmp_path):
@@ -13,7 +13,7 @@ def write_c4(tmp_path):
 
 def write_figure(tmp_path):
     p = tmp_path / "fig.cnf"
-    p.write_text(fileio.format_formula(FIGURE_FORMULA))
+    p.write_text(format_formula(FIGURE_FORMULA))
     return str(p)
 
 
@@ -138,7 +138,7 @@ def test_lemma_subcommand(tmp_path, capsys):
 
     h = random_hypergraph(32, 8, 8, 12, random.Random(0))
     hp = tmp_path / "h.txt"
-    hp.write_text(fileio.format_hypergraph(h))
+    hp.write_text(format_hypergraph(h))
     code = cli.main(
         ["lemma", "--hgraph", str(hp), "--seed", "4", "--alpha", "8"]
     )
@@ -179,6 +179,13 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("p graph 2 1\ne 1 1\n")
     assert cli.main(["solve", "--graph", str(bad), "--uniform", "2"]) == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_lemma_rejects_a_repeated_vertex_with_exit_3(tmp_path, capsys):
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 3 1\nh 1 1 2\n")
+    assert cli.main(["lemma", "--hgraph", str(hp), "--seed", "1"]) == 3
+    assert "line 2: vertex 1 repeated in hyperedge" in capsys.readouterr().err
 
 
 def test_integer_input_errors_exit_3_with_line_number(tmp_path, capsys):
@@ -239,7 +246,7 @@ def test_lemma_round_cap_exits_2(tmp_path, capsys):
 
     h = random_hypergraph(400, 300, 8, 12, random.Random(1))
     hp = tmp_path / "h.txt"
-    hp.write_text(fileio.format_hypergraph(h))
+    hp.write_text(format_hypergraph(h))
     # the round cap is a budget: exit 2, never 1 ("no") or a traceback
     argv = ["lemma", "--hgraph", str(hp), "--list-factor", "1", "--alpha", "8"]
     for seed in range(1, 6):
@@ -337,7 +344,7 @@ def test_out_holds_exactly_the_printed_result(tmp_path, capsys):
     g = write_c4(tmp_path)
     hp = tmp_path / "h.txt"
     h = random_hypergraph(32, 8, 8, 12, random.Random(0))
-    hp.write_text(fileio.format_hypergraph(h))
+    hp.write_text(format_hypergraph(h))
     # (argv, number of printed lines before the coloring or graph)
     table = [
         (["solve", "--graph", g, "--uniform", "2"], 0),

@@ -6,7 +6,7 @@ from cfcolor import fileio
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
 from cfcolor.graphs import Hypergraph, random_graph
-from util import cycle_graph
+from util import cycle_graph, format_formula, format_hypergraph
 
 
 def test_graph_round_trip():
@@ -37,6 +37,31 @@ def test_graph_errors_carry_context(text, fragment):
         fileio.parse_graph(text)
 
 
+# the exact message of each fault; the first faulty token, in line order,
+# is the one named
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        ("e 0 1", "line 2: vertex 0 out of range 1..2"),
+        ("e 3 1", "line 2: vertex 3 out of range 1..2"),
+        ("e 1 3", "line 2: vertex 3 out of range 1..2"),
+        ("e x 1", "line 2: vertex is not an integer: 'x'"),
+        ("e 1 y", "line 2: vertex is not an integer: 'y'"),
+        ("e x 9", "line 2: vertex is not an integer: 'x'"),
+        ("e 9 x", "line 2: vertex 9 out of range 1..2"),
+        ("e 1", "line 2: expected `e <u> <v>`"),
+        ("e 1 2 1", "line 2: expected `e <u> <v>`"),
+        ("e 2 2", "line 2: self-loop at vertex 2"),
+        ("e 1 2\ne 2 1", "line 3: duplicate edge 2 1"),
+    ],
+)
+def test_graph_fault_messages(records, message):
+    text = f"p graph 2 {records.count(chr(10)) + 1}\n{records}\n"
+    with pytest.raises(InputFormatError) as info:
+        fileio.parse_graph(text)
+    assert str(info.value) == message
+
+
 def test_graph_errors_carry_line_numbers():
     with pytest.raises(InputFormatError, match="line 3"):
         fileio.parse_graph("c x\np graph 2 1\ne 1 1\n")
@@ -44,7 +69,7 @@ def test_graph_errors_carry_line_numbers():
 
 def test_hypergraph_round_trip():
     h = Hypergraph(4, [(0, 1, 2), (2, 3)])
-    assert fileio.parse_hypergraph(fileio.format_hypergraph(h)) == h
+    assert fileio.parse_hypergraph(format_hypergraph(h)) == h
 
 
 def test_hypergraph_rejects_empty_edge():
@@ -52,10 +77,41 @@ def test_hypergraph_rejects_empty_edge():
         fileio.parse_hypergraph("p hgraph 2 1\nh\n")
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ("h 1 1 2", "line 2: vertex 1 repeated in hyperedge"),
+        ("h 3 1 2 1", "line 2: vertex 1 repeated in hyperedge"),
+        # the smallest repeated vertex is named
+        ("h 3 2 3 2", "line 2: vertex 2 repeated in hyperedge"),
+        # a range fault anywhere on the line comes before a repeat
+        ("h 1 1 4", "line 2: vertex 4 out of range 1..3"),
+    ],
+)
+def test_hypergraph_rejects_a_repeated_vertex(record, message):
+    with pytest.raises(InputFormatError) as info:
+        fileio.parse_hypergraph(f"p hgraph 3 1\n{record}\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parsed_hypergraph_equals_the_constructed_one(seed):
+    # parse_hypergraph builds its Hypergraph from sorted edges, not
+    # through Hypergraph.__init__; both must give the same object
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    m = rng.randint(0, 30)
+    edges = [rng.sample(range(n), rng.randint(1, n)) for _ in range(m)]
+    text = f"p hgraph {n} {m}\n" + "".join(
+        "h " + " ".join(str(v + 1) for v in e) + "\n" for e in edges
+    )
+    assert fileio.parse_hypergraph(text) == Hypergraph(n, edges)
+
+
 def test_formula_round_trip():
     from cfcolor.reductions import FIGURE_FORMULA
 
-    text = fileio.format_formula(FIGURE_FORMULA)
+    text = format_formula(FIGURE_FORMULA)
     assert fileio.parse_formula(text) == FIGURE_FORMULA
 
 
@@ -179,8 +235,8 @@ def test_headed_formats_report_the_first_fault(parse, text, message):
     "parse,write,text",
     [
         (fileio.parse_graph, fileio.format_graph, "p graph 2 1\ne 1 2\n"),
-        (fileio.parse_hypergraph, fileio.format_hypergraph, "p hgraph 2 1\nh 1 2\n"),
-        (fileio.parse_formula, fileio.format_formula, "p cnf 3 1\n1 2 3 0\n"),
+        (fileio.parse_hypergraph, format_hypergraph, "p hgraph 2 1\nh 1 2\n"),
+        (fileio.parse_formula, format_formula, "p cnf 3 1\n1 2 3 0\n"),
         (lambda t: fileio.parse_coloring(t, 2), fileio.format_coloring, "v 1 2\n"),
         (lambda t: fileio.parse_lists(t, 1), fileio.format_lists, "l 1 1 2\n"),
     ],

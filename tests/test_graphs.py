@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cfcolor.graphs import (
@@ -13,7 +15,7 @@ from cfcolor.graphs import (
     random_graph,
 )
 from cfcolor.smallgraphs import nonisomorphic_graphs
-from util import complete_graph, cycle_graph, path_graph, star_graph
+from util import complete_graph, cycle_graph, has_edge, path_graph, star_graph
 
 
 def test_graph_rejects_bad_edges():
@@ -49,6 +51,36 @@ def test_derived_open_rejects_isolated():
         derived_hypergraph(g, "open")
 
 
+def _sample_graphs():
+    """Graphs with no vertex, one vertex, isolated vertices, and random
+    ones from empty to complete."""
+    yield Graph(0)
+    yield Graph(1)
+    yield Graph(4, [(1, 2)])
+    rng = random.Random(11)
+    for _ in range(30):
+        yield random_graph(rng.randint(1, 25), rng.choice([0.0, 0.1, 0.3, 1.0]), rng)
+
+
+def test_closed_neighborhoods_insert_the_vertex_into_its_adjacency():
+    for g in _sample_graphs():
+        assert len(g.closed) == g.n
+        for v in range(g.n):
+            assert g.closed[v] == tuple(sorted(g.adj[v] + (v,)))
+            assert g.closed_neighborhood(v) is g.closed[v]
+
+
+def test_derived_hypergraphs_equal_the_checked_construction():
+    for g in _sample_graphs():
+        closed = [g.adj[v] + (v,) for v in range(g.n)]
+        assert derived_hypergraph(g, "closed") == Hypergraph(g.n, closed)
+        if g.has_isolated_vertex():
+            with pytest.raises(ValueError, match="isolated"):
+                derived_hypergraph(g, "open")
+        else:
+            assert derived_hypergraph(g, "open") == Hypergraph(g.n, g.adj)
+
+
 def test_hypergraph_stats():
     h = Hypergraph(5, [(0, 1, 2), (2, 3), (3, 4), (0, 4)])
     max_deg, gamma, lo, hi = hypergraph_stats(h)
@@ -78,7 +110,7 @@ def test_max_star_has_no_recursion_limit():
 def test_maximal_independent_set_properties():
     for g in nonisomorphic_graphs(5):
         s = maximal_independent_set(g)
-        assert all(not g.has_edge(u, v) for u in s for v in s if u < v)
+        assert all(not has_edge(g, u, v) for u in s for v in s if u < v)
         # maximality: every vertex outside has a neighbor inside
         assert all(v in s or any(w in s for w in g.adj[v]) for v in range(g.n))
 
@@ -90,7 +122,7 @@ def test_greedy_classes_partition_and_properness():
         for cls in classes:
             assert not (cls & seen)
             seen |= cls
-            assert all(not g.has_edge(u, v) for u in cls for v in cls if u < v)
+            assert all(not has_edge(g, u, v) for u in cls for v in cls if u < v)
         assert seen == set(range(g.n))
         # every later-class vertex has a neighbor in each earlier class
         for i, cls in enumerate(classes):
@@ -110,8 +142,8 @@ def test_extended_double_cover_shape():
     # x_i ~ y_j iff i == j or ij in E
     for i in range(4):
         for j in range(4):
-            expect = i == j or g.has_edge(i, j)
-            assert d.has_edge(i, 4 + j) == expect
+            expect = i == j or has_edge(g, i, j)
+            assert has_edge(d, i, 4 + j) == expect
 
 
 def test_line_graph_of_path_is_path():

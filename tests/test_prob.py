@@ -18,6 +18,7 @@ from util import (
     cf_valid,
     cycle_graph,
     full_rescan_near_uniform_color,
+    has_edge,
     path_graph,
     star_graph,
 )
@@ -198,7 +199,7 @@ def test_pipeline_scaled_mode_exercises_the_h2_stage():
 def check_trace_invariants(g, trace):
     a = trace.independent_set
     # A is a maximal independent set
-    assert all(not g.has_edge(u, v) for u in a for v in a if u < v)
+    assert all(not has_edge(g, u, v) for u in a for v in a if u < v)
     assert all(v in a or any(w in a for w in g.adj[v]) for v in range(g.n))
     # classes partition V minus A
     seen = set()

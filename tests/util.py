@@ -37,6 +37,24 @@ def star_graph(leaves):
     return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
+def has_edge(g, u, v):
+    return v in g.adj[u]
+
+
+def format_hypergraph(h):
+    lines = [f"p hgraph {h.n} {h.m}"]
+    lines.extend("h " + " ".join(str(v + 1) for v in e) for e in h.edges)
+    return "\n".join(lines) + "\n"
+
+
+def format_formula(formula):
+    lines = [f"p cnf {formula.n} {formula.m}"]
+    lines.extend(
+        " ".join(str(x + 1) for x in clause) + " 0" for clause in formula.clauses
+    )
+    return "\n".join(lines) + "\n"
+
+
 def cf_valid(h, f, require_total=False):
     """Direct restatement of the CF condition, independent of verify_cf."""
     if require_total and len(f) != h.n:
@@ -129,7 +147,7 @@ def brute_force_max_star(g):
         nbrs = g.adj[v]
         for size in range(len(nbrs), best, -1):
             if any(
-                not any(g.has_edge(a, b) for a, b in combinations(s, 2))
+                not any(has_edge(g, a, b) for a, b in combinations(s, 2))
                 for s in combinations(nbrs, size)
             ):
                 best = size
