@@ -5,6 +5,13 @@
    iterative (an explicit per-depth state instead of recursion), so the
    depth is bounded by the vertex count, not by the C stack.
 
+   Vertices are decided in decreasing degree order, ties by id.  A partial
+   search (require_total unset) with uncolored_first tries "uncolored" at
+   each vertex before its list colors: a sparse coloring is usually the
+   easy one to find.  Without uncolored_first it tries "uncolored" after
+   the colors.  A search that finds nothing visits the same nodes in
+   either order.
+
    Inputs are flat CSR int arrays built by kernels.py; every vertex index
    must lie in [0, n) and every color in [0, num_colors).  Status codes:
    0 = solution found, 1 = exhausted (no solution), 2 = node budget
@@ -17,6 +24,7 @@ enum { UNDECIDED = -2, UNCOLORED = -1 };
 
 typedef struct {
     int n, m, num_colors, require_total, symmetric;
+    int head, tail;  /* 1 when UNCOLORED takes the position before / after a list */
     const int *edge_start, *edge_vert;  /* edge e: edge_vert[edge_start[e]..edge_start[e+1]) */
     const int *list_lo, *list_hi, *list_color;  /* list of v: list_color[list_lo[v]..list_hi[v]) */
     int *inc_start, *inc_edge;  /* edges of v, in edge-index order */
@@ -83,7 +91,10 @@ static void unassign(CF *s, int v, int value) {
 }
 
 /* Depth d decides vertex order[d]: its colors in list order (in symmetric
-   mode only up to max_used + 1), then UNCOLORED unless require_total. */
+   mode only up to max_used + 1) and, unless require_total, UNCOLORED.
+   next[d] walks v's list positions up to end[d], and UNCOLORED takes one
+   extra position: the one before the list (head) or the one after the
+   colors (tail). */
 static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
                      int *max_used, long long budget, long long *nodes) {
     int d = 0;
@@ -94,31 +105,22 @@ static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
         if (d == s->n) {
             if (s->unsat == 0) return FOUND;
         } else {
-            int v = order[d];
-            next[d] = s->list_lo[v];
-            end[d] = s->list_hi[v];
-            if (s->symmetric && end[d] - next[d] > max_used[d] + 2)
-                end[d] = next[d] + max_used[d] + 2;
+            int v = order[d], limit = s->list_hi[v];
+            if (s->symmetric && limit - s->list_lo[v] > max_used[d] + 2)
+                limit = s->list_lo[v] + max_used[d] + 2;
+            next[d] = s->list_lo[v] - s->head;
+            end[d] = limit + s->tail;
         }
         /* find the next child to descend into, backtracking as needed */
         for (;;) {
-            if (d < s->n) {
-                int v = order[d], c;
-                if (next[d] < end[d]) {
-                    c = s->list_color[next[d]++];
-                } else if (next[d] == end[d] && !s->require_total) {
-                    c = UNCOLORED;
-                    next[d]++;
-                } else {
-                    c = UNDECIDED;
-                }
-                if (c != UNDECIDED) {
-                    if (++*nodes > budget) return OVER_BUDGET;
-                    value[d] = c;
-                    if (assign(s, v, c)) break;
-                    unassign(s, v, c);
-                    continue;
-                }
+            if (d < s->n && next[d] < end[d]) {
+                int v = order[d], i = next[d]++;
+                int c = i >= s->list_lo[v] && i < end[d] - s->tail ? s->list_color[i] : UNCOLORED;
+                if (++*nodes > budget) return OVER_BUDGET;
+                value[d] = c;
+                if (assign(s, v, c)) break;
+                unassign(s, v, c);
+                continue;
             }
             if (d == 0) return EXHAUSTED;
             d--;
@@ -174,10 +176,11 @@ static int incidence(int n, int m, const int *set_start, const int *set_vert,
    On FOUND, out[v] is v's dense color or -1 for uncolored. */
 int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
              const int *list_lo, const int *list_hi, const int *list_color,
-             int num_colors, int require_total, int symmetric,
+             int num_colors, int require_total, int symmetric, int uncolored_first,
              long long budget, int *out, long long *nodes) {
     CF s = {.n = n, .m = m, .num_colors = num_colors, .require_total = require_total,
-            .symmetric = symmetric, .edge_start = edge_start, .edge_vert = edge_vert,
+            .symmetric = symmetric, .head = !require_total && uncolored_first,
+            .tail = !require_total && !uncolored_first, .edge_start = edge_start, .edge_vert = edge_vert,
             .list_lo = list_lo, .list_hi = list_hi, .list_color = list_color};
     *nodes = 0;
     int status = NO_MEMORY;

@@ -27,14 +27,21 @@ def check_input(n, vertices, colors):
         raise ValueError("negative color")
 
 
-def solve_cf(n, edges, lists, require_total, symmetric, budget):
+def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=True):
     """Backtracking search for a conflict-free (partial) list coloring.
 
     `edges` are vertex index lists, `lists` per-vertex dense color ids in
     list order (when `symmetric`, all lists are identical and a color may
     only be introduced as previous-max + 1).  Vertices are branched in
-    decreasing hypergraph-degree order; colors in list order; the
-    "uncolored" branch last (absent when require_total).
+    decreasing hypergraph-degree order, ties by id.  At each vertex a
+    partial search (`require_total` false) tries "uncolored" first when
+    `uncolored_first`, then the colors in list order; otherwise the
+    colors, then "uncolored".  A total search tries only the colors.  A
+    search that finds nothing visits the same nodes in either order.
+
+    The search is the C kernel's loop: an explicit state per depth
+    instead of recursion, so its depth is bounded by n, not by the
+    Python recursion limit.
 
     Returns (status, assignment, nodes) where assignment[v] is a dense
     color or -1 for uncolored.  Raises ValueError on a vertex or color
@@ -62,7 +69,6 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
     und = [len(e) for e in edges]
     unsat = m
     state = [UNDECIDED] * n
-    nodes = 0
 
     def edge_alive(ei):
         # an edge with no unique color can still be fixed iff some
@@ -80,10 +86,10 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
         return False
 
     def assign(v, value):
-        # returns False when some incident edge becomes dead
+        # returns False when some incident edge becomes dead; the
+        # assignment is made either way and undone by unassign
         nonlocal unsat
         state[v] = value
-        ok = True
         for ei in incident[v]:
             und[ei] -= 1
             if value >= 0:
@@ -99,9 +105,8 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
                         unsat += 1
         for ei in incident[v]:
             if not edge_alive(ei):
-                ok = False
-                break
-        return ok
+                return False
+        return True
 
     def unassign(v, value):
         nonlocal unsat
@@ -120,43 +125,50 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget):
                         unsat -= 1
                 row[value] -= 1
 
-    def search(idx, max_used):
-        nonlocal nodes
+    # depth d decides order[d]: nxt[d] walks v's list positions up to
+    # end[d], and "uncolored" takes one extra position: the one before the
+    # list (head) or the one after the colors (tail)
+    head = 1 if uncolored_first and not require_total else 0
+    tail = 1 if not uncolored_first and not require_total else 0
+    nxt = [0] * (n + 1)
+    end = [0] * (n + 1)
+    value = [0] * (n + 1)
+    max_used = [-1] * (n + 1)
+    nodes = 0
+    d = 0
+    while True:
+        # entering depth d
         if not require_total and unsat == 0:
-            return 0
-        if idx == n:
-            return 0 if unsat == 0 else 1
-        v = order[idx]
-        if symmetric:
-            limit = min(len(lists[v]), max_used + 2)
-            candidates = lists[v][:limit]
+            break
+        if d == n:
+            if unsat == 0:
+                break
         else:
-            candidates = lists[v]
-        for c in candidates:
-            nodes += 1
-            if nodes > budget:
-                return 2
-            ok = assign(v, c)
-            if ok:
-                r = search(idx + 1, max(max_used, c) if symmetric else max_used)
-                if r != 1:
-                    return r
-            unassign(v, c)
-        if not require_total:
-            nodes += 1
-            if nodes > budget:
-                return 2
-            ok = assign(v, UNCOLORED)
-            if ok:
-                r = search(idx + 1, max_used)
-                if r != 1:
-                    return r
-            unassign(v, UNCOLORED)
-        return 1
-
-    status = search(0, -1)
-    if status == 0:
-        result = [c if c >= 0 else -1 for c in state]
-        return 0, result, nodes
-    return status, None, nodes
-
+            limit = len(lists[order[d]])
+            if symmetric and limit > max_used[d] + 2:
+                limit = max_used[d] + 2
+            nxt[d] = -head
+            end[d] = limit + tail
+        # find the next child to descend into, backtracking as needed
+        while True:
+            if d < n and nxt[d] < end[d]:
+                i = nxt[d]
+                nxt[d] = i + 1
+                v = order[d]
+                c = lists[v][i] if 0 <= i < end[d] - tail else UNCOLORED
+                nodes += 1
+                if nodes > budget:
+                    return 2, None, nodes
+                value[d] = c
+                if assign(v, c):
+                    break
+                unassign(v, c)
+                continue
+            if d == 0:
+                return 1, None, nodes
+            d -= 1
+            unassign(order[d], value[d])
+        c = value[d]
+        max_used[d + 1] = c if symmetric and c > max_used[d] else max_used[d]
+        d += 1
+    return 0, [c if c >= 0 else -1 for c in state], nodes

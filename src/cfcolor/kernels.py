@@ -3,12 +3,19 @@ the pure-Python kernel of ``_kernel_py``.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
-got picked.  On first import ``_kernel.c`` is compiled with ``cc`` into
-the package's ``__pycache__`` and loaded with ctypes; later imports reuse
-the cached library.  When the compiler is missing, or building or loading
+got picked.  A partial search tries "uncolored" at each vertex before its
+list colors unless called with ``uncolored_first=False``; a sparse
+coloring is usually the easy one to find.  Only searches that find
+something depend on that order: one that finds nothing visits the same
+nodes either way.
+
+On first import ``_kernel.c`` is compiled with ``cc`` into the package's
+``__pycache__`` and loaded with ctypes; later imports reuse the cached
+library.  When the compiler is missing, or building or loading
 fails, the pure-Python kernel is used.  ``BACKEND`` says which backend is
 active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
-oracle, is that search with the single color 0.
+oracle, is that search with the single color 0, so it tries "not a
+member" first.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
 budget exceeded, 3 = out of memory (C kernel only).
@@ -100,10 +107,10 @@ def _bind(lib):
     """A Python function with the contract of ``_kernel_py.solve_cf``
     around the C function of lib."""
     c_solve = lib.solve_cf
-    c_solve.argtypes = [_int, _int] + [_ptr] * 5 + [_int, _int, _int, ctypes.c_longlong, _ptr, _ptr]
+    c_solve.argtypes = [_int, _int] + [_ptr] * 5 + [_int] * 4 + [ctypes.c_longlong, _ptr, _ptr]
     c_solve.restype = _int
 
-    def solve_cf(n, edges, lists, require_total, symmetric, budget):
+    def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=True):
         """Same contract and search order as ``_kernel_py.solve_cf``."""
         edge_start, edge_vert = _csr(edges)
         if symmetric and n:
@@ -121,7 +128,7 @@ def _bind(lib):
         nodes = array("q", [0])
         status = c_solve(
             n, len(edges), *map(_address, inputs), num_colors,
-            bool(require_total), bool(symmetric),
+            bool(require_total), bool(symmetric), bool(uncolored_first),
             min(max(budget, 0), MAX_BUDGET), _address(out), _address(nodes),
         )
         return status, out.tolist() if status == 0 else None, nodes[0]
@@ -139,8 +146,9 @@ def exact_one(n, sets, budget):
     A set has a unique color under a partial coloring with the single
     color 0 iff exactly one of its vertices is colored, so this is the
     conflict-free search with the list [0] everywhere; the members are the
-    vertices colored 0.  Each connected part of the sets is searched on
-    its own, under what is left of the budget: in one search, a dead end
+    vertices colored 0, and each vertex is tried as "not a member" before
+    "member".  Each connected part of the sets is searched on its own,
+    under what is left of the budget: in one search, a dead end
     in one part would backtrack through every choice made in the others.
     A vertex in no set is never a member.  ``solve_cf`` is looked up by
     name at call time, so a wrapper installed on it sees every part.

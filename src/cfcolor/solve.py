@@ -94,11 +94,14 @@ def _kernel_result(search, budget, found):
     return result
 
 
-def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET):
+def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET, uncolored_first=True):
     """Exhaustive backtracking search for an L-CF(*) coloring.
 
     Returns a coloring passing verify_cf, or None iff no such coloring
-    exists.  Raises BudgetExceededError when the node budget trips.
+    exists.  Raises BudgetExceededError when the node budget trips.  A
+    star-variant search tries "uncolored" at each vertex before its list
+    colors, unless `uncolored_first` is false; the order decides which
+    coloring is found and how fast, never whether one exists.
     """
     h = inst.hypergraph
     if lists.n != h.n:
@@ -106,7 +109,8 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET):
     dense_lists, colors_by_dense, symmetric = _dense_colors(lists, h.n)
     edges = [list(e) for e in h.edges]
     found = kernels.solve_cf(
-        h.n, edges, dense_lists, inst.require_total, symmetric, budget
+        h.n, edges, dense_lists, inst.require_total, symmetric, budget,
+        uncolored_first,
     )
     assignment = _kernel_result("solve_list_cf", budget, found)
     if assignment is None:
@@ -184,13 +188,17 @@ def decide_choosable(
     vertex below it.  The first leaf without a coloring is therefore
     still the canonically smallest failing assignment.  The assignment
     budget counts the leaves the walk reaches, covered or solved.
+
+    The solver tries colors before "uncolored": its colorings then tend
+    to leave the last vertices uncolored, which is what lets the walk
+    skip subtrees.  Uncolored first, C7 takes twice as long.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = inst.hypergraph.n
     if k == 1:
         lists = ListAssignment.uniform(n, [1])
-        f = solve_list_cf(inst, lists, budget=budget)
+        f = solve_list_cf(inst, lists, budget=budget, uncolored_first=False)
         if f is None:
             return ChoosabilityCertificate(answer=False, witness=lists)
         return ChoosabilityCertificate(answer=True, pool=(f,))
@@ -225,7 +233,9 @@ def decide_choosable(
             if not fit[n]:
                 lists = ListAssignment(entries)
                 calls += 1
-                f = solve_list_cf(inst, lists, budget=budget)
+                f = solve_list_cf(
+                    inst, lists, budget=budget, uncolored_first=False
+                )
                 if f is None:
                     return ChoosabilityCertificate(answer=False, witness=lists)
                 bit = 1 << len(pool)
@@ -301,7 +311,7 @@ def solve_one_in_three(formula):
     or None.  The clauses are the sets of the exact-one search, so the
     node budget bounds it as it bounds PIMDS and PIDS.  Each group of
     clauses linked by shared variables is searched on its own, its
-    variables by decreasing clause count, ties by index, True first; a
+    variables by decreasing clause count, ties by index, False first; a
     variable in no clause stays False.
     """
     return _find_exact_one(formula.clauses, formula.n, DEFAULT_NODE_BUDGET)

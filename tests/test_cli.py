@@ -255,8 +255,10 @@ def test_lemma_round_cap_exits_2(tmp_path, capsys):
 
 
 def test_exit_code_table(tmp_path, monkeypatch, capsys):
-    """Failures exit 2, never 1 ("no"): a search too deep for the pure
-    kernel's recursion, and a pipeline whose exact fallback finds nothing."""
+    """Failures exit 2, never 1 ("no"): a kernel that crashes with
+    RecursionError, and a pipeline whose exact fallback finds nothing.  A
+    2000-vertex path answers on either kernel: both search with an
+    explicit per-depth state, not by recursion."""
     from cfcolor import _kernel_py, kernels, prob
     path = tmp_path / "path.txt"
     path.write_text(fileio.format_graph(path_graph(2000)))
@@ -267,9 +269,13 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
     def failed_attempt(*args, **kwargs):
         raise prob.PipelineError("test", "attempt fails")
 
+    def crashed_search(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
     table = [
-        (solve_path, {}, 0 if kernels.BACKEND == "compiled" else 2),
-        (solve_path, {(kernels, "solve_cf"): _kernel_py.solve_cf}, 2),
+        (solve_path, {}, 0),
+        (solve_path, {(kernels, "solve_cf"): _kernel_py.solve_cf}, 0),
+        (solve_path, {(kernels, "solve_cf"): crashed_search}, 2),
         (
             pipeline,
             {

@@ -22,9 +22,25 @@ def test_backend_is_compiled_when_built():
     assert kernels.solve_cf is not pure.solve_cf
 
 
+def _same_in_both_backends(*args):
+    """The compiled results of solve_cf(*args) with "uncolored" tried
+    first and last, after checking that the pure kernel returns the same
+    and that a search finding nothing visits the same nodes in both
+    orders."""
+    results = []
+    for uncolored_first in (True, False):
+        got = kernels.solve_cf(*args, uncolored_first)
+        assert got == pure.solve_cf(*args, uncolored_first), (args, uncolored_first)
+        results.append(got)
+    if 1 in (results[0][0], results[1][0]):
+        assert results[0] == results[1], args
+    return results
+
+
 @requires_compiled
 def test_solve_cf_parity_randomized():
     rng = random.Random(99)
+    trips = 0
     for _ in range(200):
         n = rng.randint(1, 8)
         m = rng.randint(1, 8)
@@ -32,9 +48,9 @@ def test_solve_cf_parity_randomized():
         lists = [sorted(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
         budget = rng.choice([50, 100000])
         for total in (False, True):
-            assert kernels.solve_cf(
-                n, edges, lists, total, False, budget
-            ) == pure.solve_cf(n, edges, lists, total, False, budget)
+            for got in _same_in_both_backends(n, edges, lists, total, False, budget):
+                trips += got[0] == 2
+    assert trips > 0
 
 
 @requires_compiled
@@ -51,16 +67,14 @@ def test_solve_cf_parity_symmetric_mode():
             edges = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
             shared = list(range(rng.randint(1, 4)))
             for total in (False, True):
-                got = kernels.solve_cf(n, edges, [shared] * n, total, True, budget)
-                assert got == pure.solve_cf(n, edges, [shared] * n, total, True, budget)
-                trips += got[0] == 2
+                for got in _same_in_both_backends(n, edges, [shared] * n, total, True, budget):
+                    trips += got[0] == 2
             # the one-color list [0] in partial mode is the exact-one
             # search behind PIMDS, PIDS and the 1-in-3 oracle; it prunes
             # so hard that only a small budget trips it here
             for limit in (budget, 20):
-                got = kernels.solve_cf(n, edges, [[0]] * n, False, True, limit)
-                assert got == pure.solve_cf(n, edges, [[0]] * n, False, True, limit)
-                one_color_trips += got[0] == 2
+                for got in _same_in_both_backends(n, edges, [[0]] * n, False, True, limit):
+                    one_color_trips += got[0] == 2
     assert trips > 0 and one_color_trips > 0
 
 

@@ -197,3 +197,21 @@ def test_near_uniform_color_matches_full_rescan(h, extra, cap, seed):
         return
     f, rounds = prob.near_uniform_color(h, lists, cfg)
     assert ([f[v] for v in range(h.n)], rounds) == want
+
+
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.lists(st.integers(min_value=0, max_value=70), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_without_matches_the_comprehension(lo, size, removed):
+    """The same tuple as filtering L_v color by color, on range and tuple
+    entries, with removed colors inside and outside the list and
+    repeated ones."""
+    entries = [range(lo, lo + size), tuple(range(lo, lo + 2 * size, 2))]
+    lists = ListAssignment(entries)
+    for as_set in (set(removed), removed):
+        for v, entry in enumerate(entries):
+            want = tuple(c for c in entry if c not in as_set)
+            assert lists.without(v, as_set) == want

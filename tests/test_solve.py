@@ -5,10 +5,10 @@ import pytest
 from cfcolor import kernels, solve
 from cfcolor.coloring import ListAssignment
 from cfcolor.errors import BudgetExceededError
-from cfcolor.graphs import Hypergraph, derived_hypergraph, random_hypergraph
+from cfcolor.graphs import Graph, Hypergraph, derived_hypergraph, random_hypergraph
 from cfcolor.reductions import FIGURE_FORMULA, Formula, build_g_double_prime
 from cfcolor.smallgraphs import nonisomorphic_graphs
-from cfcolor.verify import is_pids
+from cfcolor.verify import is_pids, is_pimds
 from util import (
     all_one_in_three,
     all_pids,
@@ -101,6 +101,36 @@ def test_budget_raises():
     lists = ListAssignment.uniform(g.n, range(1, 4))
     with pytest.raises(BudgetExceededError):
         solve.solve_list_cf(inst, lists, budget=5)
+
+
+# the first G(40, 78) that the benchmark's cfbench/inputs.colorable_graph
+# draws from Random(2026); it has a CN* coloring from {1, 2}
+G40_EDGES = (
+    (0, 3), (0, 12), (0, 26), (2, 4), (2, 8), (2, 17), (2, 18), (2, 26),
+    (2, 31), (2, 39), (3, 9), (3, 11), (3, 22), (3, 34), (5, 36), (6, 16),
+    (6, 17), (6, 33), (7, 13), (7, 20), (8, 19), (8, 24), (9, 11), (9, 16),
+    (9, 22), (10, 14), (10, 22), (10, 31), (10, 38), (11, 15), (11, 23),
+    (12, 17), (12, 18), (12, 19), (13, 15), (13, 17), (13, 20), (13, 36),
+    (14, 20), (14, 28), (14, 32), (15, 26), (15, 38), (16, 23), (16, 27),
+    (16, 31), (16, 37), (16, 38), (17, 21), (17, 28), (18, 20), (18, 30),
+    (18, 37), (18, 39), (19, 20), (19, 27), (19, 36), (19, 39), (20, 22),
+    (20, 30), (20, 31), (21, 27), (21, 28), (22, 24), (22, 32), (23, 33),
+    (24, 25), (24, 27), (26, 33), (26, 39), (28, 35), (29, 32), (29, 38),
+    (30, 36), (31, 36), (33, 38), (34, 38), (34, 39),
+)
+
+
+def test_random_cn_star_graph_answers_uncolored_first():
+    # a sparse coloring is the easy one to find: tried first, "uncolored"
+    # answers within the benchmark's 50,000-node budget, where trying the
+    # colors first trips it
+    inst = solve.SolveInstance.from_graph(Graph(40, G40_EDGES), "cn-star")
+    lists = ListAssignment.uniform(40, (1, 2))
+    f = solve.solve_list_cf(inst, lists, budget=50_000)
+    assert f is not None and cf_valid(inst.hypergraph, f, require_total=False)
+    assert all(lists.contains(v, c) for v, c in f.items())
+    with pytest.raises(BudgetExceededError):
+        solve.solve_list_cf(inst, lists, budget=50_000, uncolored_first=False)
 
 
 def test_canonical_assignment_counts_and_order():
@@ -203,6 +233,24 @@ def test_choosability_pool_covers_c5(monkeypatch):
     _assert_pool_proves_yes(inst, 2, cert)
 
 
+@pytest.mark.parametrize("n,solver_calls", [(5, 102), (6, 712)])
+def test_choosability_walk_keeps_colors_first(monkeypatch, n, solver_calls):
+    # the walk skips a subtree only below a pool member's last colored
+    # vertex, so its solver tries colors first; uncolored first, these
+    # counts (and C7's 6,156) grow
+    solve_list_cf = solve.solve_list_cf
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("uncolored_first"))
+        return solve_list_cf(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "solve_list_cf", counted)
+    inst = solve.SolveInstance.from_graph(cycle_graph(n), "cn-star")
+    assert solve.decide_choosable(inst, 2).answer
+    assert calls == [False] * solver_calls
+
+
 def test_find_pimds_matches_enumeration():
     for g in nonisomorphic_graphs(5):
         found = solve.find_pimds(g)
@@ -225,8 +273,11 @@ def test_find_pids_matches_enumeration():
 
 def test_star_k13_has_a_pimds():
     # {center, leaf}: the center's unique neighbor in S is the leaf and
-    # every leaf's unique neighbor in S is the center
-    assert solve.find_pimds(star_graph(3)) == frozenset({0, 1})
+    # every leaf's unique neighbor in S is the center.  "Not a member" is
+    # tried first, so the last leaf is the one taken
+    found = solve.find_pimds(star_graph(3))
+    assert found == frozenset({0, 3})
+    assert is_pimds(star_graph(3), found)
 
 
 def test_one_in_three_figure_formula():
