@@ -5,12 +5,15 @@
    iterative (an explicit per-depth state instead of recursion), so the
    depth is bounded by the vertex count, not by the C stack.
 
-   Vertices are decided in decreasing degree order, ties by id.  A partial
-   search (require_total unset) with uncolored_first tries "uncolored" at
-   each vertex before its list colors: a sparse coloring is usually the
-   easy one to find.  Without uncolored_first it tries "uncolored" after
-   the colors.  A search that finds nothing visits the same nodes in
-   either order.
+   Vertices are decided part by part: the connected parts of the edges in
+   order of their smallest vertex, then the vertices in no edge, each part
+   by decreasing degree, ties by id.  Parts share no edge, so a search that
+   backtracks out of a part's first vertex is exhausted.  A partial search
+   (require_total unset) with uncolored_first tries "uncolored" at each
+   vertex before its list colors: a sparse coloring is usually the easy
+   one to find.  Without uncolored_first it tries "uncolored" after the
+   colors.  A search over one part that finds nothing visits the same
+   nodes in either order.
 
    Inputs are flat CSR int arrays built by kernels.py; every vertex index
    must lie in [0, n) and every color in [0, num_colors).  Status codes:
@@ -94,9 +97,9 @@ static void unassign(CF *s, int v, int value) {
    mode only up to max_used + 1) and, unless require_total, UNCOLORED.
    next[d] walks v's list positions up to end[d], and UNCOLORED takes one
    extra position: the one before the list (head) or the one after the
-   colors (tail). */
-static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
-                     int *max_used, long long budget, long long *nodes) {
+   colors (tail).  first[d] marks the first vertex of a part. */
+static int cf_search(CF *s, const int *order, const int *first, int *next, int *end,
+                     int *value, int *max_used, long long budget, long long *nodes) {
     int d = 0;
     max_used[0] = -1;
     for (;;) {
@@ -122,7 +125,7 @@ static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
                 unassign(s, v, c);
                 continue;
             }
-            if (d == 0) return EXHAUSTED;
+            if (first[d]) return EXHAUSTED;
             d--;
             unassign(s, order[d], value[d]);
         }
@@ -131,19 +134,49 @@ static int cf_search(CF *s, const int *order, int *next, int *end, int *value,
     }
 }
 
-/* Vertices by decreasing incidence degree, ties by vertex id (a counting
-   sort, so the order equals Python's sorted(key=(-degree, v))). */
-static int degree_order(int n, const int *inc_start, int *order) {
-    int max_deg = 0;
+/* v's part: the root of a union-find whose roots are the smallest
+   vertices of their parts. */
+static int find(int *part, int v) {
+    for (; part[v] != v; v = part[v]) part[v] = part[part[v]];
+    return v;
+}
+
+/* The order of _kernel_py, sorted(key=(part, -degree, v)), by two counting
+   sorts, the vertices in no edge last as part n.  first[d] marks the
+   first vertex of a part, and holds the degree order until the part sort
+   has read it.  Returns 0 when out of memory. */
+static int search_order(const CF *s, int *order, int *first) {
+    int n = s->n, max_deg = 0;
+    const int *inc = s->inc_start;
     for (int v = 0; v < n; v++)
-        if (inc_start[v + 1] - inc_start[v] > max_deg) max_deg = inc_start[v + 1] - inc_start[v];
-    int *slot = calloc((size_t)max_deg + 2, sizeof(int));
-    if (!slot) return 0;
-    for (int v = 0; v < n; v++) slot[max_deg - (inc_start[v + 1] - inc_start[v]) + 1]++;
-    for (int k = 1; k <= max_deg + 1; k++) slot[k] += slot[k - 1];
-    for (int v = 0; v < n; v++) order[slot[max_deg - (inc_start[v + 1] - inc_start[v])]++] = v;
+        if (inc[v + 1] - inc[v] > max_deg) max_deg = inc[v + 1] - inc[v];
+    int *part = calloc((size_t)n + 1, sizeof(int));
+    int *slot = calloc((size_t)(max_deg > n ? max_deg : n) + 2, sizeof(int));
+    int ok = part && slot;
+    if (ok) {
+        for (int v = 0; v < n; v++) slot[max_deg - (inc[v + 1] - inc[v]) + 1]++;
+        for (int k = 1; k <= max_deg + 1; k++) slot[k] += slot[k - 1];
+        for (int v = 0; v < n; v++) first[slot[max_deg - (inc[v + 1] - inc[v])]++] = v;
+        for (int v = 0; v < n; v++) part[v] = v;
+        for (int ei = 0; ei < s->m; ei++)
+            for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++) {
+                int a = find(part, s->edge_vert[s->edge_start[ei]]), b = find(part, s->edge_vert[i]);
+                part[a > b ? a : b] = a < b ? a : b;
+            }
+        for (int k = 0; k <= n + 1; k++) slot[k] = 0;
+        /* a find from v meets only smaller vertices, which hold their roots by now */
+        for (int v = 0; v < n; v++) {
+            part[v] = inc[v + 1] > inc[v] ? find(part, v) : n;
+            slot[part[v] + 1]++;
+        }
+        for (int k = 1; k <= n; k++) slot[k] += slot[k - 1];
+        for (int d = 0; d < n; d++) order[slot[part[first[d]]]++] = first[d];
+        first[0] = 1;
+        for (int d = 1; d < n; d++) first[d] = part[order[d]] != part[order[d - 1]];
+    }
+    free(part);
     free(slot);
-    return 1;
+    return ok;
 }
 
 /* CSR incidence of the sets: for each vertex, the sets containing it in
@@ -186,6 +219,7 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
     int status = NO_MEMORY;
     size_t depths = (size_t)n + 1;
     int *order = calloc(depths, sizeof(int));
+    int *first = calloc(depths, sizeof(int));
     int *next = calloc(depths, sizeof(int));
     int *end = calloc(depths, sizeof(int));
     int *value = calloc(depths, sizeof(int));
@@ -194,13 +228,13 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
     s.uniq = calloc((size_t)m + 1, sizeof(int));
     s.und = calloc((size_t)m + 1, sizeof(int));
     s.state = calloc(depths, sizeof(int));
-    if (order && next && end && value && max_used && s.cnt && s.uniq && s.und && s.state
+    if (order && first && next && end && value && max_used && s.cnt && s.uniq && s.und && s.state
         && incidence(n, m, edge_start, edge_vert, &s.inc_start, &s.inc_edge)) {
-        if (degree_order(n, s.inc_start, order)) {
+        if (search_order(&s, order, first)) {
             for (int ei = 0; ei < m; ei++) s.und[ei] = edge_start[ei + 1] - edge_start[ei];
             for (int v = 0; v < n; v++) s.state[v] = UNDECIDED;
             s.unsat = m;
-            status = cf_search(&s, order, next, end, value, max_used, budget, nodes);
+            status = cf_search(&s, order, first, next, end, value, max_used, budget, nodes);
             if (status == FOUND)
                 for (int v = 0; v < n; v++) out[v] = s.state[v] >= 0 ? s.state[v] : -1;
         }
@@ -208,6 +242,7 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
         free(s.inc_edge);
     }
     free(order);
+    free(first);
     free(next);
     free(end);
     free(value);

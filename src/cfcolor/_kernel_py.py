@@ -6,6 +6,9 @@ byte-identical.  This module is the reference the parity tests compare the
 C kernel against, and the fallback when it cannot be built.  See
 ``cfcolor.kernels`` for the import-time selection.
 
+The search decides the connected parts of the edges one after the
+other and ends at the first part without a solution.
+
 Status codes: 0 = solution found, 1 = exhausted (no solution),
 2 = node budget exceeded.
 """
@@ -32,12 +35,14 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=
 
     `edges` are vertex index lists, `lists` per-vertex dense color ids in
     list order (when `symmetric`, all lists are identical and a color may
-    only be introduced as previous-max + 1).  Vertices are branched in
+    only be introduced as previous-max + 1).  Vertices are branched part
+    by part, by smallest vertex and the vertices in no edge last, each in
     decreasing hypergraph-degree order, ties by id.  At each vertex a
     partial search (`require_total` false) tries "uncolored" first when
     `uncolored_first`, then the colors in list order; otherwise the
     colors, then "uncolored".  A total search tries only the colors.  A
-    search that finds nothing visits the same nodes in either order.
+    search over one part that finds nothing visits the same nodes in
+    either order.
 
     The search is the C kernel's loop: an explicit state per depth
     instead of recursion, so its depth is bounded by n, not by the
@@ -62,7 +67,25 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=
         for v in e:
             incident[v].append(ei)
 
-    order = sorted(range(n), key=lambda v: (-len(incident[v]), v))
+    # a part is named by its smallest vertex, the root of a union-find,
+    # and the vertices in no edge come last, as part n
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in edges:
+        for u in e:
+            a, b = find(e[0]), find(u)
+            root[max(a, b)] = min(a, b)
+    part = [find(v) if incident[v] else n for v in range(n)]
+    order = sorted(range(n), key=lambda v: (part[v], -len(incident[v]), v))
+    # backtracking out of a part's first vertex ends the search; depth n,
+    # past the last vertex, begins no part
+    first = [True] + [part[order[d]] != part[order[d - 1]] for d in range(1, n)]
+    first.append(False)
 
     cnt = [[0] * num_colors for _ in range(m)]
     uniq = [0] * m
@@ -164,7 +187,7 @@ def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=
                     break
                 unassign(v, c)
                 continue
-            if d == 0:
+            if first[d]:
                 return 1, None, nodes
             d -= 1
             unassign(order[d], value[d])

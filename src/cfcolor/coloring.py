@@ -82,9 +82,6 @@ class ListAssignment:
         """Entries for the given vertices, in the given order."""
         return ListAssignment([self._entries[v] for v in vertices])
 
-    def entry(self, v):
-        return self._entries[v]
-
     def __eq__(self, other):
         return (
             isinstance(other, ListAssignment) and self._entries == other._entries

@@ -218,7 +218,7 @@ def parse_lists(text, n):
 def format_lists(lists):
     lines = []
     for v in range(lists.n):
-        e = lists.entry(v)
+        e = lists.colors(v)
         if isinstance(e, range):
             lines.append(f"L {v + 1} {e.start} {e.stop}")
         else:

@@ -3,19 +3,20 @@ the pure-Python kernel of ``_kernel_py``.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
-got picked.  A partial search tries "uncolored" at each vertex before its
-list colors unless called with ``uncolored_first=False``; a sparse
-coloring is usually the easy one to find.  Only searches that find
-something depend on that order: one that finds nothing visits the same
-nodes either way.
+got picked.  Each decides the connected parts of the edges one after the
+other and stops at the first part that fails.  A partial search tries
+"uncolored" at each vertex before its list colors unless called with
+``uncolored_first=False``; a sparse coloring is usually the easy one to
+find.  Only searches that find something depend on that order: one over
+a single part that finds nothing visits the same nodes either way.
 
 On first import ``_kernel.c`` is compiled with ``cc`` into the package's
 ``__pycache__`` and loaded with ctypes; later imports reuse the cached
 library.  When the compiler is missing, or building or loading
 fails, the pure-Python kernel is used.  ``BACKEND`` says which backend is
 active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
-oracle, is that search with the single color 0, so it tries "not a
-member" first.
+oracle, is one call of that search with the single color 0, so it tries
+"not a member" first.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
 budget exceeded, 3 = out of memory (C kernel only).
@@ -147,53 +148,15 @@ def exact_one(n, sets, budget):
     color 0 iff exactly one of its vertices is colored, so this is the
     conflict-free search with the list [0] everywhere; the members are the
     vertices colored 0, and each vertex is tried as "not a member" before
-    "member".  Each connected part of the sets is searched on its own,
-    under what is left of the budget: in one search, a dead end
-    in one part would backtrack through every choice made in the others.
-    A vertex in no set is never a member.  ``solve_cf`` is looked up by
-    name at call time, so a wrapper installed on it sees every part.
+    "member".  The kernel searches the connected parts of the sets one
+    after the other and stops at the first part that fails.  A vertex in
+    no set is never a member.  ``solve_cf`` is looked up by name at call
+    time, so a wrapper installed on it sees the search.
     """
-    # checked here too: _parts indexes its lists with the vertices
+    # the range check comes before the answer for an empty set
     _kernel_py.check_input(n, [v for s in sets for v in s], ())
     if any(not s for s in sets):
         return 1, None, 0
-    members, nodes = [], 0
-    for vertices, part_sets in _parts(n, sets):
-        k = len(vertices)
-        status, assignment, used = solve_cf(
-            k, part_sets, [[0]] * k, False, True, budget - nodes
-        )
-        nodes += used
-        if status != 0:
-            return status, None, nodes
-        members += [vertices[i] for i, c in enumerate(assignment) if c == 0]
-    return 0, sorted(members), nodes
-
-
-def _parts(n, sets):
-    """The connected parts of the sets, by smallest vertex, each as
-    (its vertices in increasing order, its sets over positions in that
-    list).  Vertices in no set belong to no part."""
-    incident = [[] for _ in range(n)]
-    for si, s in enumerate(sets):
-        for v in s:
-            incident[v].append(si)
-    reached = [False] * n
-    taken = [False] * len(sets)
-    for v in range(n):
-        if reached[v] or not incident[v]:
-            continue
-        reached[v] = True
-        vertices, part_sets = [v], []
-        for u in vertices:  # grows while it is walked
-            for si in incident[u]:
-                if not taken[si]:
-                    taken[si] = True
-                    part_sets.append(sets[si])
-                    for w in sets[si]:
-                        if not reached[w]:
-                            reached[w] = True
-                            vertices.append(w)
-        vertices.sort()
-        position = {w: i for i, w in enumerate(vertices)}
-        yield vertices, [[position[w] for w in s] for s in part_sets]
+    status, assignment, nodes = solve_cf(n, sets, [[0]] * n, False, True, budget)
+    members = None if status else [v for v, c in enumerate(assignment) if c == 0]
+    return status, members, nodes

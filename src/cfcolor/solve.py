@@ -8,7 +8,6 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
@@ -55,7 +54,7 @@ def _dense_colors(lists, n_cap):
     colors than there are vertices).  Otherwise the union of the range
     lists is measured before any color is listed.
     """
-    entries = [lists.entry(v) for v in range(lists.n)]
+    entries = [lists.colors(v) for v in range(lists.n)]
     symmetric = len(set(entries)) <= 1
     if symmetric and entries:
         shared = list(lists.colors(0)[: max(n_cap, 1)])
@@ -158,13 +157,18 @@ def _canonical_k_subsets(k, max_used):
     """The lists a vertex may take after lists using colors up to
     max_used, up to color renaming: the sorted k-subsets of
     {1..max_used+k} whose colors above max_used are max_used+1,
-    max_used+2, ... without a gap; lexicographic order."""
+    max_used+2, ... without a gap; lexicographic order, which walks the
+    prefixes of old colors in post-order, at O(k) a subset."""
     m = max_used
-    return [
-        s
-        for s in combinations(range(1, m + k + 1), k)
-        if max(s[-1], m) == m + sum(c > m for c in s)
-    ]
+    prefix, low = [], 1
+    while True:
+        while len(prefix) < k and low <= m:
+            prefix.append(low)
+            low += 1
+        yield (*prefix, *range(m + 1, m + 1 + k - len(prefix)))
+        if not prefix:
+            return
+        low = prefix.pop() + 1
 
 
 def decide_choosable(
@@ -187,7 +191,9 @@ def decide_choosable(
     a subtree is skipped when a member fitting its prefix colors no
     vertex below it.  The first leaf without a coloring is therefore
     still the canonically smallest failing assignment.  The assignment
-    budget counts the leaves the walk reaches, covered or solved.
+    budget counts the leaves the walk reaches, covered or solved, and the
+    subtrees it skips, one each: every descent reaches one of them within
+    n steps, so the budget bounds the walk for any k.
 
     The solver tries colors before "uncolored": its colorings then tend
     to leave the last vertices uncolored, which is what lets the walk
@@ -211,25 +217,34 @@ def decide_choosable(
     col = [{} for _ in range(n)]
     tail_free = [0] * (n + 1)
     fit = [0] * (n + 1)
-    # entries[d] is the list of vertex d, taken as choices[d][pos[d] - 1]
+    # entries[d] is the list of vertex d, taken as choices[d][0][pos[d] - 1];
+    # choices[d] is (the lists listed so far, the generator of the rest) for
+    # the largest color used before d, and a listed None ends them
     entries = [None] * n
     choices = [None] * n
     pos = [0] * n
     max_used = [0] * n
-    subsets_by_max = {0: _canonical_k_subsets(k, 0)}
+    subsets_by_max = {0: ([], _canonical_k_subsets(k, 0))}
     if n:
         choices[0] = subsets_by_max[0]
-    leaves = calls = 0
+    leaves = skipped = calls = 0
     d = 0
     while d >= 0:
-        if d == n:
-            leaves += 1
-            if leaves > assignment_budget:
+        # a leaf and a skipped subtree each settle at least one assignment
+        if d == n or fit[d] & tail_free[d]:
+            if leaves + skipped >= assignment_budget:
                 raise BudgetExceededError(
                     f"choosability enumeration exceeded {assignment_budget} "
-                    f"assignments: reached {leaves - 1} leaves, made {calls} "
-                    f"solver calls, pool of {len(pool)} colorings"
+                    f"assignments: reached {leaves} leaves, made {calls} "
+                    f"solver calls, pool of {len(pool)} colorings, skipped "
+                    f"{skipped} subtrees"
                 )
+            if d < n:  # a pool member covers the subtree
+                skipped += 1
+                d -= 1
+                continue
+        if d == n:
+            leaves += 1
             if not fit[n]:
                 lists = ListAssignment(entries)
                 calls += 1
@@ -254,10 +269,13 @@ def decide_choosable(
                     fit[j] |= bit
             d -= 1
             continue
-        if fit[d] & tail_free[d] or pos[d] == len(choices[d]):
+        listed, rest = choices[d]
+        if pos[d] == len(listed):
+            listed.append(next(rest, None))
+        subset = listed[pos[d]]
+        if subset is None:
             d -= 1
             continue
-        subset = choices[d][pos[d]]
         pos[d] += 1
         entries[d] = subset
         mask = unc[d]
@@ -269,7 +287,7 @@ def decide_choosable(
         if d < n:
             m = max_used[d] = max(max_used[d - 1], subset[-1])
             if m not in subsets_by_max:
-                subsets_by_max[m] = _canonical_k_subsets(k, m)
+                subsets_by_max[m] = ([], _canonical_k_subsets(k, m))
             choices[d], pos[d] = subsets_by_max[m], 0
     return ChoosabilityCertificate(answer=True, pool=tuple(pool))
 
@@ -309,9 +327,10 @@ def find_pids(g, budget=DEFAULT_NODE_BUDGET):
 def solve_one_in_three(formula):
     """Truth assignment giving every clause exactly one true variable,
     or None.  The clauses are the sets of the exact-one search, so the
-    node budget bounds it as it bounds PIMDS and PIDS.  Each group of
-    clauses linked by shared variables is searched on its own, its
-    variables by decreasing clause count, ties by index, False first; a
-    variable in no clause stays False.
+    node budget bounds it as it bounds PIMDS and PIDS.  The kernel
+    decides the groups of clauses linked by shared variables one after
+    the other, by smallest variable, each group's variables by decreasing
+    clause count, ties by index, False first; the first group without a
+    solution ends the search.  A variable in no clause stays False.
     """
     return _find_exact_one(formula.clauses, formula.n, DEFAULT_NODE_BUDGET)

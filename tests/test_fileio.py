@@ -149,7 +149,7 @@ def test_lists_round_trip_explicit_and_range():
     assert text == "l 1 1 5 9\nL 2 1 100\n"
     back = fileio.parse_lists(text, 2)
     assert list(back.colors(0)) == [1, 5, 9]
-    assert back.entry(1) == range(1, 100)
+    assert back.colors(1) == range(1, 100)
     assert back.size(1) == 99
     assert back.contains(1, 99) and not back.contains(1, 100)
 

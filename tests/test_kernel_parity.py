@@ -9,6 +9,7 @@ import pytest
 
 from cfcolor import _kernel_py as pure
 from cfcolor import kernels
+from util import connected_parts, exact_one_by_parts
 
 
 requires_compiled = pytest.mark.skipif(
@@ -25,15 +26,20 @@ def test_backend_is_compiled_when_built():
 def _same_in_both_backends(*args):
     """The compiled results of solve_cf(*args) with "uncolored" tried
     first and last, after checking that the pure kernel returns the same
-    and that a search finding nothing visits the same nodes in both
-    orders."""
+    and that a search finding nothing finds nothing in both orders.  When
+    the edges form one part it also visits the same nodes in both; with
+    several, the parts before the failing one are searched up to their
+    first solution, whose cost depends on the order."""
     results = []
     for uncolored_first in (True, False):
         got = kernels.solve_cf(*args, uncolored_first)
         assert got == pure.solve_cf(*args, uncolored_first), (args, uncolored_first)
         results.append(got)
     if 1 in (results[0][0], results[1][0]):
-        assert results[0] == results[1], args
+        assert results[0][0] == results[1][0], args
+        n, edges = args[:2]
+        if len(list(connected_parts(n, edges))) == 1:
+            assert results[0] == results[1], args
     return results
 
 
@@ -78,8 +84,8 @@ def test_solve_cf_parity_symmetric_mode():
     assert trips > 0 and one_color_trips > 0
 
 
-@requires_compiled
-def test_exact_one_parity_randomized(monkeypatch):
+def _exact_one_cases():
+    """(n, sets, budget) for the exact-one parity tests."""
     rng = random.Random(3)
     # (instances, largest n, largest set, budgets): small searches, then n
     # up to 40 where the budget trips
@@ -92,12 +98,27 @@ def test_exact_one_parity_randomized(monkeypatch):
             size = min(n, max_size)
             sets = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
             cases.append((n, sets, rng.choice(budgets)))
+    return cases
+
+
+@requires_compiled
+def test_exact_one_parity_randomized(monkeypatch):
+    cases = _exact_one_cases()
     compiled = [kernels.exact_one(*case) for case in cases]
     # exact_one looks solve_cf up at call time, so this runs the same
-    # per-part search on the pure-Python kernel
+    # search on the pure-Python kernel
     monkeypatch.setattr(kernels, "solve_cf", pure.solve_cf)
     assert compiled == [kernels.exact_one(*case) for case in cases]
     assert any(got[0] == 2 for got in compiled)
+
+
+def test_exact_one_matches_the_search_by_parts():
+    # the kernel's split gives what one kernel call per relabelled part
+    # gave, at a budget neither trips; only the node counts may differ
+    for n, sets, _ in _exact_one_cases():
+        split = kernels.exact_one(n, sets, 10**7)
+        by_parts = exact_one_by_parts(n, sets, 10**7)
+        assert split[0] != 2 and split[:2] == by_parts[:2], (n, sets)
 
 
 @requires_compiled
@@ -127,7 +148,8 @@ def test_both_backends_reject_out_of_range_input():
             for symmetric in (False, True):
                 with pytest.raises(ValueError, match=message):
                     solve_cf(2, edges, lists, False, symmetric, 10)
-    for sets in ([[-1]], [[2]]):
+    # the range check runs before the answer for an empty set
+    for sets in ([[-1]], [[2]], [[], [2]]):
         with pytest.raises(ValueError, match="edge vertex out of range"):
             kernels.exact_one(2, sets, 10)
 

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +153,42 @@ def test_canonical_colors_stay_in_universe():
     for entries in canonical_assignments(3, 2):
         for lst in entries:
             assert all(1 <= c <= 6 for c in lst)
+
+
+def test_canonical_k_subsets_are_the_filtered_combinations():
+    for k in range(1, 6):
+        for m in range(8):
+            assert list(solve._canonical_k_subsets(k, m)) == [
+                s
+                for s in combinations(range(1, m + k + 1), k)
+                if max(s[-1], m) == m + sum(c > m for c in s)
+            ], (k, m)
+
+
+_LARGE_K_WALKS = """
+from cfcolor import solve
+from cfcolor.errors import BudgetExceededError
+from cfcolor.graphs import Graph
+
+k2 = solve.SolveInstance.from_graph(Graph(2, [(0, 1)]), "cn-star")
+print(solve.decide_choosable(k2, 30).answer)
+for g, k in ((Graph(5, [(v, (v + 1) % 5) for v in range(5)]), 40), (Graph(3, [(0, 1), (1, 2)]), 30)):
+    try:
+        solve.decide_choosable(solve.SolveInstance.from_graph(g, "cn-star"), k, assignment_budget=1000)
+    except BudgetExceededError as e:
+        print(e)
+"""
+
+
+def test_large_k_walks_answer_or_trip_their_budget():
+    # a vertex after the first has 2^30 or more canonical lists here.
+    # Listed up front, they kept every walk from counting a leaf; on P3
+    # the walk then skips a subtree for each list holding the color a pool
+    # member gives the middle vertex, and the budget counts those too
+    out = _python(_LARGE_K_WALKS, timeout=60).stdout.split("\n")
+    assert out[0] == "True"
+    assert out[1].startswith("choosability enumeration exceeded 1000 assignments")
+    assert out[2].endswith("skipped 999 subtrees")
 
 
 def test_choosability_known_values():
@@ -370,6 +411,19 @@ def test_exact_one_searches_each_part_on_its_own():
     assert is_pids(g, frozenset(members))
 
 
+def test_search_stops_at_the_first_part_that_fails():
+    # each of 12 disjoint K4s has a CN* coloring from {1} and the C4 after
+    # them has none; searched without the split, the C4's dead end
+    # backtracked through all 4^12 colorings of the K4s and ran past the
+    # default budget
+    edges = [
+        (4 * i + a, 4 * i + b) for i in range(12) for a, b in combinations(range(4), 2)
+    ]
+    edges += [(48 + v, 48 + (v + 1) % 4) for v in range(4)]
+    inst = solve.SolveInstance.from_graph(Graph(52, edges), "cn-star")
+    assert solve.solve_list_cf(inst, ListAssignment.uniform(52, [1])) is None
+
+
 _WRONG_EXACT_ONE = """
 from cfcolor import kernels, solve
 from cfcolor.reductions import FIGURE_FORMULA
@@ -393,26 +447,27 @@ for name, call in calls.items():
 """
 
 
-def test_exact_one_results_verified_under_optimize():
-    # {0} is no PIMDS or PIDS of P3 and no 1-in-3 solution of the figure
-    # formula; the checks must survive `python -O`, which strips asserts
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _python(code, *flags, timeout=None):
+    """Run code in a fresh interpreter that imports this cfcolor."""
     src = str(Path(solve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_EXACT_ONE],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split("\n")
+        timeout=timeout,
+    )
+
+
+def test_exact_one_results_verified_under_optimize():
+    # {0} is no PIMDS or PIDS of P3 and no 1-in-3 solution of the figure
+    # formula; the checks must survive `python -O`, which strips asserts
+    out = _python(_WRONG_EXACT_ONE, "-O").stdout.split("\n")
     assert out[:3] == [
         "find_pimds rejected",
         "find_pids rejected",

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Graph
 from cfcolor.prob import ResampleFailure
@@ -112,6 +113,54 @@ def all_one_in_three(formula):
         if formula.is_one_in_three(s):
             out.append(s)
     return out
+
+
+def connected_parts(n, sets):
+    """The connected parts of the sets, by smallest vertex, each as
+    (its vertices in increasing order, its sets over positions in that
+    list).  Vertices in no set belong to no part."""
+    incident = [[] for _ in range(n)]
+    for si, s in enumerate(sets):
+        for v in s:
+            incident[v].append(si)
+    reached = [False] * n
+    taken = [False] * len(sets)
+    for v in range(n):
+        if reached[v] or not incident[v]:
+            continue
+        reached[v] = True
+        vertices, part_sets = [v], []
+        for u in vertices:  # grows while it is walked
+            for si in incident[u]:
+                if not taken[si]:
+                    taken[si] = True
+                    part_sets.append(sets[si])
+                    for w in sets[si]:
+                        if not reached[w]:
+                            reached[w] = True
+                            vertices.append(w)
+        vertices.sort()
+        position = {w: i for i, w in enumerate(vertices)}
+        yield vertices, [[position[w] for w in s] for s in part_sets]
+
+
+def exact_one_by_parts(n, sets, budget):
+    """kernels.exact_one as one kernel call per connected part of the
+    sets, each part relabelled onto its own vertices and searched under
+    what is left of the budget."""
+    if any(not s for s in sets):
+        return 1, None, 0
+    members, nodes = [], 0
+    for vertices, part_sets in connected_parts(n, sets):
+        k = len(vertices)
+        status, assignment, used = kernels.solve_cf(
+            k, part_sets, [[0]] * k, False, True, budget - nodes
+        )
+        nodes += used
+        if status != 0:
+            return status, None, nodes
+        members += [vertices[i] for i, c in enumerate(assignment) if c == 0]
+    return 0, sorted(members), nodes
 
 
 def decide_choosable_unrestricted(inst, k, universe_size):
