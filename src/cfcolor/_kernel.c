@@ -7,8 +7,9 @@
 
    Vertices are decided part by part: the connected parts of the edges in
    order of their smallest vertex, then the vertices in no edge, each part
-   by decreasing degree, ties by id.  Parts share no edge, so a search that
-   backtracks out of a part's first vertex is exhausted.  A partial search
+   by decreasing degree, ties by id: a qsort on the pure kernel's sort key
+   (part, -degree, v).  Parts share no edge, so a search that backtracks
+   out of a part's first vertex is exhausted.  A partial search
    (require_total unset) with uncolored_first tries "uncolored" at each
    vertex before its list colors: a sparse coloring is usually the easy
    one to find.  Without uncolored_first it tries "uncolored" after the
@@ -16,9 +17,11 @@
    nodes in either order.
 
    Inputs are flat CSR int arrays built by kernels.py; every vertex index
-   must lie in [0, n) and every color in [0, num_colors).  Status codes:
-   0 = solution found, 1 = exhausted (no solution), 2 = node budget
-   exceeded, 3 = out of memory. */
+   must lie in [0, n) and every color in [0, num_colors).  Every array a
+   call needs comes from one zeroed allocation, freed before it returns.
+   Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
+   budget exceeded, 3 = out of memory, the one failure of that
+   allocation. */
 
 #include <stdlib.h>
 
@@ -141,68 +144,50 @@ static int find(int *part, int v) {
     return v;
 }
 
-/* The order of _kernel_py, sorted(key=(part, -degree, v)), by two counting
-   sorts, the vertices in no edge last as part n.  first[d] marks the
-   first vertex of a part, and holds the degree order until the part sort
-   has read it.  Returns 0 when out of memory. */
-static int search_order(const CF *s, int *order, int *first) {
-    int n = s->n, max_deg = 0;
-    const int *inc = s->inc_start;
-    for (int v = 0; v < n; v++)
-        if (inc[v + 1] - inc[v] > max_deg) max_deg = inc[v + 1] - inc[v];
-    int *part = calloc((size_t)n + 1, sizeof(int));
-    int *slot = calloc((size_t)(max_deg > n ? max_deg : n) + 2, sizeof(int));
-    int ok = part && slot;
-    if (ok) {
-        for (int v = 0; v < n; v++) slot[max_deg - (inc[v + 1] - inc[v]) + 1]++;
-        for (int k = 1; k <= max_deg + 1; k++) slot[k] += slot[k - 1];
-        for (int v = 0; v < n; v++) first[slot[max_deg - (inc[v + 1] - inc[v])]++] = v;
-        for (int v = 0; v < n; v++) part[v] = v;
-        for (int ei = 0; ei < s->m; ei++)
-            for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++) {
-                int a = find(part, s->edge_vert[s->edge_start[ei]]), b = find(part, s->edge_vert[i]);
-                part[a > b ? a : b] = a < b ? a : b;
-            }
-        for (int k = 0; k <= n + 1; k++) slot[k] = 0;
-        /* a find from v meets only smaller vertices, which hold their roots by now */
-        for (int v = 0; v < n; v++) {
-            part[v] = inc[v + 1] > inc[v] ? find(part, v) : n;
-            slot[part[v] + 1]++;
-        }
-        for (int k = 1; k <= n; k++) slot[k] += slot[k - 1];
-        for (int d = 0; d < n; d++) order[slot[part[first[d]]]++] = first[d];
-        first[0] = 1;
-        for (int d = 1; d < n; d++) first[d] = part[order[d]] != part[order[d - 1]];
-    }
-    free(part);
-    free(slot);
-    return ok;
+/* qsort order of the (part, -degree, v) keys */
+static int by_key(const void *a, const void *b) {
+    const int *x = a, *y = b;
+    for (int i = 0; i < 3; i++)
+        if (x[i] != y[i]) return x[i] < y[i] ? -1 : 1;
+    return 0;
 }
 
-/* CSR incidence of the sets: for each vertex, the sets containing it in
-   set-index order.  Returns 0 when out of memory. */
-static int incidence(int n, int m, const int *set_start, const int *set_vert,
-                     int **start_out, int **item_out) {
-    int *start = calloc((size_t)n + 1, sizeof(int));
-    int *item = calloc((size_t)set_start[m] + 1, sizeof(int));
-    int *fill = calloc((size_t)n + 1, sizeof(int));
-    if (!start || !item || !fill) {
-        free(start);
-        free(item);
-        free(fill);
-        return 0;
-    }
-    for (int i = 0; i < set_start[m]; i++) start[set_vert[i] + 1]++;
-    for (int v = 0; v < n; v++) start[v + 1] += start[v];
-    for (int si = 0; si < m; si++)
-        for (int i = set_start[si]; i < set_start[si + 1]; i++) {
-            int v = set_vert[i];
-            item[start[v] + fill[v]++] = si;
+/* The order of _kernel_py, sorted(key=(part, -degree, v)), the vertices
+   in no edge last as part n.  first[d] marks the first vertex of a part;
+   part holds n ints and key 3n. */
+static void search_order(const CF *s, int *part, int *key, int *order, int *first) {
+    int n = s->n;
+    for (int v = 0; v < n; v++) part[v] = v;
+    for (int ei = 0; ei < s->m; ei++)
+        for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++) {
+            int a = find(part, s->edge_vert[s->edge_start[ei]]), b = find(part, s->edge_vert[i]);
+            part[a > b ? a : b] = a < b ? a : b;
         }
-    free(fill);
-    *start_out = start;
-    *item_out = item;
-    return 1;
+    for (int v = 0; v < n; v++) {
+        int degree = s->inc_start[v + 1] - s->inc_start[v];
+        key[3 * v] = degree ? find(part, v) : n;
+        key[3 * v + 1] = -degree;
+        key[3 * v + 2] = v;
+    }
+    qsort(key, (size_t)n, 3 * sizeof(int), by_key);
+    first[0] = 1;  /* also when n = 0: backtracking out of depth 0 ends the search */
+    for (int d = 0; d < n; d++) {
+        order[d] = key[3 * d + 2];
+        if (d > 0) first[d] = key[3 * d] != key[3 * d - 3];
+    }
+}
+
+/* CSR incidence of the edges: for each vertex, the edges containing it
+   in edge-index order.  inc_start starts zeroed; it counts each vertex's
+   edges, sums them to the end of its run, and the fill from the last
+   edge back leaves it at the start of its run. */
+static void incidence(CF *s) {
+    int *start = s->inc_start;
+    for (int i = 0; i < s->edge_start[s->m]; i++) start[s->edge_vert[i]]++;
+    for (int v = 1; v <= s->n; v++) start[v] += start[v - 1];
+    for (int ei = s->m - 1; ei >= 0; ei--)
+        for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++)
+            s->inc_edge[--start[s->edge_vert[i]]] = ei;
 }
 
 /* Conflict-free (partial) list coloring search; see _kernel_py.solve_cf.
@@ -216,40 +201,30 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
             .tail = !require_total && !uncolored_first, .edge_start = edge_start, .edge_vert = edge_vert,
             .list_lo = list_lo, .list_hi = list_hi, .list_color = list_color};
     *nodes = 0;
-    int status = NO_MEMORY;
-    size_t depths = (size_t)n + 1;
-    int *order = calloc(depths, sizeof(int));
-    int *first = calloc(depths, sizeof(int));
-    int *next = calloc(depths, sizeof(int));
-    int *end = calloc(depths, sizeof(int));
-    int *value = calloc(depths, sizeof(int));
-    int *max_used = calloc(depths, sizeof(int));
-    s.cnt = calloc((size_t)m * (size_t)num_colors + 1, sizeof(int));
-    s.uniq = calloc((size_t)m + 1, sizeof(int));
-    s.und = calloc((size_t)m + 1, sizeof(int));
-    s.state = calloc(depths, sizeof(int));
-    if (order && first && next && end && value && max_used && s.cnt && s.uniq && s.und && s.state
-        && incidence(n, m, edge_start, edge_vert, &s.inc_start, &s.inc_edge)) {
-        if (search_order(&s, order, first)) {
-            for (int ei = 0; ei < m; ei++) s.und[ei] = edge_start[ei + 1] - edge_start[ei];
-            for (int v = 0; v < n; v++) s.state[v] = UNDECIDED;
-            s.unsat = m;
-            status = cf_search(&s, order, first, next, end, value, max_used, budget, nodes);
-            if (status == FOUND)
-                for (int v = 0; v < n; v++) out[v] = s.state[v] >= 0 ? s.state[v] : -1;
-        }
-        free(s.inc_start);
-        free(s.inc_edge);
-    }
+    /* one zeroed block: 12 runs of n + 1 ints (the per-depth arrays, the
+       union-find, the 3 key ints per vertex, the states, the incidence
+       starts), one int per incidence, and per edge its counts row, its
+       unique and its undecided count */
+    size_t depths = (size_t)n + 1, items = (size_t)edge_start[m];
+    int *order = calloc(12 * depths + items + (size_t)m * ((size_t)num_colors + 2), sizeof(int));
+    if (!order) return NO_MEMORY;
+    int *first = order + depths, *next = first + depths, *end = next + depths;
+    int *value = end + depths, *max_used = value + depths, *part = max_used + depths;
+    int *key = part + depths;
+    s.state = key + 3 * depths;
+    s.inc_start = s.state + depths;
+    s.inc_edge = s.inc_start + depths;
+    s.uniq = s.inc_edge + items;
+    s.und = s.uniq + m;
+    s.cnt = s.und + m;
+    incidence(&s);
+    search_order(&s, part, key, order, first);
+    for (int ei = 0; ei < m; ei++) s.und[ei] = edge_start[ei + 1] - edge_start[ei];
+    for (int v = 0; v < n; v++) s.state[v] = UNDECIDED;
+    s.unsat = m;
+    int status = cf_search(&s, order, first, next, end, value, max_used, budget, nodes);
+    if (status == FOUND)
+        for (int v = 0; v < n; v++) out[v] = s.state[v] >= 0 ? s.state[v] : -1;
     free(order);
-    free(first);
-    free(next);
-    free(end);
-    free(value);
-    free(max_used);
-    free(s.cnt);
-    free(s.uniq);
-    free(s.und);
-    free(s.state);
     return status;
 }

@@ -103,7 +103,7 @@ def cmd_solve(args):
         _emit(fileio.format_coloring(f), args.out)
         return EXIT_YES
     if args.uniform:
-        lists = ListAssignment.uniform(n, range(1, args.uniform + 1))
+        lists = ListAssignment.uniform_range(n, args.uniform, lo=1)
     elif args.lists:
         lists = _load_lists(args.lists, n)
     else:

@@ -8,6 +8,8 @@ materializing the huge lists the randomized pipeline works with.
 
 from __future__ import annotations
 
+import sys
+
 
 class ListAssignment:
     """Per-vertex color list.
@@ -26,6 +28,11 @@ class ListAssignment:
                 # range(0, 1) == range(0, 1, 5): only step 1 is a list
                 if e.step != 1:
                     raise ValueError("implicit range lists must have step 1")
+                # len() of a longer range raises OverflowError
+                if e.stop - e.start > sys.maxsize:
+                    raise ValueError(
+                        f"implicit range lists hold at most {sys.maxsize} colors"
+                    )
                 colors = e
             else:
                 colors = tuple(sorted(set(e)))

@@ -60,14 +60,8 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
-
-    def closed_neighborhood(self, v):
-        return self.closed[v]
 
     def has_isolated_vertex(self):
         return any(not a for a in self.adj)

@@ -292,7 +292,7 @@ def color_h1(g, a_set, b_set, lists):
     a_index = {a: i for i, a in enumerate(a_sorted)}
     edges = []
     for v in sorted(a_set | b_set):
-        edge = [w for w in g.closed_neighborhood(v) if w in a_set]
+        edge = [w for w in g.closed[v] if w in a_set]
         if edge:
             edges.append(edge)
         elif v in b_set:
@@ -340,7 +340,7 @@ def _witness_color(g, w, a_set, f1):
     """Smallest color appearing exactly once among the closed
     A-neighbors of w under f1."""
     unique = unique_colors(
-        f1.get(x) for x in g.closed_neighborhood(w) if x in a_set
+        f1.get(x) for x in g.closed[w] if x in a_set
     )
     if not unique:
         raise PipelineError("reduce_lists", f"vertex {w} has no A-witness")
@@ -366,7 +366,7 @@ def reduce_lists(g, b_set, f1, lists, k, b):
     for u in b_sorted:
         xs = {f1[a] for a in g.adj[u] if a in a_set}
         ys = set()
-        for w in g.closed_neighborhood(u):
+        for w in g.closed[u]:
             if w in b_set:
                 c = witness.get(w)
                 if c is None:

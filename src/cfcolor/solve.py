@@ -106,9 +106,8 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET, uncolored_first=True)
     if lists.n != h.n:
         raise ValueError("list assignment must cover every vertex")
     dense_lists, colors_by_dense, symmetric = _dense_colors(lists, h.n)
-    edges = [list(e) for e in h.edges]
     found = kernels.solve_cf(
-        h.n, edges, dense_lists, inst.require_total, symmetric, budget,
+        h.n, h.edges, dense_lists, inst.require_total, symmetric, budget,
         uncolored_first,
     )
     assignment = _kernel_result("solve_list_cf", budget, found)
@@ -296,7 +295,6 @@ def _find_exact_one(sets, n, budget):
     """Some vertex subset meeting every one of `sets` exactly once, or
     None.  The kernel's answer is checked against the sets it searched,
     with a raise that survives ``python -O``."""
-    sets = [list(s) for s in sets]
     found = kernels.exact_one(n, sets, budget)
     members = _kernel_result("exact-one search", budget, found)
     if members is None:
@@ -320,8 +318,7 @@ def find_pids(g, budget=DEFAULT_NODE_BUDGET):
 
     A set S qualifies iff S hits every closed neighborhood exactly once.
     """
-    sets = [g.closed_neighborhood(v) for v in range(g.n)]
-    return _find_exact_one(sets, g.n, budget)
+    return _find_exact_one(g.closed, g.n, budget)
 
 
 def solve_one_in_three(formula):

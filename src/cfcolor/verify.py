@@ -123,4 +123,4 @@ def is_pids(g, s):
     """Perfect independent dominating set: s is independent and every
     vertex outside s has exactly one neighbor in s, i.e. s meets every
     closed neighborhood exactly once."""
-    return hits_each_once((g.closed_neighborhood(v) for v in range(g.n)), s)
+    return hits_each_once(g.closed, s)

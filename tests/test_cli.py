@@ -1,8 +1,17 @@
+import sys
+
 import pytest
 
 from cfcolor import cli, fileio
+from cfcolor.coloring import ListAssignment
 from cfcolor.reductions import FIGURE_FORMULA
-from util import cycle_graph, format_formula, format_hypergraph, path_graph
+from util import (
+    cycle_graph,
+    format_formula,
+    format_hypergraph,
+    path_graph,
+    run_python,
+)
 
 
 def write_c4(tmp_path):
@@ -319,6 +328,49 @@ def test_malformed_lists_range_names_the_flag(tmp_path, capsys, spec):
         assert cli.main(argv + ["--lists", spec]) == 3
         message = f"input error: --lists {spec}: r must be an integer >= 1"
         assert message in capsys.readouterr().err
+
+
+HUGE = "100000000000000000000"  # colors in a range longer than sys.maxsize
+
+
+def test_huge_implicit_lists_exit_3(tmp_path, capsys):
+    # len() of such a range raises OverflowError, which escaped as a
+    # traceback and exit 1 ("no"); the list is rejected as input instead
+    g = write_c4(tmp_path)
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 3 1\nh 1 2 3\n")
+    lists = tmp_path / "lists.txt"
+    lists.write_text("".join(f"L {v} 0 {HUGE}\n" for v in range(1, 5)))
+    for argv in (
+        ["pipeline", "--graph", g, "--lists", f"RANGE:{HUGE}", "--seed", "1"],
+        ["lemma", "--hgraph", str(hp), "--lists", f"RANGE:{HUGE}"]
+        + ["--seed", "1", "--alpha", "1"],
+        ["solve", "--graph", g, "--lists", f"RANGE:{HUGE}"],
+        ["solve", "--graph", g, "--lists", str(lists)],
+    ):
+        assert cli.main(argv) == 3, argv
+        assert "implicit range lists hold at most" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="implicit range lists hold at most"):
+        ListAssignment([range(int(HUGE))])
+    assert ListAssignment([range(1, sys.maxsize + 1)]).size(0) == sys.maxsize
+
+
+_HUGE_UNIFORM = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cfcolor import cli
+sys.exit(cli.main(["solve", "--graph", %r, "--uniform", "100000000000"]))
+"""
+
+
+def test_huge_uniform_list_is_not_built(tmp_path, capsys):
+    # {1..k} is a range; the symmetric search cuts it to n colors, so the
+    # coloring is the one for k = n.  Built as a tuple it ran out of the
+    # 1 GiB address space (exit 2); unlimited it takes the machine's memory
+    g = write_c4(tmp_path)
+    out = run_python(_HUGE_UNIFORM % g, timeout=60).stdout
+    assert cli.main(["solve", "--graph", g, "--uniform", "4"]) == 0
+    assert out == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("size", ["5", "a..b", "10..5", "0..4"])

@@ -31,7 +31,7 @@ def test_graph_basics():
     g = cycle_graph(4)
     assert g.n == 4 and g.m == 4
     assert g.adj[0] == (1, 3)
-    assert g.closed_neighborhood(0) == (0, 1, 3)
+    assert g.closed[0] == (0, 1, 3)
     assert g.max_degree() == 2
     assert not g.has_isolated_vertex()
     assert Graph(2).has_isolated_vertex()
@@ -67,7 +67,6 @@ def test_closed_neighborhoods_insert_the_vertex_into_its_adjacency():
         assert len(g.closed) == g.n
         for v in range(g.n):
             assert g.closed[v] == tuple(sorted(g.adj[v] + (v,)))
-            assert g.closed_neighborhood(v) is g.closed[v]
 
 
 def test_derived_hypergraphs_equal_the_checked_construction():

@@ -9,7 +9,7 @@ import pytest
 
 from cfcolor import _kernel_py as pure
 from cfcolor import kernels
-from util import connected_parts, exact_one_by_parts
+from util import connected_parts, exact_one_by_parts, run_python
 
 
 requires_compiled = pytest.mark.skipif(
@@ -133,6 +133,29 @@ def test_budget_status_and_node_counts_match():
     b = pure.solve_cf(n, edges, lists, True, True, 5)
     assert a == b
     assert a[0] == 2 and a[2] == 6
+
+
+_OUT_OF_MEMORY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfcolor import kernels, solve
+from cfcolor.errors import BudgetExceededError
+assert kernels.BACKEND == "compiled"
+found = kernels.solve_cf(2, [[0, 1]], [[0], [2**31 - 2]], False, False, 100)
+print(found)
+try:
+    solve._kernel_result("solve_list_cf", 100, found)
+except BudgetExceededError as exc:
+    print(exc)
+"""
+
+
+@requires_compiled
+def test_out_of_memory_is_status_3():
+    # 2^31 - 1 colors give the one edge a count row of 8 GiB, past the
+    # 2 GiB address space: the kernel's allocation fails before any node
+    out = run_python(_OUT_OF_MEMORY, timeout=60).stdout.splitlines()
+    assert out == ["(3, None, 0)", "solve_list_cf ran out of memory"]
 
 
 def test_both_backends_reject_out_of_range_input():

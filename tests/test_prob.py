@@ -262,7 +262,7 @@ def test_color_h1_covers_a_union_b():
     assert set(f1.domain) == a
     # every vertex of A u B sees a unique color among closed A-neighbors
     for v in range(g.n):
-        cells = [f1.get(x) for x in g.closed_neighborhood(v) if x in a]
+        cells = [f1.get(x) for x in g.closed[v] if x in a]
         cells = [c for c in cells if c is not None]
         assert any(cells.count(c) == 1 for c in set(cells))
 

@@ -57,8 +57,8 @@ def test_g_prime_shape():
         assert has_edge(out.graph, i, mid)
         assert has_edge(out.graph, mid, far)
         assert not has_edge(out.graph, i, far)
-        assert out.graph.degree(far) == 1
-        assert out.graph.degree(mid) == 2
+        assert len(out.graph.adj[far]) == 1
+        assert len(out.graph.adj[mid]) == 2
 
 
 def test_g_double_prime_shape():

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +23,7 @@ from util import (
     decide_choosable_unrestricted,
     first_uncovered_assignment,
     path_graph,
+    run_python,
     star_graph,
 )
 
@@ -185,7 +182,7 @@ def test_large_k_walks_answer_or_trip_their_budget():
     # Listed up front, they kept every walk from counting a leaf; on P3
     # the walk then skips a subtree for each list holding the color a pool
     # member gives the middle vertex, and the budget counts those too
-    out = _python(_LARGE_K_WALKS, timeout=60).stdout.split("\n")
+    out = run_python(_LARGE_K_WALKS, timeout=60).stdout.split("\n")
     assert out[0] == "True"
     assert out[1].startswith("choosability enumeration exceeded 1000 assignments")
     assert out[2].endswith("skipped 999 subtrees")
@@ -405,7 +402,7 @@ def test_exact_one_searches_each_part_on_its_own():
     # all of them and ran past the default budget from 25 variables on
     formula = Formula(26, ((1, 18, 21), (3, 9, 14), (10, 13, 22)))
     g = build_g_double_prime(formula).graph
-    sets = [sorted(g.closed_neighborhood(v)) for v in range(g.n)]
+    sets = [sorted(g.closed[v]) for v in range(g.n)]
     status, members, nodes = kernels.exact_one(g.n, sets, solve.DEFAULT_NODE_BUDGET)
     assert status == 0 and nodes < 1000
     assert is_pids(g, frozenset(members))
@@ -447,27 +444,10 @@ for name, call in calls.items():
 """
 
 
-def _python(code, *flags, timeout=None):
-    """Run code in a fresh interpreter that imports this cfcolor."""
-    src = str(Path(solve.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=timeout,
-    )
-
-
 def test_exact_one_results_verified_under_optimize():
     # {0} is no PIMDS or PIDS of P3 and no 1-in-3 solution of the figure
     # formula; the checks must survive `python -O`, which strips asserts
-    out = _python(_WRONG_EXACT_ONE, "-O").stdout.split("\n")
+    out = run_python(_WRONG_EXACT_ONE, "-O").stdout.split("\n")
     assert out[:3] == [
         "find_pimds rejected",
         "find_pids rejected",

@@ -7,9 +7,13 @@ optimized library routines, which must agree with them exactly.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
@@ -20,6 +24,23 @@ from cfcolor.solve import (
     _canonical_k_subsets,
     solve_list_cf,
 )
+
+
+def run_python(code, *flags, timeout=None):
+    """Run code in a fresh interpreter that imports this cfcolor."""
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=timeout,
+    )
 
 
 def path_graph(n):
@@ -98,7 +119,7 @@ def all_pids(g):
     for mask in range(1 << g.n):
         s = {v for v in range(g.n) if mask >> v & 1}
         if all(
-            sum(1 for w in g.closed_neighborhood(v) if w in s) == 1
+            sum(1 for w in g.closed[v] if w in s) == 1
             for v in range(g.n)
         ):
             out.append(frozenset(s))
