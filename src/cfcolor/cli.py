@@ -203,9 +203,12 @@ def _sweep_propositions(args):
     def chi(g, variant):
         return solve.chromatic_number(solve.SolveInstance.from_graph(g, variant))[0]
 
+    # largest order first, so an order too large to enumerate fails at once
+    orders = range(1, args.max_n + 1)
+    classes = {n: nonisomorphic_graphs(n) for n in reversed(orders)}
     rows = []
-    for n in range(1, args.max_n + 1):
-        for g in nonisomorphic_graphs(n):
+    for n in orders:
+        for g in classes[n]:
             chi_cn_star = chi(g, "cn-star")
             chi_cn = chi(g, "cn")
             ok = chi_cn <= chi_cn_star + 1
@@ -420,7 +423,8 @@ def main(argv=None):
     except (prob.PipelineError, RecursionError, MemoryError) as exc:
         print(f"resources exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer input too large for a C size or a float
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,6 +15,8 @@ are 1-indexed on disk and translated to 0-indexed at this boundary.
 
 from __future__ import annotations
 
+import sys
+
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
 from cfcolor.graphs import Graph, Hypergraph
@@ -203,6 +205,10 @@ def parse_lists(text, n):
             hi = _parse_int(lineno, tokens[3], "range end")
             if hi <= lo:
                 _fail(lineno, f"empty range [{lo}, {hi})")
+            if hi - lo > sys.maxsize:
+                _fail(
+                    lineno, f"implicit range lists hold at most {sys.maxsize} colors"
+                )
             entry = range(lo, hi)
         else:
             _fail(lineno, f"unexpected record {tokens[0]!r}")

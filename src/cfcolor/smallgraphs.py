@@ -8,36 +8,32 @@ from itertools import combinations, permutations
 from cfcolor.graphs import Graph
 
 
-def all_labeled_graphs(n):
-    """Every graph on vertices 0..n-1."""
-    slots = list(combinations(range(n), 2))
-    for mask in range(1 << len(slots)):
-        yield Graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
-
-
-def _canonical_form(n, edge_set):
-    best = None
-    for perm in permutations(range(n)):
-        mapped = frozenset(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edge_set
-        )
-        key = tuple(sorted(mapped))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def nonisomorphic_graphs(n, connected_only=False):
-    """One representative per isomorphism class (brute-force canonical
-    form; intended for n <= 6)."""
-    seen = set()
+    """One graph per isomorphism class on vertices 0..n-1: the smallest
+    edge mask of each class (bit i is the i-th pair of
+    combinations(range(n), 2)), in increasing mask order.  The first
+    unmarked mask starts a class, and its n! relabelings are marked at
+    once.  The marks take 2^(n(n-1)/2) bytes, 2 MiB at n = 7 and 256 MiB
+    at n = 8, so n is at most 7."""
+    if n > 7:
+        raise ValueError(f"nonisomorphic_graphs enumerates n <= 7, not {n}")
+    slots = list(combinations(range(n), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(slots)}
+    # one table per relabeling p: pair index -> bit of the pair it maps to
+    tables = [
+        [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in slots]
+        for p in permutations(range(n))
+    ]
+    seen = bytearray(1 << len(slots))
     out = []
-    for g in all_labeled_graphs(n):
-        if connected_only and not is_connected(g):
+    for mask in range(len(seen)):
+        if seen[mask]:
             continue
-        key = _canonical_form(n, g.edges)
-        if key not in seen:
-            seen.add(key)
+        present = [i for i in range(len(slots)) if mask >> i & 1]
+        for table in tables:
+            seen[sum(map(table.__getitem__, present))] = 1
+        g = Graph(n, [slots[i] for i in present])
+        if not connected_only or is_connected(g):
             out.append(g)
     return out
 

@@ -243,6 +243,14 @@ def test_sweep_propositions_small(capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_sweep_propositions_refuses_order_8_at_once(capsys):
+    # the orders are enumerated largest first, so 1..7 are never swept
+    assert cli.main(["sweep", "--suite", "propositions", "--max-n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert "input error: nonisomorphic_graphs enumerates n <= 7" in captured.err
+    assert captured.out == ""
+
+
 def test_help_exits_clean(capsys):
     assert cli.main(["--help"]) == 0
     assert "verify" in capsys.readouterr().out
@@ -353,6 +361,20 @@ def test_huge_implicit_lists_exit_3(tmp_path, capsys):
     with pytest.raises(ValueError, match="implicit range lists hold at most"):
         ListAssignment([range(int(HUGE))])
     assert ListAssignment([range(1, sys.maxsize + 1)]).size(0) == sys.maxsize
+
+
+def test_oversized_integers_exit_3(tmp_path, capsys):
+    # each raised OverflowError, which escaped as a traceback and exit 1
+    g = tmp_path / "c5.txt"
+    g.write_text(fileio.format_graph(cycle_graph(5)))
+    for argv in (
+        ["choose", "--graph", str(g), "--k", HUGE],
+        ["pipeline", "--graph", str(g), "--lists", "RANGE:500", "--seed", "1"]
+        + ["--k-override", "1" + "0" * 400],
+        ["sweep", "--suite", "lemma", "--size", f"1..{HUGE}"],
+    ):
+        assert cli.main(argv) == 3, argv
+        assert "input error" in capsys.readouterr().err
 
 
 _HUGE_UNIFORM = """

@@ -197,6 +197,11 @@ def test_lists_requires_every_vertex():
         (lambda t: fileio.parse_lists(t, 1), "L 1 0 y\n", "range end is not an"),
         (lambda t: fileio.parse_lists(t, 1), "l 1 -2\n", "color -2 is below 0"),
         (lambda t: fileio.parse_lists(t, 1), "L 1 3 3\n", "empty range"),
+        (
+            lambda t: fileio.parse_lists(t, 1),
+            "L 1 0 100000000000000000000\n",
+            "implicit range lists hold at most",
+        ),
         (fileio.parse_graph, "p graph 2 z\n", "header count is not an"),
         (fileio.parse_hypergraph, "p hgraph x 1\n", "header count is not an"),
         (fileio.parse_formula, "p cnf 3 -1\n", "header count -1 is below 0"),

@@ -12,13 +12,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Graph
 from cfcolor.prob import ResampleFailure
+from cfcolor.smallgraphs import is_connected
 from cfcolor.solve import (
     ChoosabilityCertificate,
     _canonical_k_subsets,
@@ -57,6 +58,27 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
+
+
+def brute_force_nonisomorphic_graphs(n, connected_only=False):
+    """nonisomorphic_graphs by a canonical form per labeled graph: every
+    graph on 0..n-1 in edge-mask order, kept when the smallest sorted
+    edge tuple over all n! relabelings of it is new."""
+    slots = list(combinations(range(n), 2))
+    seen = set()
+    out = []
+    for mask in range(1 << len(slots)):
+        g = Graph(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+        if connected_only and not is_connected(g):
+            continue
+        key = min(
+            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+            for p in permutations(range(n))
+        )
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
 def has_edge(g, u, v):
