@@ -296,6 +296,8 @@ SWEEPS = {
 
 def cmd_sweep(args):
     rows = SWEEPS[args.suite](args)
+    if not rows:
+        raise InputFormatError(f"suite {args.suite} has nothing to check")
     ok_all = all(ok for _, ok, _ in rows)
     for idx, ok, detail in rows:
         print(f"{idx:4d} {'pass' if ok else 'FAIL'} {detail}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import combinations
 
 
 class Graph:
@@ -280,17 +281,14 @@ def line_graph(g):
     base_edges[i].  Line graphs are claw-free.
     """
     base_edges = list(g.edges)
-    index_of = {e: i for i, e in enumerate(base_edges)}
-    ledges = set()
     incident = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(base_edges):
         incident[u].append(i)
         incident[v].append(i)
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                ledges.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
-    return Graph(len(base_edges), sorted(ledges)), base_edges
+    # each list of ids increases, and two edges share at most one
+    # endpoint, so every pair of adjacent edges is listed once
+    ledges = [pair for ids in incident for pair in combinations(ids, 2)]
+    return Graph(len(base_edges), ledges), base_edges
 
 
 def random_graph(n, p, rng):

@@ -48,16 +48,17 @@ class SolveInstance:
 def _dense_colors(lists, n_cap):
     """Map a ListAssignment onto dense kernel colors.
 
-    Returns (dense_lists, colors_by_dense, symmetric).  When all lists
-    are identical the search is color-symmetric and the shared list is
-    truncated to the first n_cap colors (no solution uses more distinct
-    colors than there are vertices).  Otherwise the union of the range
-    lists is measured before any color is listed.
+    Returns (dense_lists, colors_by_dense, symmetric).  Every list is cut
+    to its first n_cap colors: the other vertices use fewer colors than
+    that, so a vertex colored outside its cut list can take a color of it
+    that no other vertex uses, which keeps every edge's unique color.
+    When all cut lists are identical the search is color-symmetric.
+    Otherwise the union of the cut range lists is measured before any
+    color is listed.
     """
-    entries = [lists.colors(v) for v in range(lists.n)]
-    symmetric = len(set(entries)) <= 1
-    if symmetric and entries:
-        shared = list(lists.colors(0)[: max(n_cap, 1)])
+    entries = [lists.colors(v)[:n_cap] for v in range(lists.n)]
+    if len(set(entries)) == 1:
+        shared = list(entries[0])
         dense = list(range(len(shared)))
         return [dense] * lists.n, shared, True
 
@@ -71,13 +72,13 @@ def _dense_colors(lists, n_cap):
         raise BudgetExceededError(
             f"range lists span {covered} colors, over the dense-color cap"
         )
-    universe = sorted({c for v in range(lists.n) for c in lists.colors(v)})
+    universe = sorted({c for e in entries for c in e})
     if len(universe) > MAX_DENSE_COLORS:
         raise BudgetExceededError(
             f"color universe of size {len(universe)} exceeds the dense-color cap"
         )
     dense_of = {c: i for i, c in enumerate(universe)}
-    dense_lists = [[dense_of[c] for c in lists.colors(v)] for v in range(lists.n)]
+    dense_lists = [[dense_of[c] for c in e] for e in entries]
     return dense_lists, universe, False
 
 
@@ -189,10 +190,12 @@ def decide_choosable(
     colors it: solve_list_cf runs only at a leaf that no member fits, and
     a subtree is skipped when a member fitting its prefix colors no
     vertex below it.  The first leaf without a coloring is therefore
-    still the canonically smallest failing assignment.  The assignment
-    budget counts the leaves the walk reaches, covered or solved, and the
-    subtrees it skips, one each: every descent reaches one of them within
-    n steps, so the budget bounds the walk for any k.
+    still the canonically smallest failing assignment.  Each vertex keeps
+    one pool map, from a color (None for uncolored) to the members giving
+    it that color.  The assignment budget counts the leaves the walk
+    reaches, covered or solved, and the subtrees it skips, one each: every
+    descent reaches one of them within n steps, so the budget bounds the
+    walk for any k.
 
     The solver tries colors before "uncolored": its colorings then tend
     to leave the last vertices uncolored, which is what lets the walk
@@ -208,41 +211,57 @@ def decide_choosable(
             return ChoosabilityCertificate(answer=False, witness=lists)
         return ChoosabilityCertificate(answer=True, pool=(f,))
 
-    # Pool members as bits: unc[v] leave v uncolored, col[v][c] color v
-    # with c, tail_free[d] color no vertex >= d.  fit[d] holds the members
-    # whose colors lie in the lists of the prefix entries[:d].
+    # Pool members as bits: col[v][c] color v with c, where c None leaves
+    # v uncolored; tail_free[d] color no vertex >= d.  fit[d] holds the
+    # members whose colors lie in the lists of the prefix entries[:d].
     pool = []
-    unc = [0] * n
-    col = [{} for _ in range(n)]
+    col = [{None: 0} for _ in range(n)]
     tail_free = [0] * (n + 1)
     fit = [0] * (n + 1)
-    # entries[d] is the list of vertex d, taken as choices[d][0][pos[d] - 1];
-    # choices[d] is (the lists listed so far, the generator of the rest) for
-    # the largest color used before d, and a listed None ends them
+    # entries[d] is the list of vertex d, entry pos[d] - 1 of the table of
+    # max_used[d], the largest color used before d: the lists listed so far
+    # and the generator of the rest, where a listed None ends them
     entries = [None] * n
-    choices = [None] * n
     pos = [0] * n
     max_used = [0] * n
     subsets_by_max = {0: ([], _canonical_k_subsets(k, 0))}
-    if n:
-        choices[0] = subsets_by_max[0]
     leaves = skipped = calls = 0
     d = 0
     while d >= 0:
-        # a leaf and a skipped subtree each settle at least one assignment
-        if d == n or fit[d] & tail_free[d]:
-            if leaves + skipped >= assignment_budget:
-                raise BudgetExceededError(
-                    f"choosability enumeration exceeded {assignment_budget} "
-                    f"assignments: reached {leaves} leaves, made {calls} "
-                    f"solver calls, pool of {len(pool)} colorings, skipped "
-                    f"{skipped} subtrees"
-                )
-            if d < n:  # a pool member covers the subtree
-                skipped += 1
+        # descend to the next list of vertex d, or back up after the last
+        if d < n and not fit[d] & tail_free[d]:
+            listed, rest = subsets_by_max[max_used[d]]
+            if pos[d] == len(listed):
+                listed.append(next(rest, None))
+            subset = listed[pos[d]]
+            if subset is None:
                 d -= 1
                 continue
-        if d == n:
+            pos[d] += 1
+            entries[d] = subset
+            pools = col[d]
+            mask = pools[None]
+            for c in subset:
+                mask |= pools.get(c, 0)
+            fit[d + 1] = fit[d] & mask
+            d += 1
+            if d < n:
+                m = max_used[d] = max(max_used[d - 1], subset[-1])
+                if m not in subsets_by_max:
+                    subsets_by_max[m] = ([], _canonical_k_subsets(k, m))
+                pos[d] = 0
+            continue
+        # a leaf and a skipped subtree each settle at least one assignment
+        if leaves + skipped >= assignment_budget:
+            raise BudgetExceededError(
+                f"choosability enumeration exceeded {assignment_budget} "
+                f"assignments: reached {leaves} leaves, made {calls} "
+                f"solver calls, pool of {len(pool)} colorings, skipped "
+                f"{skipped} subtrees"
+            )
+        if d < n:  # a pool member covers the subtree
+            skipped += 1
+        else:
             leaves += 1
             if not fit[n]:
                 lists = ListAssignment(entries)
@@ -256,38 +275,14 @@ def decide_choosable(
                 pool.append(f)
                 for v in range(n):
                     c = f.get(v)
-                    if c is None:
-                        unc[v] |= bit
-                    else:
-                        col[v][c] = col[v].get(c, 0) | bit
+                    col[v][c] = col[v].get(c, 0) | bit
                 last = max(f.domain, default=-1)
                 for j in range(last + 1, n + 1):
                     tail_free[j] |= bit
                 # found for this leaf, so it fits every prefix on the path
                 for j in range(n + 1):
                     fit[j] |= bit
-            d -= 1
-            continue
-        listed, rest = choices[d]
-        if pos[d] == len(listed):
-            listed.append(next(rest, None))
-        subset = listed[pos[d]]
-        if subset is None:
-            d -= 1
-            continue
-        pos[d] += 1
-        entries[d] = subset
-        mask = unc[d]
-        colored = col[d]
-        for c in subset:
-            mask |= colored.get(c, 0)
-        fit[d + 1] = fit[d] & mask
-        d += 1
-        if d < n:
-            m = max_used[d] = max(max_used[d - 1], subset[-1])
-            if m not in subsets_by_max:
-                subsets_by_max[m] = ([], _canonical_k_subsets(k, m))
-            choices[d], pos[d] = subsets_by_max[m], 0
+        d -= 1
     return ChoosabilityCertificate(answer=True, pool=tuple(pool))
 
 

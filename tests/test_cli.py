@@ -236,6 +236,21 @@ def test_choose_assignment_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exceeded 5 assignments: reached 5 leaves, made 2 solver calls" in err
     assert "pool of 2 colorings" in err
+    # leaves, solver calls, pool and skips together pin the walk's order
+    # and its budget accounting
+    for graph, variant, budget, leaves, calls, skipped in (
+        (path_graph(4), "on-star", 20, 6, 6, 14),
+        (path_graph(5), "cn-star", 200, 110, 31, 90),
+        (cycle_graph(6), "on-star", 200, 41, 41, 159),
+    ):
+        g.write_text(fileio.format_graph(graph))
+        argv = ["choose", "--graph", str(g), "--variant", variant, "--k", "2"]
+        assert cli.main(argv + ["--assignment-budget", str(budget)]) == 2
+        assert (
+            f"exceeded {budget} assignments: reached {leaves} leaves, made "
+            f"{calls} solver calls, pool of {calls} colorings, skipped "
+            f"{skipped} subtrees\n"
+        ) in capsys.readouterr().err
 
 
 def test_sweep_propositions_small(capsys):
@@ -414,6 +429,22 @@ def test_malformed_sweep_size_names_the_flag(capsys, size):
 def test_every_sweep_suite_passes_at_its_defaults(capsys, argv):
     assert cli.main(["sweep"] + argv) == 0
     assert f"suite {argv[1]}: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "propositions", "--max-n", "0"],
+        ["--suite", "reductions", "--trials", "-3"],
+        ["--suite", "pipeline", "--trials", "0"],
+    ],
+)
+def test_sweep_that_checks_nothing_exits_3(capsys, argv):
+    # "pass (0 rows)" would claim a check that never ran
+    assert cli.main(["sweep"] + argv) == 3
+    captured = capsys.readouterr()
+    assert f"suite {argv[1]} has nothing to check" in captured.err
+    assert captured.out == ""
 
 
 def test_out_holds_exactly_the_printed_result(tmp_path, capsys):

@@ -473,20 +473,43 @@ def test_symmetric_range_lists_are_not_materialized():
 def test_range_list_universe_is_checked_before_it_is_built():
     import tracemalloc
 
-    inst = solve.SolveInstance.from_graph(path_graph(2), "cn-star")
+    # every list is cut to its first n colors: on P2 these are {0, 1} twice
+    p2 = solve.SolveInstance.from_graph(path_graph(2), "cn-star")
     lists = ListAssignment([range(0, 3_000_000), range(0, 5)])
+    assert solve.solve_list_cf(p2, lists) is not None
+    # 1500 disjoint cut lists of 1500 colors span 2,250,000 colors
+    n = 1500
+    inst = solve.SolveInstance.from_graph(path_graph(n), "cn-star")
+    lists = ListAssignment([range(n * v, n * v + 10**9) for v in range(n)])
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="dense-color cap"):
+        with pytest.raises(BudgetExceededError, match="span 2250000 colors"):
             solve.solve_list_cf(inst, lists)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     # overlaps count once, gaps not at all
-    for entries, span in (
-        ([range(0, 1_500_000), range(1_000_000, 2_500_000)], 2_500_000),
-        ([range(3_000_000, 4_000_001), range(0, 1_000_000)], 2_000_001),
-    ):
+    for step, span in ((1400, 1400 * (n - 1) + n), (2000, n * n)):
+        entries = [range(step * v, step * v + 2 * n) for v in range(n)]
         with pytest.raises(BudgetExceededError, match=f"span {span} colors"):
             solve.solve_list_cf(inst, ListAssignment(entries))
+
+
+def test_long_range_lists_are_cut_before_their_colors_are_listed():
+    import tracemalloc
+
+    # the union of these lists holds 1,000,001 colors, under the cap; only
+    # the first 40 colors of each list are mapped to dense colors
+    inst = solve.SolveInstance.from_graph(cycle_graph(40), "cn-star")
+    lists = ListAssignment([range(v % 2, 1_000_000 + v % 2) for v in range(40)])
+    tracemalloc.start()
+    try:
+        f = solve.solve_list_cf(inst, lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the coloring found before the lists were cut
+    expected = {2 + 3 * i: i % 2 for i in range(13)}
+    assert dict(f.items()) == {**expected, 39: 1}
