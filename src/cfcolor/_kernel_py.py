@@ -1,10 +1,10 @@
 """Pure-Python search kernel.
 
-Same contract as the C kernel in ``_kernel.c``; the two are
-interchangeable and must explore the identical search tree so results are
-byte-identical.  This module is the reference the parity tests compare the
-C kernel against, and the fallback when it cannot be built.  See
-``cfcolor.kernels`` for the import-time selection.
+``search`` is a line-for-line port of the C kernel in ``_kernel.c``: the
+same flat arguments, prepared and checked by ``cfcolor.kernels.solve_cf``,
+and the identical search tree, so results are byte-identical.  This
+module is the reference the parity tests compare the C kernel against,
+and the fallback when it cannot be built.
 
 The search decides the connected parts of the edges one after the
 other and ends at the first part without a solution.
@@ -19,48 +19,33 @@ UNDECIDED = -2
 UNCOLORED = -1
 
 
-def check_input(n, vertices, colors):
-    """Raise ValueError unless every edge vertex lies in [0, n) and no
-    color is negative.  Both kernels index their arrays with vertices and
-    colors, the C kernel unchecked, so each runs this, on its flattened
-    edges and lists, before its search."""
-    if vertices and (min(vertices) < 0 or max(vertices) >= n):
-        raise ValueError(f"edge vertex out of range [0, {n})")
-    if colors and min(colors) < 0:
-        raise ValueError("negative color")
-
-
-def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=True):
+def search(n, m, edge_start, edge_vert, list_lo, list_hi, list_color, num_colors,
+           require_total, symmetric, uncolored_first, budget):
     """Backtracking search for a conflict-free (partial) list coloring.
 
-    `edges` are vertex index lists, `lists` per-vertex dense color ids in
-    list order (when `symmetric`, all lists are identical and a color may
-    only be introduced as previous-max + 1).  Vertices are branched part
-    by part, by smallest vertex and the vertices in no edge last, each in
-    decreasing hypergraph-degree order, ties by id.  At each vertex a
-    partial search (`require_total` false) tries "uncolored" first when
-    `uncolored_first`, then the colors in list order; otherwise the
-    colors, then "uncolored".  A total search tries only the colors.  A
-    search over one part that finds nothing visits the same nodes in
-    either order.
+    Edge e is edge_vert[edge_start[e]:edge_start[e + 1]] and the list of
+    v, dense colors below num_colors, list_color[list_lo[v]:list_hi[v]]
+    (when `symmetric`, all lists are identical and a color may only be
+    introduced as previous-max + 1).  Vertices are
+    branched part by part, by smallest vertex and the vertices in no edge
+    last, each in decreasing hypergraph-degree order, ties by id.  At each
+    vertex a partial search (`require_total` false) tries "uncolored"
+    first when `uncolored_first`, then the colors in list order;
+    otherwise the colors, then "uncolored".  A total search tries only
+    the colors.  A search over one part that finds nothing visits the
+    same nodes in either order.
 
     The search is the C kernel's loop: an explicit state per depth
     instead of recursion, so its depth is bounded by n, not by the
     Python recursion limit.
 
     Returns (status, assignment, nodes) where assignment[v] is a dense
-    color or -1 for uncolored.  Raises ValueError on a vertex or color
-    that check_input rejects.
+    color or -1 for uncolored.
     """
-    check_input(
-        n, [v for e in edges for v in e], [c for lst in lists for c in lst]
-    )
-    m = len(edges)
-    num_colors = 0
-    for lst in lists:
-        for c in lst:
-            if c + 1 > num_colors:
-                num_colors = c + 1
+    edges = [edge_vert[edge_start[ei]:edge_start[ei + 1]] for ei in range(m)]
+    # a symmetric search passes its shared list once
+    spans = zip(list_lo, list_hi)
+    lists = [list_color] * n if symmetric else [list_color[a:b] for a, b in spans]
 
     incident = [[] for _ in range(n)]
     for ei, e in enumerate(edges):

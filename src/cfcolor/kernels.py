@@ -1,5 +1,6 @@
-"""Kernel selection: the C kernel of ``_kernel.c`` when it builds, else
-the pure-Python kernel of ``_kernel_py``.
+"""``solve_cf``, the one entry to the conflict-free search: it prepares
+the input and calls ``search`` with flat arrays, the C kernel of
+``_kernel.c`` when it builds, else the pure-Python kernel of ``_kernel_py``.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
@@ -15,7 +16,7 @@ On first import ``_kernel.c`` is compiled with ``cc`` into the package's
 library.  When the compiler is missing, or building or loading
 fails, the pure-Python kernel is used.  ``BACKEND`` says which backend is
 active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
-oracle, is one call of that search with the single color 0, so it tries
+oracle, is one ``solve_cf`` call with the single color 0, so it tries
 "not a member" first.
 
 Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
@@ -82,12 +83,12 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, solve_cf): the C kernel built into cache_dir, or the
+    """(backend, search): the C kernel built into cache_dir, or the
     pure-Python kernel when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.solve_cf
+        return "pure-python", _kernel_py.search
     return "compiled", _bind(lib)
 
 
@@ -105,39 +106,60 @@ def _csr(rows):
 
 
 def _bind(lib):
-    """A Python function with the contract of ``_kernel_py.solve_cf``
-    around the C function of lib."""
+    """``_kernel_py.search`` on the C function of lib."""
     c_solve = lib.solve_cf
     c_solve.argtypes = [_int, _int] + [_ptr] * 5 + [_int] * 4 + [ctypes.c_longlong, _ptr, _ptr]
     c_solve.restype = _int
 
-    def solve_cf(n, edges, lists, require_total, symmetric, budget, uncolored_first=True):
-        """Same contract and search order as ``_kernel_py.solve_cf``."""
-        edge_start, edge_vert = _csr(edges)
-        if symmetric and n:
-            # identical lists: pass the shared one once
-            colors = list(lists[0])
-            lo, hi = [0] * n, [len(colors)] * n
-        else:
-            start, colors = _csr(lists)
-            lo, hi = start[:-1], start[1:]
-        _kernel_py.check_input(n, edge_vert, colors)
-        num_colors = max(colors, default=-1) + 1
+    def search(n, m, edge_start, edge_vert, list_lo, list_hi, list_color, num_colors,
+               require_total, symmetric, uncolored_first, budget):
         # the buffers stay referenced here until the C call returns
-        inputs = [array("i", a) for a in (edge_start, edge_vert, lo, hi, colors)]
+        inputs = [array("i", a) for a in (edge_start, edge_vert, list_lo, list_hi, list_color)]
         out = array("i", [0]) * n
         nodes = array("q", [0])
         status = c_solve(
-            n, len(edges), *map(_address, inputs), num_colors,
-            bool(require_total), bool(symmetric), bool(uncolored_first),
+            n, m, *map(_address, inputs), num_colors,
+            bool(require_total), symmetric, bool(uncolored_first),
             min(max(budget, 0), MAX_BUDGET), _address(out), _address(nodes),
         )
         return status, out.tolist() if status == 0 else None, nodes[0]
 
-    return solve_cf
+    return search
 
 
-BACKEND, solve_cf = load(os.path.join(HERE, "__pycache__"))
+BACKEND, search = load(os.path.join(HERE, "__pycache__"))
+
+
+def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):
+    """(status, assignment, nodes) of the conflict-free search over the
+    edges with per-vertex lists of dense colors; assignment[v] is v's
+    color or -1 for uncolored.
+
+    A vertex outside [0, n) or a negative color raises ValueError before
+    an empty edge, which never has a unique color, answers "no".  When
+    every list equals the first the search is color-symmetric and gets
+    the shared list once.  ``search`` is looked up at call time, so a
+    test can swap backends.
+    """
+    edge_start, edge_vert = _csr(edges)
+    symmetric = bool(lists) and lists.count(lists[0]) == n
+    if symmetric:
+        list_color = list(lists[0])
+        list_lo, list_hi = [0] * n, [len(list_color)] * n
+    else:
+        list_start, list_color = _csr(lists)
+        list_lo, list_hi = list_start[:-1], list_start[1:]
+    if edge_vert and (min(edge_vert) < 0 or max(edge_vert) >= n):
+        raise ValueError(f"edge vertex out of range [0, {n})")
+    if list_color and min(list_color) < 0:
+        raise ValueError("negative color")
+    if not all(edges):
+        return 1, None, 0
+    num_colors = max(list_color, default=-1) + 1
+    return search(
+        n, len(edges), edge_start, edge_vert, list_lo, list_hi, list_color,
+        num_colors, require_total, symmetric, uncolored_first, budget,
+    )
 
 
 def exact_one(n, sets, budget):
@@ -148,15 +170,10 @@ def exact_one(n, sets, budget):
     color 0 iff exactly one of its vertices is colored, so this is the
     conflict-free search with the list [0] everywhere; the members are the
     vertices colored 0, and each vertex is tried as "not a member" before
-    "member".  The kernel searches the connected parts of the sets one
-    after the other and stops at the first part that fails.  A vertex in
-    no set is never a member.  ``solve_cf`` is looked up by name at call
-    time, so a wrapper installed on it sees the search.
+    "member".  A vertex in no set is never a member.  ``solve_cf`` is
+    looked up by name at call time, so a wrapper installed on it sees the
+    search.
     """
-    # the range check comes before the answer for an empty set
-    _kernel_py.check_input(n, [v for s in sets for v in s], ())
-    if any(not s for s in sets):
-        return 1, None, 0
-    status, assignment, nodes = solve_cf(n, sets, [[0]] * n, False, True, budget)
+    status, assignment, nodes = solve_cf(n, sets, [[0]] * n, False, budget)
     members = None if status else [v for v, c in enumerate(assignment) if c == 0]
     return status, members, nodes

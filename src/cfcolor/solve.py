@@ -48,22 +48,18 @@ class SolveInstance:
 def _dense_colors(lists, n_cap):
     """Map a ListAssignment onto dense kernel colors.
 
-    Returns (dense_lists, colors_by_dense, symmetric).  Every list is cut
-    to its first n_cap colors: the other vertices use fewer colors than
-    that, so a vertex colored outside its cut list can take a color of it
-    that no other vertex uses, which keeps every edge's unique color.
-    When all cut lists are identical the search is color-symmetric.
-    Otherwise the union of the cut range lists is measured before any
-    color is listed.
+    Returns (dense_lists, colors_by_dense).  Every list is cut to its
+    first n_cap colors: the other vertices use fewer colors than that, so
+    a vertex colored outside its cut list can take a color of it that no
+    other vertex uses, which keeps every edge's unique color.  Equal cut
+    lists share one dense list, so identical lists are mapped once and
+    the kernel sees that the search is color-symmetric.  The union of the
+    cut range lists is measured before any color is listed.
     """
     entries = [lists.colors(v)[:n_cap] for v in range(lists.n)]
-    if len(set(entries)) == 1:
-        shared = list(entries[0])
-        dense = list(range(len(shared)))
-        return [dense] * lists.n, shared, True
-
+    distinct = dict.fromkeys(entries)
     covered = end = 0
-    ranges = sorted((e.start, e.stop) for e in entries if isinstance(e, range))
+    ranges = sorted((e.start, e.stop) for e in distinct if isinstance(e, range))
     for lo, hi in ranges:
         if hi > end:
             covered += hi - max(lo, end)
@@ -72,14 +68,15 @@ def _dense_colors(lists, n_cap):
         raise BudgetExceededError(
             f"range lists span {covered} colors, over the dense-color cap"
         )
-    universe = sorted({c for e in entries for c in e})
+    universe = sorted({c for e in distinct for c in e})
     if len(universe) > MAX_DENSE_COLORS:
         raise BudgetExceededError(
             f"color universe of size {len(universe)} exceeds the dense-color cap"
         )
     dense_of = {c: i for i, c in enumerate(universe)}
-    dense_lists = [[dense_of[c] for c in e] for e in entries]
-    return dense_lists, universe, False
+    for e in distinct:
+        distinct[e] = [dense_of[c] for c in e]
+    return [distinct[e] for e in entries], universe
 
 
 def _kernel_result(search, budget, found):
@@ -106,10 +103,9 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET, uncolored_first=True)
     h = inst.hypergraph
     if lists.n != h.n:
         raise ValueError("list assignment must cover every vertex")
-    dense_lists, colors_by_dense, symmetric = _dense_colors(lists, h.n)
+    dense_lists, colors_by_dense = _dense_colors(lists, h.n)
     found = kernels.solve_cf(
-        h.n, h.edges, dense_lists, inst.require_total, symmetric, budget,
-        uncolored_first,
+        h.n, h.edges, dense_lists, inst.require_total, budget, uncolored_first
     )
     assignment = _kernel_result("solve_list_cf", budget, found)
     if assignment is None:

@@ -306,8 +306,8 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
 
     table = [
         (solve_path, {}, 0),
-        (solve_path, {(kernels, "solve_cf"): _kernel_py.solve_cf}, 0),
-        (solve_path, {(kernels, "solve_cf"): crashed_search}, 2),
+        (solve_path, {(kernels, "search"): _kernel_py.search}, 0),
+        (solve_path, {(kernels, "search"): crashed_search}, 2),
         (
             pipeline,
             {

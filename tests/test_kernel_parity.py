@@ -4,6 +4,7 @@ compiled backend is ``_kernel.c``, built on import when a C compiler is
 present."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,13 @@ requires_compiled = pytest.mark.skipif(
 @requires_compiled
 def test_backend_is_compiled_when_built():
     assert kernels.BACKEND == "compiled"
-    assert kernels.solve_cf is not pure.solve_cf
+    assert kernels.search is not pure.search
+
+
+def _on_pure_backend(call, *args):
+    """call(*args) with the pure-Python search behind kernels.solve_cf."""
+    with mock.patch.object(kernels, "search", pure.search):
+        return call(*args)
 
 
 def _same_in_both_backends(*args):
@@ -33,7 +40,8 @@ def _same_in_both_backends(*args):
     results = []
     for uncolored_first in (True, False):
         got = kernels.solve_cf(*args, uncolored_first)
-        assert got == pure.solve_cf(*args, uncolored_first), (args, uncolored_first)
+        pure_got = _on_pure_backend(kernels.solve_cf, *args, uncolored_first)
+        assert got == pure_got, (args, uncolored_first)
         results.append(got)
     if 1 in (results[0][0], results[1][0]):
         assert results[0][0] == results[1][0], args
@@ -54,7 +62,7 @@ def test_solve_cf_parity_randomized():
         lists = [sorted(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
         budget = rng.choice([50, 100000])
         for total in (False, True):
-            for got in _same_in_both_backends(n, edges, lists, total, False, budget):
+            for got in _same_in_both_backends(n, edges, lists, total, budget):
                 trips += got[0] == 2
     assert trips > 0
 
@@ -73,15 +81,46 @@ def test_solve_cf_parity_symmetric_mode():
             edges = [sorted(rng.sample(range(n), rng.randint(1, size))) for _ in range(m)]
             shared = list(range(rng.randint(1, 4)))
             for total in (False, True):
-                for got in _same_in_both_backends(n, edges, [shared] * n, total, True, budget):
+                for got in _same_in_both_backends(n, edges, [shared] * n, total, budget):
                     trips += got[0] == 2
             # the one-color list [0] in partial mode is the exact-one
             # search behind PIMDS, PIDS and the 1-in-3 oracle; it prunes
             # so hard that only a small budget trips it here
             for limit in (budget, 20):
-                for got in _same_in_both_backends(n, edges, [[0]] * n, False, True, limit):
+                for got in _same_in_both_backends(n, edges, [[0]] * n, False, limit):
                     one_color_trips += got[0] == 2
     assert trips > 0 and one_color_trips > 0
+
+
+def test_unequal_lists_are_searched_inside_their_lists():
+    # with a caller-set symmetry flag these searched as if the lists were
+    # equal: the C kernel answered "no" to the first and colored vertex 2
+    # of the second outside its list [2]
+    for n, edges, lists, budget in (
+        (2, [[0, 1]], [[0], [1]], 10),
+        (3, [[0, 1, 2]], [[0, 1], [0, 1], [2]], 100),
+    ):
+        got = kernels.solve_cf(n, edges, lists, True, budget)
+        assert got == _on_pure_backend(kernels.solve_cf, n, edges, lists, True, budget)
+        status, assignment, _ = got
+        assert status == 0
+        assert all(assignment[v] in lists[v] for v in range(n)), got
+
+
+def test_equal_lists_search_like_one_shared_list():
+    # symmetry is read from the lists, so equal lists held separately
+    # search exactly like one list shared by every vertex
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        edges = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 10))]
+        shared = sorted(rng.sample(range(6), rng.randint(1, 4)))
+        separate = [list(shared) for _ in range(n)]
+        for total in (False, True):
+            for uncolored_first in (True, False):
+                flags = (total, 10_000, uncolored_first)
+                one = kernels.solve_cf(n, edges, [shared] * n, *flags)
+                assert kernels.solve_cf(n, edges, separate, *flags) == one, (edges, flags)
 
 
 def _exact_one_cases():
@@ -105,9 +144,9 @@ def _exact_one_cases():
 def test_exact_one_parity_randomized(monkeypatch):
     cases = _exact_one_cases()
     compiled = [kernels.exact_one(*case) for case in cases]
-    # exact_one looks solve_cf up at call time, so this runs the same
-    # search on the pure-Python kernel
-    monkeypatch.setattr(kernels, "solve_cf", pure.solve_cf)
+    # solve_cf looks search up at call time, so this runs the same search
+    # on the pure-Python kernel
+    monkeypatch.setattr(kernels, "search", pure.search)
     assert compiled == [kernels.exact_one(*case) for case in cases]
     assert any(got[0] == 2 for got in compiled)
 
@@ -129,8 +168,8 @@ def test_budget_status_and_node_counts_match():
     lists = [[0, 1]] * n
     # any total solution needs at least n assignments, so a budget of 5
     # must trip in both backends at the same node
-    a = kernels.solve_cf(n, edges, lists, True, True, 5)
-    b = pure.solve_cf(n, edges, lists, True, True, 5)
+    a = kernels.solve_cf(n, edges, lists, True, 5)
+    b = _on_pure_backend(kernels.solve_cf, n, edges, lists, True, 5)
     assert a == b
     assert a[0] == 2 and a[2] == 6
 
@@ -141,7 +180,7 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from cfcolor import kernels, solve
 from cfcolor.errors import BudgetExceededError
 assert kernels.BACKEND == "compiled"
-found = kernels.solve_cf(2, [[0, 1]], [[0], [2**31 - 2]], False, False, 100)
+found = kernels.solve_cf(2, [[0, 1]], [[0], [2**31 - 2]], False, 100)
 print(found)
 try:
     solve._kernel_result("solve_list_cf", 100, found)
@@ -161,16 +200,20 @@ def test_out_of_memory_is_status_3():
 def test_both_backends_reject_out_of_range_input():
     # a vertex outside [0, n) or a negative color is an error on either
     # backend, never an index that wraps around or runs off an array
+    # in equal lists, which are passed once, and in unequal ones
     cases = [
         ([[-1, 0]], [[0], [0]], "edge vertex out of range"),
+        ([[-1, 0]], [[0], [1]], "edge vertex out of range"),
         ([[2, 0]], [[0], [0]], "edge vertex out of range"),
+        ([[2, 0]], [[1], [0]], "edge vertex out of range"),
         ([[1, 0]], [[0, -1], [0, -1]], "negative color"),
+        ([[1, 0]], [[0], [0, -1]], "negative color"),
     ]
-    for solve_cf in {pure.solve_cf, kernels.solve_cf}:
-        for edges, lists, message in cases:
-            for symmetric in (False, True):
+    for edges, lists, message in cases:
+        for search in (kernels.search, pure.search):
+            with mock.patch.object(kernels, "search", search):
                 with pytest.raises(ValueError, match=message):
-                    solve_cf(2, edges, lists, False, symmetric, 10)
+                    kernels.solve_cf(2, edges, lists, False, 10)
     # the range check runs before the answer for an empty set
     for sets in ([[-1]], [[2]], [[], [2]]):
         with pytest.raises(ValueError, match="edge vertex out of range"):
@@ -180,16 +223,18 @@ def test_both_backends_reject_out_of_range_input():
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
-        pure.solve_cf,
+        pure.search,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, solve_cf = kernels.load(tmp_path)
+    backend, search = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns
     assert kernels.load(tmp_path)[0] == "compiled"
     assert list(tmp_path.iterdir()) == [library]
     assert library.stat().st_mtime_ns == built
-    assert solve_cf(2, [[0, 1]], [[0], [0]], True, False, 10) == (1, None, 2)
+    # the edge {0, 1} and the lists [0], [0], passed unshared
+    args = (2, 1, [0, 2], [0, 1], [0, 1], [1, 2], [0, 0], 1, True, False, True, 10)
+    assert search(*args) == pure.search(*args) == (1, None, 2)

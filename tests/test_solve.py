@@ -105,6 +105,27 @@ def test_budget_raises():
         solve.solve_list_cf(inst, lists, budget=5)
 
 
+def test_equal_lists_written_differently_search_symmetrically(monkeypatch):
+    # (1, 2) and range(1, 3) are the same list: the search is as
+    # color-symmetric as with {1, 2} everywhere and visits its 15 nodes
+    # (30 when only identical entries counted as symmetric)
+    g = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+    inst = solve.SolveInstance.from_graph(g, "cn")
+    nodes = []
+    search = kernels.solve_cf
+
+    def counted(*args):
+        found = search(*args)
+        nodes.append(found[2])
+        return found
+
+    monkeypatch.setattr(kernels, "solve_cf", counted)
+    mixed = ListAssignment([(1, 2) if v % 2 else range(1, 3) for v in range(5)])
+    assert solve.solve_list_cf(inst, mixed) is None
+    assert solve.solve_list_cf(inst, ListAssignment.uniform(5, (1, 2))) is None
+    assert nodes == [15, 15]
+
+
 # the first G(40, 78) that the benchmark's cfbench/inputs.colorable_graph
 # draws from Random(2026); it has a CN* coloring from {1, 2}
 G40_EDGES = (

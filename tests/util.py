@@ -197,7 +197,7 @@ def exact_one_by_parts(n, sets, budget):
     for vertices, part_sets in connected_parts(n, sets):
         k = len(vertices)
         status, assignment, used = kernels.solve_cf(
-            k, part_sets, [[0]] * k, False, True, budget - nodes
+            k, part_sets, [[0]] * k, False, budget - nodes
         )
         nodes += used
         if status != 0:
