@@ -16,8 +16,11 @@
    colors.  A search over one part that finds nothing visits the same
    nodes in either order.
 
-   Inputs are flat CSR int arrays built by kernels.py; every vertex index
-   must lie in [0, n) and every color in [0, num_colors).  Every array a
+   Inputs are flat CSR int arrays built by kernels.solve_cf, the one entry
+   for both backends, which checks that every vertex index lies in [0, n)
+   and every color in [0, num_colors), and sets symmetric exactly when
+   every list equals the first, passing that list once; the pure kernel's
+   search takes the same arguments.  Every array a
    call needs comes from one zeroed allocation, freed before it returns.
    Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
    budget exceeded, 3 = out of memory, the one failure of that

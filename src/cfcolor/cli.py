@@ -78,10 +78,14 @@ def _load_lists(spec_text, n):
 
 def _instance(args):
     if args.hgraph:
+        if args.variant:
+            raise InputFormatError("--variant applies to --graph inputs only")
         h = fileio.parse_hypergraph(_read(args.hgraph))
         return solve.SolveInstance(h, args.total)
+    if args.total:
+        raise InputFormatError("--total applies to --hgraph inputs only")
     g = fileio.parse_graph(_read(args.graph))
-    return solve.SolveInstance.from_graph(g, args.variant)
+    return solve.SolveInstance.from_graph(g, args.variant or "cn-star")
 
 
 def cmd_verify(args):
@@ -102,12 +106,10 @@ def cmd_solve(args):
         print(f"chromatic {k}")
         _emit(fileio.format_coloring(f), args.out)
         return EXIT_YES
-    if args.uniform:
+    if args.uniform is not None:
         lists = ListAssignment.uniform_range(n, args.uniform, lo=1)
-    elif args.lists:
-        lists = _load_lists(args.lists, n)
     else:
-        raise InputFormatError("solve needs --lists, --uniform or --chromatic")
+        lists = _load_lists(args.lists, n)
     f = solve.solve_list_cf(inst, lists, budget=args.budget)
     if f is None:
         print("no coloring")
@@ -244,6 +246,15 @@ def _sweep_reductions(args):
     return rows
 
 
+def nonnegative(text):
+    """A budget: an integer >= 0; argparse names the flag and the value
+    when this raises."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def size_range(text):
     """`--size <lo>..<hi>` with integers 1 <= lo <= hi; argparse names the
     flag and the value when this raises."""
@@ -319,8 +330,7 @@ def build_parser():
         sp.add_argument(
             "--variant",
             choices=solve.VARIANTS,
-            default="cn-star",
-            help="neighborhood variant for graph inputs",
+            help="neighborhood variant for graph inputs (default cn-star)",
         )
         sp.add_argument(
             "--total",
@@ -337,19 +347,20 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="exact list-CF coloring search")
     add_instance_args(sp)
-    sp.add_argument("--lists", help="lists file or RANGE:<r>")
-    sp.add_argument("--uniform", type=int, help="constant lists {1..k}")
-    sp.add_argument("--chromatic", action="store_true")
-    sp.add_argument("--budget", type=int, default=solve.DEFAULT_NODE_BUDGET)
+    lists = sp.add_mutually_exclusive_group(required=True)
+    lists.add_argument("--lists", help="lists file or RANGE:<r>")
+    lists.add_argument("--uniform", type=int, help="constant lists {1..k}")
+    lists.add_argument("--chromatic", action="store_true")
+    sp.add_argument("--budget", type=nonnegative, default=solve.DEFAULT_NODE_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("choose", help="decide k-choosability")
     add_instance_args(sp)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=solve.DEFAULT_NODE_BUDGET)
+    sp.add_argument("--budget", type=nonnegative, default=solve.DEFAULT_NODE_BUDGET)
     sp.add_argument(
-        "--assignment-budget", type=int, default=solve.DEFAULT_ASSIGNMENT_BUDGET
+        "--assignment-budget", type=nonnegative, default=solve.DEFAULT_ASSIGNMENT_BUDGET
     )
     sp.set_defaults(func=cmd_choose)
 

@@ -137,16 +137,32 @@ class ChoosabilityCertificate:
     On "no", `witness` is the canonically smallest k-assignment with no
     valid coloring (confirmed by solve_list_cf returning None).  On "yes",
     `pool` holds colorings that each passed verify_cf with the lists they
-    were found for.  For k >= 2 every canonical k-assignment has a pool
-    member inside its lists, and since being conflict-free does not
-    depend on the lists, list membership alone checks the answer.  For
-    k = 1 the pool is the coloring of the constant assignment, whose
-    color class transfers to any singleton lists.
+    were found for.  For k = 1 the pool is the coloring of the constant
+    assignment, whose color class transfers to any singleton lists.  For
+    k >= 2 the pool is empty when every vertex shares edges with fewer
+    than k other vertices: colored greedily in any order, each vertex
+    then has a color in its list that no vertex sharing an edge with it
+    has, so the colors inside every edge are distinct and each is unique.
+    Otherwise every canonical k-assignment has a pool member inside its
+    lists, and since being conflict-free does not depend on the lists,
+    list membership alone checks the answer.
     """
 
     answer: bool
     witness: ListAssignment | None = None
     pool: tuple = ()
+
+
+def _few_sharers(h, k):
+    """Does every vertex share edges with fewer than k other vertices?"""
+    if any(len(e) > k for e in h.edges):
+        return False
+    # a vertex's set holds itself once it lies in an edge
+    sharers = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for v in e:
+            sharers[v].update(e)
+    return all(len(s) <= k for s in sharers)
 
 
 def _canonical_k_subsets(k, max_used):
@@ -177,7 +193,9 @@ def decide_choosable(
 
     For k = 1 the constant singleton assignment is the hardest one (any
     monochromatic solution transfers to arbitrary singleton lists), so
-    only it is checked.  For k >= 2 the canonical k-assignments (every
+    only it is checked.  For k >= 2 the answer is "yes" at once when
+    every vertex shares edges with fewer than k others (see
+    ChoosabilityCertificate); otherwise the canonical k-assignments (every
     k-assignment up to color renaming: vertex by vertex, a list from
     _canonical_k_subsets of the largest color used before it) are walked
     in lexicographic order, keeping a pool of the colorings found so
@@ -206,6 +224,8 @@ def decide_choosable(
         if f is None:
             return ChoosabilityCertificate(answer=False, witness=lists)
         return ChoosabilityCertificate(answer=True, pool=(f,))
+    if _few_sharers(inst.hypergraph, k):
+        return ChoosabilityCertificate(answer=True)
 
     # Pool members as bits: col[v][c] color v with c, where c None leaves
     # v uncolored; tail_free[d] color no vertex >= d.  fit[d] holds the

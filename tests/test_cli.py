@@ -209,6 +209,32 @@ def test_integer_input_errors_exit_3_with_line_number(tmp_path, capsys):
     assert "line 2: header count is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["solve", "--hgraph", "H", "--variant", "cn", "--uniform", "1"],
+        ["verify", "--hgraph", "H", "--variant", "cn-star", "--coloring", "C"],
+        ["solve", "--graph", "G", "--total", "--uniform", "2"],
+        ["solve", "--graph", "G", "--uniform", "2", "--chromatic"],
+        ["solve", "--graph", "G", "--lists", "RANGE:2", "--uniform", "2"],
+        ["solve", "--graph", "G"],
+        ["solve", "--graph", "G", "--uniform", "2", "--budget", "-5"],
+        ["choose", "--graph", "G", "--k", "2", "--budget", "-1"],
+        ["choose", "--graph", "G", "--k", "2", "--assignment-budget", "-1"],
+    ],
+)
+def test_ignored_or_out_of_range_flags_exit_3(tmp_path, capsys, flags):
+    # each flag was ignored, or one list source silently won, or a
+    # negative budget tripped at once (exit 2); no list source at all
+    # was and is an input error
+    h, c = tmp_path / "h.txt", tmp_path / "c.txt"
+    h.write_text("p hgraph 3 1\nh 1 2 3\n")
+    c.write_text("v 1 1\n")
+    paths = {"G": write_c4(tmp_path), "H": str(h), "C": str(c)}
+    assert cli.main([paths.get(f, f) for f in flags]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert (
         cli.main(["solve", "--graph", str(tmp_path / "nope"), "--uniform", "2"])
@@ -239,7 +265,7 @@ def test_choose_assignment_budget_exits_2(tmp_path, capsys):
     # leaves, solver calls, pool and skips together pin the walk's order
     # and its budget accounting
     for graph, variant, budget, leaves, calls, skipped in (
-        (path_graph(4), "on-star", 20, 6, 6, 14),
+        (path_graph(5), "on-star", 20, 20, 5, 0),
         (path_graph(5), "cn-star", 200, 110, 31, 90),
         (cycle_graph(6), "on-star", 200, 41, 41, 159),
     ):
@@ -251,6 +277,11 @@ def test_choose_assignment_budget_exits_2(tmp_path, capsys):
             f"{calls} solver calls, pool of {calls} colorings, skipped "
             f"{skipped} subtrees\n"
         ) in capsys.readouterr().err
+    # every vertex of P4 shares open neighbourhoods with one other vertex,
+    # so P4 ON* is 2-choosable without a walk, whatever the budget
+    g.write_text(fileio.format_graph(path_graph(4)))
+    argv = ["choose", "--graph", str(g), "--variant", "on-star", "--k", "2"]
+    assert cli.main(argv + ["--assignment-budget", "0"]) == 0
 
 
 def test_sweep_propositions_small(capsys):
@@ -383,7 +414,6 @@ def test_oversized_integers_exit_3(tmp_path, capsys):
     g = tmp_path / "c5.txt"
     g.write_text(fileio.format_graph(cycle_graph(5)))
     for argv in (
-        ["choose", "--graph", str(g), "--k", HUGE],
         ["pipeline", "--graph", str(g), "--lists", "RANGE:500", "--seed", "1"]
         + ["--k-override", "1" + "0" * 400],
         ["sweep", "--suite", "lemma", "--size", f"1..{HUGE}"],

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cfcolor import kernels, solve
+from cfcolor import cli, fileio, kernels, solve
 from cfcolor.coloring import ListAssignment
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import Graph, Hypergraph, derived_hypergraph, random_hypergraph
@@ -183,30 +183,40 @@ def test_canonical_k_subsets_are_the_filtered_combinations():
             ], (k, m)
 
 
-_LARGE_K_WALKS = """
+_LARGE_K_STAR = """
 from cfcolor import solve
 from cfcolor.errors import BudgetExceededError
 from cfcolor.graphs import Graph
 
-k2 = solve.SolveInstance.from_graph(Graph(2, [(0, 1)]), "cn-star")
-print(solve.decide_choosable(k2, 30).answer)
-for g, k in ((Graph(5, [(v, (v + 1) % 5) for v in range(5)]), 40), (Graph(3, [(0, 1), (1, 2)]), 30)):
-    try:
-        solve.decide_choosable(solve.SolveInstance.from_graph(g, "cn-star"), k, assignment_budget=1000)
-    except BudgetExceededError as e:
-        print(e)
+star = Graph(32, [(1, v) for v in range(32) if v != 1])
+inst = solve.SolveInstance.from_graph(star, "cn-star")
+try:
+    solve.decide_choosable(inst, 30, assignment_budget=1000)
+except BudgetExceededError as e:
+    print(e)
 """
 
 
-def test_large_k_walks_answer_or_trip_their_budget():
-    # a vertex after the first has 2^30 or more canonical lists here.
-    # Listed up front, they kept every walk from counting a leaf; on P3
-    # the walk then skips a subtree for each list holding the color a pool
-    # member gives the middle vertex, and the budget counts those too
-    out = run_python(_LARGE_K_WALKS, timeout=60).stdout.split("\n")
-    assert out[0] == "True"
-    assert out[1].startswith("choosability enumeration exceeded 1000 assignments")
-    assert out[2].endswith("skipped 999 subtrees")
+def test_large_k_walks_answer_or_trip_their_budget(tmp_path):
+    # every vertex of K2, C5 and P3 shares edges with fewer than k other
+    # vertices, so a greedy coloring proves "yes" before any walk.  C5
+    # walked before: at k = 10^10 it ran out of memory building a list of
+    # k colors, and k = 10^20 raised OverflowError
+    for g, k in ((complete_graph(2), 30), (cycle_graph(5), 40), (path_graph(3), 30)):
+        cert = solve.decide_choosable(solve.SolveInstance.from_graph(g, "cn-star"), k)
+        assert cert.answer and not cert.pool
+    c5 = tmp_path / "c5.txt"
+    c5.write_text(fileio.format_graph(cycle_graph(5)))
+    for k in ("10000000000", "100000000000000000000"):
+        assert cli.main(["choose", "--graph", str(c5), "--k", k]) == 0
+    # the star's centre, vertex 1, shares edges with all 31 others.  The
+    # centre has 2^30 or more canonical lists; listed up front, they kept
+    # the walk from counting a leaf.  It skips a subtree for each list
+    # holding the color a pool member gives the centre, and the budget
+    # counts those too
+    out = run_python(_LARGE_K_STAR, timeout=60).stdout.split("\n")
+    assert out[0].startswith("choosability enumeration exceeded 1000 assignments")
+    assert out[0].endswith("skipped 999 subtrees")
 
 
 def test_choosability_known_values():
@@ -249,15 +259,33 @@ def _assert_pool_proves_yes(inst, k, cert):
     assert first_uncovered_assignment(h.n, k, cert.pool) is None
 
 
+def _every_vertex_shares_with_fewer_than(h, k):
+    return all(
+        len({u for e in h.edges if v in e for u in e} - {v}) < k
+        for v in range(h.n)
+    )
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_choosability_matches_per_assignment_reference(k):
     """Same answer and witness as solving every canonical assignment in
     turn.  At k = 3 the reference is run only on a "no"; on a "yes" it is
     replaced by what it would find, that every canonical assignment has a
     valid pool coloring inside its lists (running the reference on every
-    "yes" takes about 17 s on two cores)."""
+    "yes" takes about 17 s on two cores).  Where every vertex shares edges
+    with fewer than k others the pool is empty and the reference must
+    say "yes"."""
     for inst in _small_graph_instances():
         cert = solve.decide_choosable(inst, k)
+        if _every_vertex_shares_with_fewer_than(inst.hypergraph, k):
+            # the greedy bound answers with no pool, and the reference says
+            # "yes" too: at k - 1 when the bound holds there as well, which
+            # is cheaper and enough, since k-choosable means k+1-choosable
+            assert cert.answer and not cert.pool
+            h = inst.hypergraph
+            lower = k > 2 and _every_vertex_shares_with_fewer_than(h, k - 1)
+            assert decide_choosable_reference(inst, k - 1 if lower else k).answer
+            continue
         if k == 2 or not cert.answer:
             ref = decide_choosable_reference(inst, k)
             assert (cert.answer, cert.witness) == (ref.answer, ref.witness)
