@@ -24,10 +24,10 @@ def test_backend_is_compiled_when_built():
     assert kernels.search is not pure.search
 
 
-def _on_pure_backend(call, *args):
-    """call(*args) with the pure-Python search behind kernels.solve_cf."""
+def _on_pure_backend(*args):
+    """kernels.solve_cf(*args) on the pure-Python search."""
     with mock.patch.object(kernels, "search", pure.search):
-        return call(*args)
+        return kernels.solve_cf(*args)
 
 
 def _same_in_both_backends(*args):
@@ -40,7 +40,7 @@ def _same_in_both_backends(*args):
     results = []
     for uncolored_first in (True, False):
         got = kernels.solve_cf(*args, uncolored_first)
-        pure_got = _on_pure_backend(kernels.solve_cf, *args, uncolored_first)
+        pure_got = _on_pure_backend(*args, uncolored_first)
         assert got == pure_got, (args, uncolored_first)
         results.append(got)
     if 1 in (results[0][0], results[1][0]):
@@ -101,7 +101,7 @@ def test_unequal_lists_are_searched_inside_their_lists():
         (3, [[0, 1, 2]], [[0, 1], [0, 1], [2]], 100),
     ):
         got = kernels.solve_cf(n, edges, lists, True, budget)
-        assert got == _on_pure_backend(kernels.solve_cf, n, edges, lists, True, budget)
+        assert got == _on_pure_backend(n, edges, lists, True, budget)
         status, assignment, _ = got
         assert status == 0
         assert all(assignment[v] in lists[v] for v in range(n)), got
@@ -169,7 +169,7 @@ def test_budget_status_and_node_counts_match():
     # any total solution needs at least n assignments, so a budget of 5
     # must trip in both backends at the same node
     a = kernels.solve_cf(n, edges, lists, True, 5)
-    b = _on_pure_backend(kernels.solve_cf, n, edges, lists, True, 5)
+    b = _on_pure_backend(n, edges, lists, True, 5)
     assert a == b
     assert a[0] == 2 and a[2] == 6
 
@@ -199,8 +199,8 @@ def test_out_of_memory_is_status_3():
 
 def test_both_backends_reject_out_of_range_input():
     # a vertex outside [0, n) or a negative color is an error on either
-    # backend, never an index that wraps around or runs off an array
-    # in equal lists, which are passed once, and in unequal ones
+    # backend, never an index that wraps around or runs off an array; both
+    # with equal lists, which are passed once, and with unequal ones
     cases = [
         ([[-1, 0]], [[0], [0]], "edge vertex out of range"),
         ([[-1, 0]], [[0], [1]], "edge vertex out of range"),
