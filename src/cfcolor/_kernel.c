@@ -1,9 +1,11 @@
-/* Compiled search kernel, loaded with ctypes by cfcolor.kernels.
+/* Compiled kernels, loaded with ctypes by cfcolor.kernels: the
+   conflict-free search solve_cf and the induced-star search max_star.
 
-   A line-for-line port of _kernel_py.py: both explore the identical search
-   tree and return the same status, result and node count.  The search is
-   iterative (an explicit per-depth state instead of recursion), so the
-   depth is bounded by the vertex count, not by the C stack.
+   solve_cf is a line-for-line port of _kernel_py.search: both explore the
+   identical search tree and return the same status, result and node
+   count.  The search is iterative (an explicit per-depth state instead of
+   recursion), so the depth is bounded by the vertex count, not by the C
+   stack.
 
    Vertices are decided part by part: the connected parts of the edges in
    order of their smallest vertex, then the vertices in no edge, each part
@@ -16,19 +18,27 @@
    colors.  A search over one part that finds nothing visits the same
    nodes in either order.
 
-   Inputs are flat CSR int arrays built by kernels.solve_cf, the one entry
-   for both backends, which checks that every vertex index lies in [0, n)
-   and every color in [0, num_colors), and sets symmetric exactly when
-   every list equals the first, passing that list once; the pure kernel's
-   search takes the same arguments.  Every array a
+   Inputs are flat CSR int arrays built by kernels.solve_cf, the entry to
+   the search for both backends, which checks that every vertex index lies
+   in [0, n) and every color in [0, num_colors), and sets symmetric exactly
+   when every list equals the first, passing that list once; the pure
+   kernel's search takes the same arguments.  Every array a
    call needs comes from one zeroed allocation, freed before it returns.
    Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
    budget exceeded, 3 = out of memory, the one failure of that
-   allocation. */
+   allocation.
 
+   max_star takes a graph's adjacency as CSR int arrays and runs the
+   branch and bound of _kernel_py.max_star on word bitsets, one
+   zeroed allocation per call again.  Status codes: 0 = done, 3 = out of
+   memory, 4 = the row *out names a vertex outside [0, n) or its own
+   vertex. */
+
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3 };
+enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4 };
 enum { UNDECIDED = -2, UNCOLORED = -1 };
 
 typedef struct {
@@ -230,4 +240,119 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
         for (int v = 0; v < n; v++) out[v] = s.state[v] >= 0 ? s.state[v] : -1;
     free(order);
     return status;
+}
+
+/* Index of the lowest set bit of a nonzero word, and the number of set
+   bits of a word. */
+static int lowest(uint64_t x) {
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int i = 0;
+    for (; !(x & 1); x >>= 1) i++;
+    return i;
+#endif
+}
+
+static int popcount(uint64_t x) {
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int c = 0;
+    for (; x; x &= x - 1) c++;
+    return c;
+#endif
+}
+
+/* Number of cliques in a greedy cover of the bitset p, as in
+   _kernel_py.clique_cover: take the lowest vertex left, then keep adding
+   the lowest vertex adjacent to every vertex taken.  Bitsets have w
+   words, and p has none outside words [lo, hi), the only ones read or
+   written; rest and cand are scratch. */
+static int clique_cover(size_t w, size_t lo, size_t hi, const uint64_t *masks,
+                        const uint64_t *p, uint64_t *rest, uint64_t *cand) {
+    int count = 0;
+    memcpy(rest + lo, p + lo, (hi - lo) * sizeof *rest);
+    for (size_t i = lo; i < hi; i++)
+        while (rest[i]) {
+            const uint64_t *row = masks + (i * 64 + (size_t)lowest(rest[i])) * w;
+            rest[i] &= rest[i] - 1;
+            /* no vertex of rest lies below word i */
+            for (size_t j = i; j < hi; j++) cand[j] = rest[j] & row[j];
+            for (size_t j = i; j < hi; j++)
+                while (cand[j]) {
+                    int b = lowest(cand[j]);
+                    row = masks + (j * 64 + (size_t)b) * w;
+                    rest[j] ^= (uint64_t)1 << b;
+                    for (size_t x = j; x < hi; x++) cand[x] &= row[x];
+                }
+            count++;
+        }
+    return count;
+}
+
+/* Largest t such that the graph has an induced K_{1,t}; see
+   _kernel_py.max_star, whose masks, pruning and stack this keeps.
+   Vertex v's neighbors are adj_vert[adj_start[v]..adj_start[v+1]).
+   One zeroed block holds n bitsets of w = ceil(n / 64) words (the
+   neighborhoods), a stack of max degree + 1 bitsets with their counts,
+   and two bitsets of scratch.  A stack entry (size, p) keeps p in
+   place when it becomes "exclude the lowest vertex of p", and the
+   entry above it gets "include it".  Every bitset of a root's search
+   lies inside the root's neighborhood, so only the words [lo, hi) that
+   the neighborhood spans are touched. */
+int max_star(int n, const int *adj_start, const int *adj_vert, int *out) {
+    *out = 0;
+    if (n <= 0) return FOUND;
+    size_t w = ((size_t)n + 63) / 64, depth = 1;
+    for (int v = 0; v < n; v++)
+        if ((size_t)(adj_start[v + 1] - adj_start[v]) >= depth)
+            depth = (size_t)(adj_start[v + 1] - adj_start[v]) + 1;
+    size_t rows = (size_t)n + depth + 2;
+    if (rows > SIZE_MAX / sizeof(uint64_t) / (w + 1)) return NO_MEMORY;
+    uint64_t *masks = calloc(rows * w + depth, sizeof *masks);
+    if (!masks) return NO_MEMORY;
+    uint64_t *stack = masks + (size_t)n * w, *rest = stack + depth * w, *cand = rest + w;
+    uint64_t *sizes = cand + w;
+    for (int v = 0; v < n; v++)
+        for (int i = adj_start[v]; i < adj_start[v + 1]; i++) {
+            int u = adj_vert[i];
+            if (u < 0 || u >= n || u == v) {
+                free(masks);
+                *out = v;
+                return BAD_ADJACENCY;
+            }
+            masks[(size_t)v * w + (size_t)u / 64] |= (uint64_t)1 << (u % 64);
+        }
+    int best = 0;
+    for (int root = 0; root < n; root++) {
+        const uint64_t *nbrs = masks + (size_t)root * w;
+        size_t lo = 0, hi = w;
+        while (lo < w && !nbrs[lo]) lo++;
+        if (lo == w) continue;  /* an empty neighborhood holds no star */
+        while (!nbrs[hi - 1]) hi--;
+        memcpy(stack + lo, nbrs + lo, (hi - lo) * sizeof *stack);
+        sizes[0] = 0;
+        for (size_t top = 1; top > 0;) {
+            uint64_t *p = stack + --top * w;
+            int size = (int)sizes[top], cover = clique_cover(w, lo, hi, masks, p, rest, cand);
+            if (size + cover <= best) continue;
+            int bits = 0;
+            for (size_t j = lo; j < hi; j++) bits += popcount(p[j]);
+            if (cover == bits) {
+                best = size + cover;
+                continue;
+            }
+            size_t i = lo;
+            while (!p[i]) i++;
+            const uint64_t *row = masks + (i * 64 + (size_t)lowest(p[i])) * w;
+            p[i] &= p[i] - 1;
+            for (size_t j = lo; j < hi; j++) p[w + j] = p[j] & ~row[j];
+            sizes[top + 1] = (uint64_t)size + 1;
+            top += 2;
+        }
+    }
+    free(masks);
+    *out = best;
+    return FOUND;
 }

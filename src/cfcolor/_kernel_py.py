@@ -1,4 +1,4 @@
-"""Pure-Python search kernel.
+"""Pure-Python kernels.
 
 ``search`` is a line-for-line port of the C kernel in ``_kernel.c``: the
 same flat arguments, prepared and checked by ``cfcolor.kernels.solve_cf``,
@@ -9,14 +9,19 @@ and the fallback when it cannot be built.
 The search decides the connected parts of the edges one after the
 other and ends at the first part without a solution.
 
-Status codes: 0 = solution found, 1 = exhausted (no solution),
-2 = node budget exceeded.
+``max_star`` is the induced-star branch and bound that ``_kernel.c``
+ports to word bitsets; here the bitsets are Python ints.
+
+Status codes: 0 = solution found (for ``max_star``: done), 1 = exhausted
+(no solution), 2 = node budget exceeded.
 """
 
 from __future__ import annotations
 
 UNDECIDED = -2
 UNCOLORED = -1
+# the error of both max_star backends for a row that is not a simple graph's
+BAD_ROW = "adjacency row {} names a vertex outside [0, n) or itself"
 
 
 def search(n, m, edge_start, edge_vert, list_lo, list_hi, list_color, num_colors,
@@ -180,3 +185,64 @@ def search(n, m, edge_start, edge_vert, list_lo, list_hi, list_color, num_colors
         max_used[d + 1] = c if symmetric and c > max_used[d] else max_used[d]
         d += 1
     return 0, [c if c >= 0 else -1 for c in state], nodes
+
+
+def clique_cover(p, masks):
+    """Number of cliques in a greedy cover of the vertex bitmask `p`: an
+    upper bound on its independence number."""
+    count = 0
+    while p:
+        low = p & -p
+        cand = p & masks[low.bit_length() - 1]
+        p ^= low
+        while cand:
+            low = cand & -cand
+            cand &= masks[low.bit_length() - 1]
+            p ^= low
+        count += 1
+    return count
+
+
+def max_star(adj):
+    """(0, t) for the largest t such that the graph with adjacency rows
+    `adj` contains an induced star K_{1,t}; t is 0 for an edgeless graph.
+    A row naming a vertex outside [0, n) or its own vertex raises
+    ValueError.
+
+    t is the maximum, over vertices v, of the maximum independent set
+    size inside N(v).  One branch-and-bound over every neighborhood, with
+    an explicit stack: a node is (chosen count, candidate bitmask); it
+    tries "include the lowest candidate" before "exclude it" and is
+    pruned when its count plus a greedy clique cover of its candidates
+    cannot beat the best set found so far in any neighborhood.  A node
+    whose cover is all singletons is an independent set and needs no
+    branching.
+    """
+    n = len(adj)
+    masks = []
+    for v, nbrs in enumerate(adj):
+        mask = 0
+        try:
+            for w in nbrs:
+                mask |= 1 << w
+        except ValueError:  # a negative shift count
+            mask = -1
+        if mask < 0 or mask >> n or mask >> v & 1:
+            raise ValueError(BAD_ROW.format(v))
+        masks.append(mask)
+    best = 0
+    for root in masks:
+        stack = [(0, root)]
+        while stack:
+            size, p = stack.pop()
+            cover = clique_cover(p, masks)
+            if size + cover <= best:
+                continue
+            if cover == p.bit_count():
+                best = size + cover
+                continue
+            low = p & -p
+            rest = p ^ low
+            stack.append((size, rest))
+            stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
+    return 0, best

@@ -255,6 +255,15 @@ def nonnegative(text):
     return value
 
 
+def positive(text):
+    """A size or a count: an integer >= 1; argparse names the flag and
+    the value when this raises."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def size_range(text):
     """`--size <lo>..<hi>` with integers 1 <= lo <= hi; argparse names the
     flag and the value when this raises."""
@@ -349,7 +358,7 @@ def build_parser():
     add_instance_args(sp)
     lists = sp.add_mutually_exclusive_group(required=True)
     lists.add_argument("--lists", help="lists file or RANGE:<r>")
-    lists.add_argument("--uniform", type=int, help="constant lists {1..k}")
+    lists.add_argument("--uniform", type=positive, help="constant lists {1..k}")
     lists.add_argument("--chromatic", action="store_true")
     sp.add_argument("--budget", type=nonnegative, default=solve.DEFAULT_NODE_BUDGET)
     sp.add_argument("--out")
@@ -401,7 +410,7 @@ def build_parser():
 
     sp = sub.add_parser("lemma", help="near-uniform hypergraph colorer")
     sp.add_argument("--hgraph", required=True)
-    sp.add_argument("--list-factor", type=int, default=32)
+    sp.add_argument("--list-factor", type=positive, default=32)
     sp.add_argument("--alpha", type=int, help="alpha override")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--max-rounds", type=int, default=1000)
@@ -414,7 +423,7 @@ def build_parser():
     sp.add_argument("--max-n", type=int, default=5)
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--edges", type=int, default=100)
+    sp.add_argument("--edges", type=positive, default=100)
     sp.add_argument("--size", type=size_range, default="64..128")
     sp.set_defaults(func=cmd_sweep)
 

@@ -10,8 +10,9 @@ neighborhood in the package is read from there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 
 class Graph:
@@ -37,8 +38,9 @@ class Graph:
 
     @classmethod
     def _from_adjacency(cls, n, adj):
-        """The graph with adjacency sets `adj`, which the caller has
-        already checked to be symmetric, in range and loop-free."""
+        """The graph with adjacency rows `adj`, sets or lists, which the
+        caller has already checked to be symmetric, in range, loop-free
+        and without repeats."""
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(tuple(sorted(s)) for s in adj)
@@ -149,38 +151,26 @@ def derived_hypergraph(g, mode):
 def hypergraph_stats(h):
     """(max vertex degree, Gamma, min edge size, max edge size).
 
-    Gamma is the largest number of other edges that one edge meets,
-    counted for each edge as the distinct edges on the incidence lists of
-    its vertices.  Duplicate edges meet each other.
+    Gamma is the largest number of other edges that one edge meets.  Each
+    vertex gets a bitmask of the edges containing it, and the edges an
+    edge meets, itself included, are the OR of its vertices' masks.
+    Duplicate edges meet each other.
     """
-    incident = h.incidence()
+    masks = [0] * h.n
+    for i, e in enumerate(h.edges):
+        bit = 1 << i
+        for v in e:
+            masks[v] |= bit
     gamma = 0
     for e in h.edges:
-        met = set().union(*[incident[v] for v in e])
-        gamma = max(gamma, len(met) - 1)
+        gamma = max(gamma, reduce(or_, map(masks.__getitem__, e), 0).bit_count() - 1)
     sizes = [len(e) for e in h.edges]
     return (
-        max(map(len, incident), default=0),
+        max((mask.bit_count() for mask in masks), default=0),
         gamma,
         min(sizes, default=0),
         max(sizes, default=0),
     )
-
-
-def _clique_cover(p, masks):
-    """Number of cliques in a greedy cover of the vertex bitmask `p`: an
-    upper bound on its independence number."""
-    count = 0
-    while p:
-        low = p & -p
-        cand = p & masks[low.bit_length() - 1]
-        p ^= low
-        while cand:
-            low = cand & -cand
-            cand &= masks[low.bit_length() - 1]
-            p ^= low
-        count += 1
-    return count
 
 
 def max_star(g):
@@ -188,38 +178,19 @@ def max_star(g):
 
     Equals the maximum, over vertices v, of the maximum independent set
     size inside N(v).  g is K_{1,k}-free exactly for all k > max_star(g).
-    Returns 0 for edgeless graphs.
-
-    One branch-and-bound over every neighborhood, with an explicit stack:
-    a node is (chosen count, candidate bitmask); it tries "include the
-    lowest candidate" before "exclude it" and is pruned when its count
-    plus a greedy clique cover of its candidates cannot beat the best set
-    found so far in any neighborhood.  A node whose cover is all
-    singletons is an independent set and needs no branching.
+    Returns 0 for edgeless graphs.  The branch and bound runs in the
+    active kernel (see ``_kernel_py.max_star``); ``kernels.max_star`` is
+    looked up at call time, so a test can swap backends.  Raises
+    MemoryError when the C kernel cannot allocate its bitsets.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    masks = []
-    for nbrs in g.adj:
-        mask = 0
-        for w in nbrs:
-            mask |= 1 << w
-        masks.append(mask)
-    best = 0
-    for root in masks:
-        stack = [(0, root)]
-        while stack:
-            size, p = stack.pop()
-            cover = _clique_cover(p, masks)
-            if size + cover <= best:
-                continue
-            if cover == p.bit_count():
-                best = size + cover
-                continue
-            low = p & -p
-            rest = p ^ low
-            stack.append((size, rest))
-            stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
+    # imported here, so that importing the package builds no kernel
+    from cfcolor import kernels
+
+    status, best = kernels.max_star(g.adj)
+    if status == 3:
+        raise MemoryError(f"max_star on {g.n} vertices ran out of memory")
     return best
 
 

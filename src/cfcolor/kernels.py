@@ -1,6 +1,10 @@
-"""``solve_cf``, the one entry to the conflict-free search: it prepares
-the input and calls ``search`` with flat arrays, the C kernel of
-``_kernel.c`` when it builds, else the pure-Python kernel of ``_kernel_py``.
+"""The two kernel entries, each with a C backend in ``_kernel.c`` and a
+pure-Python one in ``_kernel_py``:
+
+- ``solve_cf``, the conflict-free search: it prepares the input and calls
+  ``search`` with flat arrays;
+- ``max_star``, the largest induced star of a graph, from its adjacency
+  rows.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
@@ -14,13 +18,16 @@ a single part that finds nothing visits the same nodes either way.
 On first import ``_kernel.c`` is compiled with ``cc`` into the package's
 ``__pycache__`` and loaded with ctypes; later imports reuse the cached
 library.  When the compiler is missing, or building or loading
-fails, the pure-Python kernel is used.  ``BACKEND`` says which backend is
+fails, the pure-Python kernels are used.  ``BACKEND`` says which backend is
 active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
 oracle, is one ``solve_cf`` call with the single color 0, so it tries
 "not a member" first.
 
-Status codes: 0 = solution found, 1 = exhausted (no solution), 2 = node
-budget exceeded, 3 = out of memory (C kernel only).
+Status codes of the search: 0 = solution found, 1 = exhausted (no
+solution), 2 = node budget exceeded, 3 = out of memory (C kernel only).
+``max_star`` returns (status, t) with status 0 = done or 3 = out of
+memory (C kernel only); both backends raise ValueError for a row that
+names a vertex outside [0, n) or its own vertex.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import ctypes
 import os
 import zlib
 from array import array
+from itertools import accumulate, chain
 
 from cfcolor import _kernel_py
 
@@ -83,13 +91,13 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, search): the C kernel built into cache_dir, or the
-    pure-Python kernel when it cannot be built or loaded."""
+    """(backend, search, max_star): the C kernels built into cache_dir, or
+    the pure-Python kernels when they cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.search
-    return "compiled", _bind(lib)
+        return "pure-python", _kernel_py.search, _kernel_py.max_star
+    return "compiled", _bind(lib), _bind_max_star(lib)
 
 
 def _address(buffer):
@@ -127,7 +135,25 @@ def _bind(lib):
     return search
 
 
-BACKEND, search = load(os.path.join(HERE, "__pycache__"))
+def _bind_max_star(lib):
+    """``_kernel_py.max_star`` on the C function of lib."""
+    c_max_star = lib.max_star
+    c_max_star.argtypes = [_int, _ptr, _ptr, _ptr]
+    c_max_star.restype = _int
+
+    def max_star(adj):
+        start = array("i", accumulate(map(len, adj), initial=0))
+        flat = array("i", chain.from_iterable(adj))
+        out = array("i", [0])
+        status = c_max_star(len(adj), _address(start), _address(flat), _address(out))
+        if status == 4:  # row out[0] is not a simple graph's
+            raise ValueError(_kernel_py.BAD_ROW.format(out[0]))
+        return status, out[0]
+
+    return max_star
+
+
+BACKEND, search, max_star = load(os.path.join(HERE, "__pycache__"))
 
 
 def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):

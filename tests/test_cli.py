@@ -161,8 +161,6 @@ def test_lemma_on_an_edgeless_hypergraph(tmp_path, capsys):
     hp.write_text("p hgraph 3 0\n")
     assert cli.main(["lemma", "--hgraph", str(hp), "--seed", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "rounds 0"
-    assert cli.main(["sweep", "--suite", "lemma", "--edges", "0"]) == 0
-    assert "suite lemma: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -445,6 +443,27 @@ def test_malformed_sweep_size_names_the_flag(capsys, size):
     assert cli.main(["sweep", "--suite", "lemma", "--size", size]) == 3
     message = f"argument --size: invalid size_range value: '{size}'"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["solve", "--graph", "G", "--uniform", "0"], "--uniform", "0"),
+        (["solve", "--graph", "G", "--uniform", "-2"], "--uniform", "-2"),
+        (["lemma", "--hgraph", "H", "--seed", "1", "--list-factor", "0"], "--list-factor", "0"),
+        # a lemma sweep over no edges would print "pass" having checked nothing
+        (["sweep", "--suite", "lemma", "--edges", "0"], "--edges", "0"),
+        (["sweep", "--suite", "lemma", "--edges", "-5"], "--edges", "-5"),
+    ],
+)
+def test_sizes_and_counts_below_one_name_the_flag(tmp_path, capsys, argv, flag, value):
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 3 1\nh 1 2 3\n")
+    paths = {"G": write_c4(tmp_path), "H": str(hp)}
+    assert cli.main([paths.get(a, a) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid positive value: '{value}'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from cfcolor import fileio
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
-from cfcolor.graphs import Hypergraph, random_graph
+from cfcolor.graphs import Graph, Hypergraph, random_graph
 from util import cycle_graph, format_formula, format_hypergraph
 
 
@@ -251,11 +251,57 @@ def test_a_first_token_c_makes_a_comment_in_every_format(parse, write, text):
     assert write(parse(commented)) == write(parse(text)) == text
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(20))
 def test_parsed_graph_equals_the_constructed_one(seed):
-    # parse_graph builds its Graph from adjacency sets, not through
-    # Graph.__init__; both must give the same object
+    # parse_graph builds its Graph from adjacency rows, not through
+    # Graph.__init__; both must give the same object.  What format_graph
+    # writes is read in one pass when it has an edge, and gives the record
+    # loop's Graph; a file without edges is left to the record loop
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 300), rng.choice([0.0, 0.02, 0.1, 0.5]), rng)
-    back = fileio.parse_graph(fileio.format_graph(g))
+    text = fileio.format_graph(g)
+    back = fileio.parse_graph(text)
     assert back == g and back.edges == g.edges and back.m == g.m
+    assert fileio._parse_graph_records(text) == g
+    assert fileio._parse_written_graph(text) == (g if g.m else None)
+
+
+# (text, edges of the graph on 3 vertices or the record loop's error)
+_DECLINED = [
+    ("c note\np graph 3 2\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 2\n\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 2\r\ne 1 2\r\ne 2 3\r\n", [(0, 1), (1, 2)]),
+    ("p graph 3 2\ne 1\t2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 2\ne 1 2\ne 2 3", [(0, 1), (1, 2)]),
+    ("p graph  3 2\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    # str.splitlines ends a line at \x0b, str.split only separates tokens
+    ("p graph 3 2\ne 1\x0b2\ne 2 3\n", "line 2: expected `e <u> <v>`"),
+    ("p graph 3 2\ne 01 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 2\ne +1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 03 2\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 02\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 0\n", []),
+    ("p graph 3 2\ne 1 2\ne 1 2\n", "line 3: duplicate edge 1 2"),
+    ("p graph 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge 2 1"),
+    ("p graph 3 2\ne 1 2\ne 3 3\n", "line 3: self-loop at vertex 3"),
+    ("p graph 3 2\ne 1 2\ne 2 4\n", "line 3: vertex 4 out of range 1..3"),
+    ("p graph 3 2\ne 1 2\ne 0 3\n", "line 3: vertex 0 out of range 1..3"),
+    ("p graph 3 3\ne 1 2\ne 2 3\n", "header declares 3 edges, found 2"),
+    ("p graph 3 1\ne 1 2\ne 2 3\n", "header declares 1 edges, found 2"),
+    ("p graph 0 1\ne 1 2\n", "line 2: vertex 1 out of range 1..0"),
+    ("p graph -3 1\ne 1 2\n", "line 1: header count -3 is below 0"),
+    ("p graph 3 2\nf 1 2\ne 2 3\n", "line 2: unexpected record 'f'"),
+    ("p hgraph 3 2\ne 1 2\ne 2 3\n", "line 1: expected header `p graph <n> <m>`"),
+]
+
+
+@pytest.mark.parametrize("text,want", _DECLINED)
+def test_other_graph_files_are_left_to_the_record_loop(text, want):
+    assert fileio._parse_written_graph(text) is None
+    if isinstance(want, str):
+        for parse in (fileio.parse_graph, fileio._parse_graph_records):
+            with pytest.raises(InputFormatError) as info:
+                parse(text)
+            assert str(info.value) == want
+    else:
+        assert fileio.parse_graph(text) == Graph(3, want)

@@ -1,16 +1,20 @@
 """The compiled and pure-Python kernels must explore the identical search
-tree: equal status, equal result, equal node count, on every input.  The
-compiled backend is ``_kernel.c``, built on import when a C compiler is
+tree: equal status, equal result, equal node count, on every input; and
+their max_star must find the same largest induced star.  The compiled
+backend is ``_kernel.c``, built on import when a C compiler is
 present."""
 
+import math
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
 
 from cfcolor import _kernel_py as pure
-from cfcolor import kernels
-from util import connected_parts, exact_one_by_parts, run_python
+from cfcolor import graphs, kernels
+from cfcolor.graphs import Graph, line_graph
+from util import brute_force_max_star, connected_parts, exact_one_by_parts, run_python
 
 
 requires_compiled = pytest.mark.skipif(
@@ -220,15 +224,113 @@ def test_both_backends_reject_out_of_range_input():
             kernels.exact_one(2, sets, 10)
 
 
+def _max_star_graphs():
+    """About 2,000 graphs of at most 16 vertices: random graphs of four
+    densities and the line graphs of those with at most 16 edges."""
+    rng = random.Random(11)
+    found = []
+    for _ in range(1350):
+        n = rng.randint(1, 16)
+        p = rng.choice([0.1, 0.25, 0.5, 0.8])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        found.append(g)
+        if 1 <= g.m <= 16:
+            found.append(line_graph(g)[0])
+    return found
+
+
+def test_max_star_parity_on_small_graphs():
+    cases = _max_star_graphs()
+    assert len(cases) >= 2000
+    for g in cases:
+        want = (0, brute_force_max_star(g))
+        assert kernels.max_star(g.adj) == pure.max_star(g.adj) == want, g.adj
+
+
+def _benchmark_line_graphs():
+    """The 40 line graphs of the benchmark's seed-1 randomized workload:
+    G(60, 531) drawn as `cfbench/workloads.py` draws it, each followed by
+    the request's seed draw; 531 vertices and about 9,200 edges each."""
+    rng = random.Random("randomized:1")
+    pairs = list(combinations(range(60), 2))
+    found = []
+    for _ in range(40):
+        base = Graph(60, sorted(rng.sample(pairs, round(0.3 * math.comb(60, 2)))))
+        found.append(line_graph(base)[0])
+        rng.randrange(10**6)
+    return found
+
+
+def test_max_star_parity_on_the_benchmark_line_graphs():
+    # line graphs are claw-free, and each of these has a path on three
+    # edges, whose middle edge has two nonadjacent neighbors
+    for g in _benchmark_line_graphs():
+        assert g.n == 531
+        assert kernels.max_star(g.adj) == pure.max_star(g.adj) == (0, 2)
+
+
+def test_max_star_parity_on_banded_graphs():
+    # neighborhoods inside a band of the vertex order span only some of
+    # the bitset words, the ones the C kernel touches
+    rng = random.Random(4)
+    for _ in range(60):
+        n = rng.randint(60, 400)
+        band = rng.randint(2, 24)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + band))
+                      if rng.random() < 0.4])
+        assert kernels.max_star(g.adj) == pure.max_star(g.adj), (n, band)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_max_star_extremes_on_both_backends(backend):
+    search = kernels.max_star if backend == "active" else pure.max_star
+    with mock.patch.object(kernels, "max_star", search):
+        assert graphs.max_star(Graph(1501, [(0, v) for v in range(1, 1501)])) == 1500
+        assert graphs.max_star(Graph(1)) == graphs.max_star(Graph(70)) == 0
+        with pytest.raises(ValueError, match="at least one vertex"):
+            graphs.max_star(Graph(0))
+    # a row outside [0, n) or naming its own vertex is refused, never
+    # read past the bitsets or looped on
+    for adj, row in (([[1], [2]], 1), ([[1], [0, 1]], 1), ([[-1], [0]], 0)):
+        with pytest.raises(ValueError, match=f"adjacency row {row} names"):
+            search(adj)
+
+
+_MAX_STAR_OUT_OF_MEMORY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfcolor import cli, graphs, kernels
+assert kernels.BACKEND == "compiled"
+g = graphs.Graph(150000, [(0, 1)])
+print(kernels.max_star(g.adj))
+try:
+    graphs.max_star(g)
+except MemoryError as exc:
+    print(exc)
+open(%r, "w").write("p graph 150000 1\\ne 1 2\\n")
+print(cli.main(["pipeline", "--graph", %r, "--lists", "RANGE:5", "--seed", "1"]))
+"""
+
+
+@requires_compiled
+def test_max_star_out_of_memory_is_status_3(tmp_path):
+    # 150,000 neighborhoods of 2,344 words each are 2.8 GB of bitsets,
+    # past the 2 GiB address space: the allocation fails before any search
+    path = str(tmp_path / "wide.txt")
+    out = run_python(_MAX_STAR_OUT_OF_MEMORY % (path, path), timeout=60).stdout.splitlines()
+    assert out == ["(3, 0)", "max_star on 150000 vertices ran out of memory", "2"]
+
+
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
         pure.search,
+        pure.max_star,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, search = kernels.load(tmp_path)
+    backend, search, max_star = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns
@@ -238,3 +340,5 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     # the edge {0, 1} and the lists [0], [0], passed unshared
     args = (2, 1, [0, 2], [0, 1], [0, 1], [1, 2], [0, 0], 1, True, False, True, 10)
     assert search(*args) == pure.search(*args) == (1, None, 2)
+    # both kernels come from the one library: the path 0 - 1 - 2
+    assert max_star([[1], [0, 2], [1]]) == pure.max_star([[1], [0, 2], [1]]) == (0, 2)

@@ -233,17 +233,20 @@ def pairwise_hypergraph_stats(h):
 
 
 def brute_force_max_star(g):
-    """max_star by enumerating every subset of every neighborhood."""
+    """max_star by enumerating subsets of every neighborhood.  A subset of
+    an independent set is independent, so each neighborhood's sizes are
+    tried upward from the best so far until one has no independent
+    subset."""
     best = 0
     for v in range(g.n):
         nbrs = g.adj[v]
-        for size in range(len(nbrs), best, -1):
-            if any(
-                not any(has_edge(g, a, b) for a, b in combinations(s, 2))
-                for s in combinations(nbrs, size)
-            ):
-                best = size
-                break
+        size = best + 1
+        while size <= len(nbrs) and any(
+            not any(has_edge(g, a, b) for a, b in combinations(s, 2))
+            for s in combinations(nbrs, size)
+        ):
+            best = size
+            size += 1
     return best
 
 
