@@ -366,7 +366,7 @@ def build_parser():
 
     sp = sub.add_parser("choose", help="decide k-choosability")
     add_instance_args(sp)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=positive, required=True)
     sp.add_argument("--budget", type=nonnegative, default=solve.DEFAULT_NODE_BUDGET)
     sp.add_argument(
         "--assignment-budget", type=nonnegative, default=solve.DEFAULT_ASSIGNMENT_BUDGET
@@ -402,8 +402,8 @@ def build_parser():
     sp.add_argument("--lists", required=True, help="lists file or RANGE:<r>")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--scaled", action="store_true")
-    sp.add_argument("--k-override", type=int)
-    sp.add_argument("--retries", type=int, default=10)
+    sp.add_argument("--k-override", type=positive)
+    sp.add_argument("--retries", type=positive, default=10)
     sp.add_argument("--trace")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_pipeline)
@@ -411,9 +411,9 @@ def build_parser():
     sp = sub.add_parser("lemma", help="near-uniform hypergraph colorer")
     sp.add_argument("--hgraph", required=True)
     sp.add_argument("--list-factor", type=positive, default=32)
-    sp.add_argument("--alpha", type=int, help="alpha override")
+    sp.add_argument("--alpha", type=positive, help="alpha override")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--max-rounds", type=int, default=1000)
+    sp.add_argument("--max-rounds", type=positive, default=1000)
     sp.add_argument("--lists")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lemma)

@@ -132,9 +132,6 @@ class PartialColoring:
     def items(self):
         return self._map.items()
 
-    def is_total(self, n):
-        return len(self._map) == n and all(v in self._map for v in range(n))
-
     def union(self, other):
         """Combined coloring; domains must be disjoint."""
         overlap = self._map.keys() & other._map.keys()

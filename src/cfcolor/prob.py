@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -142,13 +141,14 @@ def near_uniform_color(h, lists, cfg):
     def is_bad(i):
         return 8 * (sizes[i] - once[i]) >= 7 * sizes[i]
 
-    bad = [i for i in range(h.m) if is_bad(i)]  # ascending
+    bad = set(filter(is_bad, range(h.m)))
     rounds = 0
     while bad:
+        worst = min(bad)
         if rounds >= cfg.max_rounds:
-            raise ResampleFailure(rounds, bad[0])
+            raise ResampleFailure(rounds, worst)
         touched = set()
-        for v in h.edges[bad[0]]:
+        for v in h.edges[worst]:
             old = color[v]
             new = color[v] = lists.sample(v, rng)
             touched.update(incident[v])
@@ -165,14 +165,8 @@ def near_uniform_color(h, lists, cfg):
                 # new: 0 -> 1 gains one, 1 -> 2 loses one
                 once[i] += (x == 2) - (x == 1) + (y == 0) - (y == 1)
         rounds += 1
-        for i in touched:
-            j = bisect_left(bad, i)
-            listed = j < len(bad) and bad[j] == i
-            if is_bad(i) != listed:
-                if listed:
-                    del bad[j]
-                else:
-                    bad.insert(j, i)
+        bad -= touched
+        bad.update(filter(is_bad, touched))
 
     for edge in h.edges:
         non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
@@ -279,29 +273,30 @@ class PipelineTrace:
         return out
 
 
-def color_h1(g, a_set, b_set, lists):
+def color_h1(in_a, a_set, b_set, lists):
     """Color the independent core so every vertex of A u B sees a unique
-    color among its closed A-neighbors.
+    color among its closed A-neighbors, which in_a[v] lists in increasing
+    order.
 
     Greedy: each a in A takes a list color unused by any A-vertex sharing
     a conflict edge with it; a greedy dead end falls back to the exact
-    solver on the A-neighborhood hypergraph.  Requires
+    solver on the A-neighborhood hypergraph H1.  Requires
     |L_a| >= (k-1)b + 2 in the pipeline's parlance; callers check sizes.
+    Returns (f1, witness), where witness[v] for v in A u B is the smallest
+    color that appears once on in_a[v] under f1; an A-vertex is its own
+    witness.
     """
     a_sorted = sorted(a_set)
-    a_index = {a: i for i, a in enumerate(a_sorted)}
-    edges = []
-    for v in sorted(a_set | b_set):
-        edge = [w for w in g.closed[v] if w in a_set]
-        if edge:
-            edges.append(edge)
-        elif v in b_set:
+    vertices = sorted(a_set | b_set)
+    for v in vertices:
+        if not in_a[v]:
             raise PipelineError(
                 "color_h1", f"vertex {v} in B has no neighbor in A"
             )
 
     conflicts = {a: set() for a in a_sorted}
-    for edge in edges:
+    for v in vertices:
+        edge = in_a[v]
         for x in edge:
             conflicts[x].update(w for w in edge if w != x)
 
@@ -320,8 +315,9 @@ def color_h1(g, a_set, b_set, lists):
         f[a] = chosen
 
     if not greedy_ok:
-        h1 = Hypergraph(
-            len(a_sorted), [[a_index[w] for w in e] for e in edges]
+        a_index = {a: i for i, a in enumerate(a_sorted)}
+        h1 = Hypergraph._from_sorted(
+            len(a_sorted), [tuple(a_index[w] for w in in_a[v]) for v in vertices]
         )
         inst = SolveInstance(h1)
         sub = solve_list_cf(inst, lists.restrict(a_sorted))
@@ -329,49 +325,29 @@ def color_h1(g, a_set, b_set, lists):
             raise PipelineError("color_h1", "A-core hypergraph is uncolorable")
         f = {a_sorted[i]: c for i, c in sub.items()}
 
-    coloring = PartialColoring(f)
-    for edge in edges:
-        if not unique_colors([coloring.get(w) for w in edge]):  # pragma: no cover
+    witness = {}
+    for v in vertices:
+        unique = unique_colors([f.get(w) for w in in_a[v]])
+        if not unique:  # pragma: no cover
             raise AssertionError("H1 coloring left an edge without a witness")
-    return coloring
+        witness[v] = min(unique)
+    return PartialColoring(f), witness
 
 
-def _witness_color(g, w, a_set, f1):
-    """Smallest color appearing exactly once among the closed
-    A-neighbors of w under f1."""
-    unique = unique_colors(
-        f1.get(x) for x in g.closed[w] if x in a_set
-    )
-    if not unique:
-        raise PipelineError("reduce_lists", f"vertex {w} has no A-witness")
-    return min(unique)
-
-
-def reduce_lists(g, b_set, f1, lists, k, b):
+def reduce_lists(g, in_a, b_set, witness, lists, k, b):
     """Strike protected colors from the lists of B.
 
-    For u in B, X_u holds the colors of u's A-neighbors (each A-vertex is
-    its own witness) and Y_u the witness colors of u's closed B-neighbors;
-    the reduced list is L_u minus both.  Returns (assignment over sorted(B),
-    X_u map, Y_u map).
+    For u in B, X_u holds the witness colors of u's A-neighbors in_a[u]
+    (their own colors) and Y_u those of u's closed B-neighbors, from
+    color_h1's witness map; the reduced list is L_u minus both.  Returns
+    (assignment over sorted(B), X_u map, Y_u map).
     """
-    a_set = set(f1.domain)
-    b_sorted = sorted(b_set)
     removed_x = {}
     removed_y = {}
     entries = []
-    # each witness color is computed once, at its first use, so a vertex
-    # without one is reported at the same point of the scan
-    witness = {}
-    for u in b_sorted:
-        xs = {f1[a] for a in g.adj[u] if a in a_set}
-        ys = set()
-        for w in g.closed[u]:
-            if w in b_set:
-                c = witness.get(w)
-                if c is None:
-                    c = witness[w] = _witness_color(g, w, a_set, f1)
-                ys.add(c)
+    for u in sorted(b_set):
+        xs = {witness[a] for a in in_a[u]}
+        ys = {witness[w] for w in g.closed[u] if w in b_set}
         if len(xs) > k - 1:
             raise PipelineError("reduce_lists", f"|X_{u}| = {len(xs)} > k-1")
         if len(ys) > (k - 1) * (b - 1) + 1:
@@ -387,22 +363,18 @@ def reduce_lists(g, b_set, f1, lists, k, b):
     return ListAssignment(entries) if entries else None, removed_x, removed_y
 
 
-def _check_structure(g, a_set, b_set, c_set, k, b):
-    for v in range(g.n):
-        if v in a_set:
-            continue
-        in_a = len(a_set.intersection(g.adj[v]))
-        if not (1 <= in_a <= k - 1):
+def _check_structure(in_a, in_b, a_set, k, b):
+    for v, row in enumerate(in_a):
+        if v not in a_set and not (1 <= len(row) <= k - 1):
             raise PipelineError(
                 "structure",
-                f"vertex {v} has {in_a} A-neighbors, expected 1..{k - 1}",
+                f"vertex {v} has {len(row)} A-neighbors, expected 1..{k - 1}",
             )
-    for v in c_set:
-        in_b = len(b_set.intersection(g.adj[v]))
-        if not (b <= in_b <= (k - 1) * b):
+    for v, row in in_b.items():
+        if not (b <= len(row) <= (k - 1) * b):
             raise PipelineError(
                 "structure",
-                f"C-vertex {v} has {in_b} B-neighbors, expected {b}..{(k - 1) * b}",
+                f"C-vertex {v} has {len(row)} B-neighbors, expected {b}..{(k - 1) * b}",
             )
 
 
@@ -518,7 +490,15 @@ def _core(g, lists, cfg, k, delta, trace):
     trace.part_b = frozenset(b_set)
     trace.part_c = frozenset(c_set)
 
-    _check_structure(g, a_set, b_set, c_set, k, b)
+    # each neighborhood is scanned once: in_a[v] holds v's closed
+    # A-neighbors (v itself for v in A, since A is independent) and
+    # in_b[v] each C-vertex's B-neighbors, both in increasing order
+    in_a = [
+        [v] if v in a_set else [w for w in g.adj[v] if w in a_set]
+        for v in range(g.n)
+    ]
+    in_b = {v: [w for w in g.adj[v] if w in b_set] for v in c_set}
+    _check_structure(in_a, in_b, a_set, k, b)
 
     needed = (k - 1) * b + 2
     for a in a_set:
@@ -526,23 +506,24 @@ def _core(g, lists, cfg, k, delta, trace):
             raise PipelineError(
                 "color_h1", f"list of {a} has {lists.size(a)} colors, need {needed}"
             )
-    f1 = color_h1(g, a_set, b_set, lists)
+    f1, witness = color_h1(in_a, a_set, b_set, lists)
     trace.f1 = f1
 
     if not c_set:
         return f1, None
 
-    reduced, removed_x, removed_y = reduce_lists(g, b_set, f1, lists, k=k, b=b)
+    reduced, removed_x, removed_y = reduce_lists(
+        g, in_a, b_set, witness, lists, k=k, b=b
+    )
     trace.removed_x = removed_x
     trace.removed_y = removed_y
 
     b_sorted = sorted(b_set)
     b_index = {v: i for i, v in enumerate(b_sorted)}
-    h2_edges = []
-    for v in sorted(c_set):
-        edge = [b_index[w] for w in g.adj[v] if w in b_set]
-        h2_edges.append(edge)
-    h2 = Hypergraph(len(b_sorted), h2_edges)
+    # every C-vertex has at least b >= 1 B-neighbors (checked above)
+    h2 = Hypergraph._from_sorted(
+        len(b_sorted), [tuple(b_index[w] for w in in_b[v]) for v in sorted(c_set)]
+    )
 
     _, gamma, _, _ = hypergraph_stats(h2)
     if gamma > delta * delta:

@@ -454,6 +454,22 @@ def test_malformed_sweep_size_names_the_flag(capsys, size):
         # a lemma sweep over no edges would print "pass" having checked nothing
         (["sweep", "--suite", "lemma", "--edges", "0"], "--edges", "0"),
         (["sweep", "--suite", "lemma", "--edges", "-5"], "--edges", "-5"),
+        (["choose", "--graph", "G", "--k", "0"], "--k", "0"),
+        # the pipeline raises a k below 2 to 2, so -5 would run unnoticed
+        (
+            ["pipeline", "--graph", "G", "--lists", "RANGE:50", "--seed", "1"]
+            + ["--scaled", "--k-override", "-5"],
+            "--k-override",
+            "-5",
+        ),
+        (
+            ["pipeline", "--graph", "G", "--lists", "RANGE:50", "--seed", "1"]
+            + ["--retries", "0"],
+            "--retries",
+            "0",
+        ),
+        (["lemma", "--hgraph", "H", "--seed", "1", "--alpha", "-4"], "--alpha", "-4"),
+        (["lemma", "--hgraph", "H", "--seed", "1", "--max-rounds", "0"], "--max-rounds", "0"),
     ],
 )
 def test_sizes_and_counts_below_one_name_the_flag(tmp_path, capsys, argv, flag, value):

@@ -108,7 +108,7 @@ def test_near_uniform_color_succeeds_and_is_deterministic():
     f2, rounds2 = prob.near_uniform_color(h, lists, cfg)
     assert dict(f1.items()) == dict(f2.items())
     assert rounds1 == rounds2
-    assert f1.is_total(h.n)
+    assert set(f1.domain) == set(range(h.n))
     for e in h.edges:
         unique = len(unique_colors([f1[v] for v in e]))
         assert unique >= math.ceil(len(e) / 8)
@@ -219,6 +219,17 @@ def check_trace_invariants(g, trace):
         for u in trace.removed_x:
             assert len(trace.removed_x[u]) <= trace.k - 1
             assert len(trace.removed_y[u]) <= (trace.k - 1) * (trace.b - 1) + 1
+        # the witness rule, from g and f1 alone: X_u holds the colors of
+        # u's A-neighbors, Y_u the smallest color that appears once among
+        # the closed A-neighbors of each closed B-neighbor of u
+        assert set(trace.removed_x) == (set(trace.part_b) if trace.part_c else set())
+        for u in trace.removed_x:
+            assert trace.removed_x[u] == {trace.f1[x] for x in g.adj[u] if x in a}
+            assert trace.removed_y[u] == {
+                smallest_once(trace.f1, [x for x in g.closed[w] if x in a])
+                for w in g.closed[u]
+                if w in trace.part_b
+            }
     assert trace.final is not None
     assert trace.attempts >= 1
 
@@ -251,20 +262,33 @@ def test_pipeline_rejects_undersized_lists():
         prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 3), cfg)
 
 
+def smallest_once(f1, vertices):
+    colors = [f1[x] for x in vertices]
+    return min(c for c in colors if colors.count(c) == 1)
+
+
 def test_color_h1_covers_a_union_b():
     g = claw_free_corpus(1, 12, seed=26)[0]
     from cfcolor.graphs import maximal_independent_set
 
     a = set(maximal_independent_set(g))
     b = set(range(g.n)) - a
+    in_a = [[x for x in g.closed[v] if x in a] for v in range(g.n)]
     lists = ListAssignment.uniform_range(g.n, 64)
-    f1 = prob.color_h1(g, a, b, lists)
+    f1, witness = prob.color_h1(in_a, a, b, lists)
     assert set(f1.domain) == a
-    # every vertex of A u B sees a unique color among closed A-neighbors
+    # every vertex of A u B sees a unique color among closed A-neighbors,
+    # and its witness is the smallest such color
+    assert set(witness) == set(range(g.n))
     for v in range(g.n):
-        cells = [f1.get(x) for x in g.closed[v] if x in a]
-        cells = [c for c in cells if c is not None]
-        assert any(cells.count(c) == 1 for c in set(cells))
+        assert witness[v] == smallest_once(f1, in_a[v])
+        if v in a:
+            assert witness[v] == f1[v]
+
+    # a B-vertex without an A-neighbor is reported before any coloring
+    in_a[max(b)] = []
+    with pytest.raises(prob.PipelineError, match=f"vertex {max(b)} in B has no"):
+        prob.color_h1(in_a, a, b, lists)
 
 
 def test_pipeline_retries_only_the_resampling(monkeypatch):
