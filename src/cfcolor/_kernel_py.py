@@ -10,17 +10,31 @@ The search decides the connected parts of the edges one after the
 other and ends at the first part without a solution.
 
 ``max_star`` is the induced-star branch and bound that ``_kernel.c``
-ports to word bitsets; here the bitsets are Python ints.
+ports to word bitsets; here the bitsets are Python ints.  Both take a
+graph's adjacency as CSR (compressed sparse row) arrays: row v is
+vert[start[v]:start[v + 1]].
 
-Status codes: 0 = solution found (for ``max_star``: done), 1 = exhausted
-(no solution), 2 = node budget exceeded.
+``read_graph`` reads a graph file exactly as ``fileio.format_graph``
+writes it into such arrays, every row sorted, and declines any other
+text; ``_kernel.c`` reads the same texts in C.
+
+Status codes: 0 = solution found (for ``max_star``: done; for
+``read_graph``: read), 1 = exhausted (no solution; for ``read_graph``:
+declined), 2 = node budget exceeded.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+from operator import gt
+
 UNDECIDED = -2
 UNCOLORED = -1
-# the error of both max_star backends for a row that is not a simple graph's
+INT_MAX = 2**31 - 1
+# the errors of both max_star backends for CSR arrays that are not a
+# simple graph's
+BAD_CSR = "CSR starts must rise from 0 to the number of neighbors"
 BAD_ROW = "adjacency row {} names a vertex outside [0, n) or itself"
 
 
@@ -203,10 +217,11 @@ def clique_cover(p, masks):
     return count
 
 
-def max_star(adj):
-    """(0, t) for the largest t such that the graph with adjacency rows
-    `adj` contains an induced star K_{1,t}; t is 0 for an edgeless graph.
-    A row naming a vertex outside [0, n) or its own vertex raises
+def max_star(start, vert):
+    """(0, t) for the largest t such that the graph with CSR adjacency
+    (start, vert) contains an induced star K_{1,t}; t is 0 for an
+    edgeless graph.  Starts that do not rise from 0 to len(vert), and a
+    row that names a vertex outside [0, n) or its own vertex, raise
     ValueError.
 
     t is the maximum, over vertices v, of the maximum independent set
@@ -218,12 +233,14 @@ def max_star(adj):
     whose cover is all singletons is an independent set and needs no
     branching.
     """
-    n = len(adj)
+    n = len(start) - 1
+    if n < 0 or start[0] != 0 or start[n] != len(vert) or any(map(gt, start, start[1:])):
+        raise ValueError(BAD_CSR)
     masks = []
-    for v, nbrs in enumerate(adj):
+    for v in range(n):
         mask = 0
         try:
-            for w in nbrs:
+            for w in vert[start[v]:start[v + 1]]:
                 mask |= 1 << w
         except ValueError:  # a negative shift count
             mask = -1
@@ -246,3 +263,44 @@ def max_star(adj):
             stack.append((size, rest))
             stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
     return 0, best
+
+
+def read_graph(text):
+    """(0, start, vert), the CSR arrays of the graph of `text`, when it is
+    exactly what format_graph writes (`p graph <n> <m>`, then m >= 1 lines
+    `e <u> <v>`, single spaces, `\n` endings, canonical decimals, n and
+    2m at most INT_MAX) and holds a simple graph; (1, None, None) for any
+    other text.  Rows are sorted, as in ``Graph.csr``.
+    """
+    declined = 1, None, None
+    tokens = text.split()
+    if len(tokens) < 7 or len(tokens) % 3 != 1:
+        return declined
+    uv = tokens[4:]
+    del uv[::3]
+    m = len(uv) // 2
+    if text != ("p graph %s %s\n" + "e %s %s\n" * m) % (tokens[2], str(m), *uv):
+        return declined
+    try:
+        n = int(tokens[2])
+    except ValueError:
+        return declined
+    if str(n) != tokens[2] or not 1 <= n <= INT_MAX or 2 * m > INT_MAX:
+        return declined
+    # a missed key is a token out of range or not in canonical form
+    ids = {str(v + 1): v for v in range(n)}
+    try:
+        us = list(map(ids.__getitem__, uv[::2]))
+        vs = list(map(ids.__getitem__, uv[1::2]))
+    except KeyError:
+        return declined
+    adj = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    # a self-loop lists its vertex twice in its own row, and a duplicate
+    # edge, reversed or not, lists each end twice in the other's
+    if sum(map(len, map(set, adj))) != 2 * m:
+        return declined
+    start = array("i", accumulate(map(len, adj), initial=0))
+    return 0, start, array("i", chain.from_iterable(map(sorted, adj)))

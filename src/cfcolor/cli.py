@@ -4,7 +4,8 @@ Decision subcommands exit 0 for yes, 1 for no, 2 when a resource budget
 tripped or the run failed for want of resources (a failed pipeline, the
 recursion limit, memory); all subcommands exit 3 on malformed input or a
 path that cannot be read or written.  A failure never exits 1, which means
-"no".  Randomized paths require an explicit --seed; identical command and
+"no": as a process (``run``), an exception that escapes ``main``, such as
+a failed self-check, is a crash and exits 2 too.  Randomized paths require an explicit --seed; identical command and
 seed give byte-identical output.  What a command prints as its coloring or
 graph is also exactly what it writes to --out.
 """
@@ -15,6 +16,7 @@ import argparse
 import math
 import random
 import sys
+import traceback
 from pathlib import Path
 
 from cfcolor import fileio, prob, reductions, solve
@@ -451,5 +453,18 @@ def main(argv=None):
         return EXIT_INPUT
 
 
+def run(argv=None):
+    """``main`` as a process entry: an exception that escapes it is a
+    crash, whose traceback and a last line `internal error: <type>:
+    <message>` go to stderr, and exits 2.  ``main`` itself lets it
+    escape, so that an in-process caller sees the crash."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -13,10 +13,12 @@ is a comment; comments and blank lines are ignored everywhere.  Vertices
 are 1-indexed on disk and translated to 0-indexed at this boundary.
 
 A graph file exactly as format_graph writes it (at least one edge) is
-read in one pass: one split of the whole text, checked against the text
-rebuilt from its tokens, and vertex tokens mapped through a dict.  Every
-other graph file, faulty ones included, is read record by record, with
-the same result and the same line-numbered errors.
+read by ``kernels.read_graph``, in C when the kernel is built, into CSR
+arrays with sorted rows; the Graph is sliced from them and keeps them as
+`Graph.csr`.  Every other graph file, faulty ones included, is declined
+there and read record by record, with the same result and the same
+line-numbered errors.  A reader that runs out of memory raises
+MemoryError.
 """
 
 from __future__ import annotations
@@ -93,49 +95,20 @@ def _records(text, kind, tag, noun):
         raise InputFormatError(f"header declares {m} {noun}s, found {count}")
 
 
-def _parse_written_graph(text):
-    """The graph of `text` when it is exactly what format_graph writes
-    (`p graph <n> <m>`, then m >= 1 lines `e <u> <v>`, single spaces,
-    `\n` endings, canonical decimals) and it holds a simple graph; None
-    for any other text, which the record loop then reads."""
-    tokens = text.split()
-    if len(tokens) < 7 or len(tokens) % 3 != 1:
-        return None
-    uv = tokens[4:]
-    del uv[::3]
-    m = len(uv) // 2
-    if text != ("p graph %s %s\n" + "e %s %s\n" * m) % (tokens[2], str(m), *uv):
-        return None
-    try:
-        n = int(tokens[2])
-    except ValueError:
-        return None
-    if str(n) != tokens[2] or n < 1:
-        return None
-    # a missed key is a token out of range or not in canonical form
-    ids = {str(v + 1): v for v in range(n)}
-    try:
-        us = list(map(ids.__getitem__, uv[::2]))
-        vs = list(map(ids.__getitem__, uv[1::2]))
-    except KeyError:
-        return None
-    adj = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    # a self-loop lists its vertex twice in its own row, and a duplicate
-    # edge, reversed or not, lists each end twice in the other's
-    if sum(map(len, map(set, adj))) != 2 * m:
-        return None
-    return Graph._from_adjacency(n, adj)
-
-
 def parse_graph(text):
     """The graph of a `p graph` file.  Text exactly as format_graph writes
-    it is read in one pass; any other text, and every faulty file, goes
-    through the record loop, which names the first fault's line."""
-    g = _parse_written_graph(text)
-    return g if g is not None else _parse_graph_records(text)
+    it is read by the active kernel; any other text, and every faulty
+    file, goes through the record loop, which names the first fault's
+    line."""
+    # imported here, so that importing the package builds no kernel
+    from cfcolor import kernels
+
+    status, start, vert = kernels.read_graph(text)
+    if status == 3:
+        raise MemoryError(f"reading a {len(text)}-character graph file ran out of memory")
+    if status:
+        return _parse_graph_records(text)
+    return Graph._from_csr(start, vert)
 
 
 def _parse_graph_records(text):

@@ -4,14 +4,17 @@ used by the randomized coloring pipeline.
 Vertices are dense integers 0..n-1.  All objects are immutable after
 construction; operations never mutate their arguments.  A graph builds its
 closed neighborhoods once, on first use, as `Graph.closed`; every closed
-neighborhood in the package is read from there.
+neighborhood in the package is read from there.  Its adjacency as the CSR
+int arrays that the C kernels read is `Graph.csr`, which a graph read from
+a file gets from the reader.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import accumulate, chain, combinations, pairwise
 from operator import or_
 
 
@@ -45,6 +48,27 @@ class Graph:
         g.n = n
         g.adj = tuple(tuple(sorted(s)) for s in adj)
         return g
+
+    @classmethod
+    def _from_csr(cls, start, vert):
+        """The graph whose row v is vert[start[v]:start[v + 1]], int arrays
+        that the caller has already checked to hold a simple graph with
+        sorted rows; they become its `csr`."""
+        g = cls.__new__(cls)
+        g.n = len(start) - 1
+        flat = vert.tolist()
+        g.adj = tuple([tuple(flat[a:b]) for a, b in pairwise(start)])
+        g.csr = start, vert
+        return g
+
+    @cached_property
+    def csr(self):
+        """(start, vert): the adjacency as int arrays, row v being
+        vert[start[v]:start[v + 1]]."""
+        return (
+            array("i", accumulate(map(len, self.adj), initial=0)),
+            array("i", chain.from_iterable(self.adj)),
+        )
 
     @cached_property
     def edges(self):
@@ -179,16 +203,17 @@ def max_star(g):
     Equals the maximum, over vertices v, of the maximum independent set
     size inside N(v).  g is K_{1,k}-free exactly for all k > max_star(g).
     Returns 0 for edgeless graphs.  The branch and bound runs in the
-    active kernel (see ``_kernel_py.max_star``); ``kernels.max_star`` is
-    looked up at call time, so a test can swap backends.  Raises
-    MemoryError when the C kernel cannot allocate its bitsets.
+    active kernel (see ``_kernel_py.max_star``) on ``g.csr``;
+    ``kernels.max_star`` is looked up at call time, so a test can swap
+    backends.  Raises MemoryError when the C kernel cannot allocate its
+    bitsets.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     # imported here, so that importing the package builds no kernel
     from cfcolor import kernels
 
-    status, best = kernels.max_star(g.adj)
+    status, best = kernels.max_star(*g.csr)
     if status == 3:
         raise MemoryError(f"max_star on {g.n} vertices ran out of memory")
     return best

@@ -1,10 +1,12 @@
-"""The two kernel entries, each with a C backend in ``_kernel.c`` and a
+"""The three kernel entries, each with a C backend in ``_kernel.c`` and a
 pure-Python one in ``_kernel_py``:
 
 - ``solve_cf``, the conflict-free search: it prepares the input and calls
   ``search`` with flat arrays;
-- ``max_star``, the largest induced star of a graph, from its adjacency
-  rows.
+- ``max_star(start, vert)``, the largest induced star of a graph, from
+  its CSR adjacency arrays (``Graph.csr``);
+- ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
+  writes it, read into those CSR arrays with every row sorted.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
@@ -26,8 +28,13 @@ oracle, is one ``solve_cf`` call with the single color 0, so it tries
 Status codes of the search: 0 = solution found, 1 = exhausted (no
 solution), 2 = node budget exceeded, 3 = out of memory (C kernel only).
 ``max_star`` returns (status, t) with status 0 = done or 3 = out of
-memory (C kernel only); both backends raise ValueError for a row that
-names a vertex outside [0, n) or its own vertex.
+memory (C kernel only); both backends raise ValueError for starts that do
+not rise from 0 to len(vert) and for a row that names a vertex outside
+[0, n) or its own vertex.  ``read_graph`` returns (status, start, vert)
+with status 0 = read, 1 = declined (any other text, a self-loop or a
+duplicate edge; start and vert are None) or 3 = out of memory (C kernel
+only).  Both backends accept and decline the same texts; neither sizes an
+array from a header count that the text cannot back.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import ctypes
 import os
 import zlib
 from array import array
-from itertools import accumulate, chain
 
 from cfcolor import _kernel_py
 
@@ -48,6 +54,7 @@ COMPILE_FLAGS = ("-O2", "-shared", "-fPIC")
 MAX_BUDGET = 2**62
 
 _int = ctypes.c_int
+_int_size = ctypes.sizeof(_int)
 # arrays are passed as the addresses of array.array buffers: building those
 # costs a quarter of building ctypes arrays, which matters for tiny searches
 _ptr = ctypes.c_void_p
@@ -91,13 +98,14 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, search, max_star): the C kernels built into cache_dir, or
-    the pure-Python kernels when they cannot be built or loaded."""
+    """(backend, search, max_star, read_graph): the C kernels built into
+    cache_dir, or the pure-Python kernels when they cannot be built or
+    loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.search, _kernel_py.max_star
-    return "compiled", _bind(lib), _bind_max_star(lib)
+        return "pure-python", _kernel_py.search, _kernel_py.max_star, _kernel_py.read_graph
+    return "compiled", _bind(lib), _bind_max_star(lib), _bind_read_graph(lib)
 
 
 def _address(buffer):
@@ -141,19 +149,51 @@ def _bind_max_star(lib):
     c_max_star.argtypes = [_int, _ptr, _ptr, _ptr]
     c_max_star.restype = _int
 
-    def max_star(adj):
-        start = array("i", accumulate(map(len, adj), initial=0))
-        flat = array("i", chain.from_iterable(adj))
+    def max_star(start, vert):
+        if start.typecode != "i" or vert.typecode != "i":
+            raise TypeError("max_star takes CSR arrays of C ints")
+        # the C kernel checks that the starts rise, and so stay inside vert
+        if not start or start[0] != 0 or start[-1] != len(vert):
+            raise ValueError(_kernel_py.BAD_CSR)
         out = array("i", [0])
-        status = c_max_star(len(adj), _address(start), _address(flat), _address(out))
-        if status == 4:  # row out[0] is not a simple graph's
-            raise ValueError(_kernel_py.BAD_ROW.format(out[0]))
+        status = c_max_star(len(start) - 1, _address(start), _address(vert), _address(out))
+        if status == 4:  # row out[0], or the starts when it is -1, are not a graph's
+            raise ValueError(_kernel_py.BAD_ROW.format(out[0]) if out[0] >= 0 else _kernel_py.BAD_CSR)
         return status, out[0]
 
     return max_star
 
 
-BACKEND, search, max_star = load(os.path.join(HERE, "__pycache__"))
+def _bind_read_graph(lib):
+    """``_kernel_py.read_graph`` on the C function of lib, which reads the
+    UTF-8 bytes of the text; the arrays are copied out of its block."""
+    c_read = lib.read_graph
+    c_read.argtypes = [ctypes.c_char_p, ctypes.c_size_t, _ptr, ctypes.POINTER(_ptr)]
+    c_read.restype = _int
+    c_free = lib.free_graph
+    c_free.argtypes = [_ptr]
+    c_free.restype = None
+
+    def read_graph(text):
+        # a lone surrogate passes as bytes that no accepted text holds
+        data = text.encode("utf-8", "surrogatepass")
+        size = array("i", [0, 0])
+        block = _ptr()
+        status = c_read(data, len(data), _address(size), ctypes.byref(block))
+        if status:
+            return status, None, None
+        n, m = size
+        try:
+            start = array("i", ctypes.string_at(block.value, _int_size * (n + 1)))
+            vert = array("i", ctypes.string_at(block.value + _int_size * (n + 2), _int_size * 2 * m))
+        finally:
+            c_free(block)
+        return 0, start, vert
+
+    return read_graph
+
+
+BACKEND, search, max_star, read_graph = load(os.path.join(HERE, "__pycache__"))
 
 
 def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):

@@ -354,6 +354,69 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
+_CRASHED_PROCESS = """
+import runpy, sys
+from types import SimpleNamespace
+from cfcolor import kernels, solve
+
+def raise_key_error(*args, **kwargs):
+    raise KeyError("no such key")
+
+if %r == "verify":
+    solve.verify_cf = lambda *args, **kwargs: SimpleNamespace(valid=False)
+else:
+    kernels.search = raise_key_error
+sys.argv = ["cfcolor", "solve", "--graph", %r, "--uniform", "2"]
+runpy.run_module("cfcolor.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "patched,message",
+    [
+        ("verify", "AssertionError: solver produced a coloring that fails verification"),
+        ("search", "KeyError: 'no such key'"),
+    ],
+)
+def test_a_crashed_process_exits_2(tmp_path, monkeypatch, patched, message):
+    # a failed self-check or any other escaped exception is a crash, not
+    # a "no": the process entry exits 2 and names it on stderr after its
+    # traceback, while an in-process cli.main lets it escape
+    g = write_c4(tmp_path)
+    done = run_python(_CRASHED_PROCESS % (patched, g), check=False, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith(f"\ninternal error: {message}\n")
+    from types import SimpleNamespace
+
+    from cfcolor import kernels, solve
+
+    if patched == "verify":
+        monkeypatch.setattr(solve, "verify_cf", lambda *a, **k: SimpleNamespace(valid=False))
+    else:
+        monkeypatch.setattr(kernels, "search", lambda *a, **k: {}["no such key"])
+    with pytest.raises((AssertionError, KeyError), match=message.split(": ", 1)[1]):
+        cli.main(["solve", "--graph", g, "--uniform", "2"])
+
+
+_OVERSIZED_EDGE_COUNT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfcolor import cli
+open(%r, "w").write("p graph 3 99999999999\\ne 1 2\\n")
+sys.exit(cli.main(["edc", "--graph", %r]))
+"""
+
+
+def test_an_edge_count_the_text_cannot_hold_exits_3(tmp_path):
+    # the header's edge count sizes no allocation: within a 2 GiB address
+    # space the record loop counts the one edge and names the mismatch
+    path = str(tmp_path / "g.txt")
+    done = run_python(_OVERSIZED_EDGE_COUNT % (path, path), check=False, timeout=60)
+    assert done.returncode == 3
+    assert done.stderr == "input error: header declares 99999999999 edges, found 1\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace", "--rolemap", "--report"])
 def test_unwritable_output_path_exits_3(tmp_path, capsys, flag):
     g = write_c4(tmp_path)

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
-from cfcolor import fileio
+from cfcolor import _kernel_py, fileio, kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
 from cfcolor.graphs import Graph, Hypergraph, random_graph
@@ -251,19 +252,38 @@ def test_a_first_token_c_makes_a_comment_in_every_format(parse, write, text):
     assert write(parse(commented)) == write(parse(text)) == text
 
 
+# kernels.read_graph on the active backend (C when the kernel is built)
+# and on the pure-Python fallback
+READERS = [kernels.read_graph, _kernel_py.read_graph]
+
+
+def _edge_orders(text, rng):
+    """text, then the same graph with its edge lines reversed, shuffled,
+    and shuffled with the ends of every other edge swapped."""
+    header, *lines = text.splitlines(keepends=True)
+    shuffled = rng.sample(lines, len(lines))
+    swapped = [f"e {v} {u}\n" if i % 2 else line
+               for i, (line, (_, u, v)) in enumerate(zip(shuffled, map(str.split, shuffled)))]
+    return [text] + [header + "".join(order) for order in (lines[::-1], shuffled, swapped)]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_parsed_graph_equals_the_constructed_one(seed):
-    # parse_graph builds its Graph from adjacency rows, not through
-    # Graph.__init__; both must give the same object.  What format_graph
-    # writes is read in one pass when it has an edge, and gives the record
-    # loop's Graph; a file without edges is left to the record loop
+    # parse_graph builds its Graph from the reader's CSR arrays, not
+    # through Graph.__init__; both must give the same object and the same
+    # csr.  What format_graph writes is read by either reader when it has
+    # an edge, in any edge order, and gives the record loop's Graph; a
+    # file without edges is left to the record loop
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 300), rng.choice([0.0, 0.02, 0.1, 0.5]), rng)
-    text = fileio.format_graph(g)
-    back = fileio.parse_graph(text)
-    assert back == g and back.edges == g.edges and back.m == g.m
-    assert fileio._parse_graph_records(text) == g
-    assert fileio._parse_written_graph(text) == (g if g.m else None)
+    for text in _edge_orders(fileio.format_graph(g), rng):
+        assert fileio._parse_graph_records(text) == g
+        for reader in READERS:
+            assert reader(text) == ((0, *g.csr) if g.m else (1, None, None))
+            with mock.patch.object(kernels, "read_graph", reader):
+                back = fileio.parse_graph(text)
+            assert back == g and back.edges == g.edges and back.m == g.m
+            assert back.csr == g.csr
 
 
 # (text, edges of the graph on 3 vertices or the record loop's error)
@@ -292,16 +312,26 @@ _DECLINED = [
     ("p graph -3 1\ne 1 2\n", "line 1: header count -3 is below 0"),
     ("p graph 3 2\nf 1 2\ne 2 3\n", "line 2: unexpected record 'f'"),
     ("p hgraph 3 2\ne 1 2\ne 2 3\n", "line 1: expected header `p graph <n> <m>`"),
+    # a duplicate that only sorting the row brings next to its twin
+    ("p graph 3 3\ne 2 3\ne 1 2\ne 3 2\n", "line 4: duplicate edge 3 2"),
+    # a digit outside ASCII, which int() reads, a NUL and a lone surrogate
+    ("p graph 3 2\ne 1 \uff12\ne 2 3\n", [(0, 1), (1, 2)]),
+    ("p graph 3 1\ne 1 2\n\x00", "line 3: unexpected record '\\x00'"),
+    ("p graph 3 1\ne 1 2\n\ud800", "line 3: unexpected record '\\ud800'"),
+    # an edge count that no text of this length can hold sizes nothing
+    ("p graph 3 99999999999\ne 1 2\n", "header declares 99999999999 edges, found 1"),
 ]
 
 
 @pytest.mark.parametrize("text,want", _DECLINED)
 def test_other_graph_files_are_left_to_the_record_loop(text, want):
-    assert fileio._parse_written_graph(text) is None
-    if isinstance(want, str):
-        for parse in (fileio.parse_graph, fileio._parse_graph_records):
-            with pytest.raises(InputFormatError) as info:
-                parse(text)
-            assert str(info.value) == want
-    else:
-        assert fileio.parse_graph(text) == Graph(3, want)
+    for reader in READERS:
+        assert reader(text) == (1, None, None)
+        with mock.patch.object(kernels, "read_graph", reader):
+            if isinstance(want, str):
+                for parse in (fileio.parse_graph, fileio._parse_graph_records):
+                    with pytest.raises(InputFormatError) as info:
+                        parse(text)
+                    assert str(info.value) == want
+            else:
+                assert fileio.parse_graph(text) == Graph(3, want)

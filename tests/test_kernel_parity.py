@@ -1,18 +1,20 @@
 """The compiled and pure-Python kernels must explore the identical search
-tree: equal status, equal result, equal node count, on every input; and
-their max_star must find the same largest induced star.  The compiled
-backend is ``_kernel.c``, built on import when a C compiler is
+tree: equal status, equal result, equal node count, on every input;
+their max_star must find the same largest induced star; and their
+read_graph must read the same texts into the same CSR arrays.  The
+compiled backend is ``_kernel.c``, built on import when a C compiler is
 present."""
 
 import math
 import random
-from itertools import combinations
+from array import array
+from itertools import accumulate, chain, combinations
 from unittest import mock
 
 import pytest
 
 from cfcolor import _kernel_py as pure
-from cfcolor import graphs, kernels
+from cfcolor import fileio, graphs, kernels
 from cfcolor.graphs import Graph, line_graph
 from util import brute_force_max_star, connected_parts, exact_one_by_parts, run_python
 
@@ -26,6 +28,9 @@ requires_compiled = pytest.mark.skipif(
 def test_backend_is_compiled_when_built():
     assert kernels.BACKEND == "compiled"
     assert kernels.search is not pure.search
+    # max_star hands the arrays' buffers to C, which reads C ints
+    with pytest.raises(TypeError, match="CSR arrays of C ints"):
+        kernels.max_star(array("q", [0]), array("i"))
 
 
 def _on_pure_backend(*args):
@@ -244,7 +249,7 @@ def test_max_star_parity_on_small_graphs():
     assert len(cases) >= 2000
     for g in cases:
         want = (0, brute_force_max_star(g))
-        assert kernels.max_star(g.adj) == pure.max_star(g.adj) == want, g.adj
+        assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == want, g.adj
 
 
 def _benchmark_line_graphs():
@@ -266,7 +271,19 @@ def test_max_star_parity_on_the_benchmark_line_graphs():
     # edges, whose middle edge has two nonadjacent neighbors
     for g in _benchmark_line_graphs():
         assert g.n == 531
-        assert kernels.max_star(g.adj) == pure.max_star(g.adj) == (0, 2)
+        assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == (0, 2)
+
+
+def test_read_graph_parity_on_the_benchmark_line_graphs():
+    # both readers give the CSR that Graph.csr computes from the rows, and
+    # parse_graph gives the same Graph and CSR with either
+    for g in _benchmark_line_graphs():
+        text = fileio.format_graph(g)
+        assert kernels.read_graph(text) == pure.read_graph(text) == (0, *g.csr)
+        for reader in (kernels.read_graph, pure.read_graph):
+            with mock.patch.object(kernels, "read_graph", reader):
+                back = fileio.parse_graph(text)
+            assert back == g and back.csr == g.csr
 
 
 def test_max_star_parity_on_banded_graphs():
@@ -278,7 +295,11 @@ def test_max_star_parity_on_banded_graphs():
         band = rng.randint(2, 24)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + band))
                       if rng.random() < 0.4])
-        assert kernels.max_star(g.adj) == pure.max_star(g.adj), (n, band)
+        assert kernels.max_star(*g.csr) == pure.max_star(*g.csr), (n, band)
+
+
+def _csr(rows):
+    return array("i", accumulate(map(len, rows), initial=0)), array("i", chain(*rows))
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])
@@ -293,7 +314,12 @@ def test_max_star_extremes_on_both_backends(backend):
     # read past the bitsets or looped on
     for adj, row in (([[1], [2]], 1), ([[1], [0, 1]], 1), ([[-1], [0]], 0)):
         with pytest.raises(ValueError, match=f"adjacency row {row} names"):
-            search(adj)
+            search(*_csr(adj))
+    # and so are starts that would read outside vert: not from 0, not up
+    # to its end, or falling on the way
+    for start, vert in (([], []), ([1, 1], [0]), ([0, 1], [0, 0]), ([0, 2, 1, 2], [1, 2])):
+        with pytest.raises(ValueError, match="CSR starts must rise"):
+            search(array("i", start), array("i", vert))
 
 
 _MAX_STAR_OUT_OF_MEMORY = """
@@ -302,7 +328,7 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from cfcolor import cli, graphs, kernels
 assert kernels.BACKEND == "compiled"
 g = graphs.Graph(150000, [(0, 1)])
-print(kernels.max_star(g.adj))
+print(kernels.max_star(*g.csr))
 try:
     graphs.max_star(g)
 except MemoryError as exc:
@@ -321,16 +347,45 @@ def test_max_star_out_of_memory_is_status_3(tmp_path):
     assert out == ["(3, 0)", "max_star on 150000 vertices ran out of memory", "2"]
 
 
+_READER_OUT_OF_MEMORY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfcolor import cli, fileio, kernels
+assert kernels.BACKEND == "compiled"
+wide = "p graph 2147483647 1\\ne 1 2\\n"
+print(kernels.read_graph(wide))
+try:
+    fileio.parse_graph(wide)
+except MemoryError as exc:
+    print(exc)
+open(%r, "w").write(wide)
+print(cli.main(["edc", "--graph", %r]))
+"""
+
+
+@requires_compiled
+def test_read_graph_out_of_memory_is_status_3(tmp_path):
+    # 2^31 - 1 row starts are 8 GiB, past the 2 GiB address space: the
+    # reader's one allocation fails, parse_graph raises MemoryError and the
+    # CLI exits 2
+    path = str(tmp_path / "wide.txt")
+    done = run_python(_READER_OUT_OF_MEMORY % (path, path), timeout=60)
+    message = "reading a 27-character graph file ran out of memory"
+    assert done.stdout.splitlines() == ["(3, None, None)", message, "2"]
+    assert done.stderr == f"resources exhausted: MemoryError: {message}\n"
+
+
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
         pure.search,
         pure.max_star,
+        pure.read_graph,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, search, max_star = kernels.load(tmp_path)
+    backend, search, max_star, read_graph = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns
@@ -340,5 +395,8 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     # the edge {0, 1} and the lists [0], [0], passed unshared
     args = (2, 1, [0, 2], [0, 1], [0, 1], [1, 2], [0, 0], 1, True, False, True, 10)
     assert search(*args) == pure.search(*args) == (1, None, 2)
-    # both kernels come from the one library: the path 0 - 1 - 2
-    assert max_star([[1], [0, 2], [1]]) == pure.max_star([[1], [0, 2], [1]]) == (0, 2)
+    # all three kernels come from the one library: the path 0 - 1 - 2
+    path = _csr([[1], [0, 2], [1]])
+    assert max_star(*path) == pure.max_star(*path) == (0, 2)
+    text = "p graph 3 2\ne 2 3\ne 1 2\n"
+    assert read_graph(text) == pure.read_graph(text) == (0, *path)

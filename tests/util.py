@@ -27,8 +27,9 @@ from cfcolor.solve import (
 )
 
 
-def run_python(code, *flags, timeout=None):
-    """Run code in a fresh interpreter that imports this cfcolor."""
+def run_python(code, *flags, timeout=None, check=True):
+    """Run code in a fresh interpreter that imports this cfcolor; with
+    check, a nonzero exit raises."""
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -39,7 +40,7 @@ def run_python(code, *flags, timeout=None):
         env=env,
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
         timeout=timeout,
     )
 
