@@ -14,24 +14,19 @@ ports to word bitsets; here the bitsets are Python ints.  Both take a
 graph's adjacency as CSR (compressed sparse row) arrays: row v is
 vert[start[v]:start[v + 1]].
 
-``read_graph`` reads a graph file exactly as ``fileio.format_graph``
-writes it into such arrays, every row sorted, and declines any other
-text; ``_kernel.c`` reads the same texts in C.
+There is no pure-Python graph reader: without the C kernel,
+``fileio`` reads every graph file record by record.
 
-Status codes: 0 = solution found (for ``max_star``: done; for
-``read_graph``: read), 1 = exhausted (no solution; for ``read_graph``:
-declined), 2 = node budget exceeded.
+Status codes: 0 = solution found (for ``max_star``: done), 1 = exhausted
+(no solution), 2 = node budget exceeded.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain
 from operator import gt
 
 UNDECIDED = -2
 UNCOLORED = -1
-INT_MAX = 2**31 - 1
 # the errors of both max_star backends for CSR arrays that are not a
 # simple graph's
 BAD_CSR = "CSR starts must rise from 0 to the number of neighbors"
@@ -263,44 +258,3 @@ def max_star(start, vert):
             stack.append((size, rest))
             stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
     return 0, best
-
-
-def read_graph(text):
-    """(0, start, vert), the CSR arrays of the graph of `text`, when it is
-    exactly what format_graph writes (`p graph <n> <m>`, then m >= 1 lines
-    `e <u> <v>`, single spaces, `\n` endings, canonical decimals, n and
-    2m at most INT_MAX) and holds a simple graph; (1, None, None) for any
-    other text.  Rows are sorted, as in ``Graph.csr``.
-    """
-    declined = 1, None, None
-    tokens = text.split()
-    if len(tokens) < 7 or len(tokens) % 3 != 1:
-        return declined
-    uv = tokens[4:]
-    del uv[::3]
-    m = len(uv) // 2
-    if text != ("p graph %s %s\n" + "e %s %s\n" * m) % (tokens[2], str(m), *uv):
-        return declined
-    try:
-        n = int(tokens[2])
-    except ValueError:
-        return declined
-    if str(n) != tokens[2] or not 1 <= n <= INT_MAX or 2 * m > INT_MAX:
-        return declined
-    # a missed key is a token out of range or not in canonical form
-    ids = {str(v + 1): v for v in range(n)}
-    try:
-        us = list(map(ids.__getitem__, uv[::2]))
-        vs = list(map(ids.__getitem__, uv[1::2]))
-    except KeyError:
-        return declined
-    adj = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    # a self-loop lists its vertex twice in its own row, and a duplicate
-    # edge, reversed or not, lists each end twice in the other's
-    if sum(map(len, map(set, adj))) != 2 * m:
-        return declined
-    start = array("i", accumulate(map(len, adj), initial=0))
-    return 0, start, array("i", chain.from_iterable(map(sorted, adj)))

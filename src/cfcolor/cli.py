@@ -87,7 +87,15 @@ def _instance(args):
     if args.total:
         raise InputFormatError("--total applies to --hgraph inputs only")
     g = fileio.parse_graph(_read(args.graph))
-    return solve.SolveInstance.from_graph(g, args.variant or "cn-star")
+    variant = args.variant or "cn-star"
+    if variant.startswith("on") and () in g.adj:
+        # named as in the file, 1-indexed
+        v = g.adj.index(()) + 1
+        raise InputFormatError(
+            f"vertex {v} is isolated; --variant {variant} needs every open "
+            "neighborhood non-empty"
+        )
+    return solve.SolveInstance.from_graph(g, variant)
 
 
 def cmd_verify(args):

@@ -12,18 +12,20 @@ Tokens are separated by any whitespace.  A line whose first token is `c`
 is a comment; comments and blank lines are ignored everywhere.  Vertices
 are 1-indexed on disk and translated to 0-indexed at this boundary.
 
-A graph file exactly as format_graph writes it (at least one edge) is
-read by ``kernels.read_graph``, in C when the kernel is built, into CSR
-arrays with sorted rows; the Graph is sliced from them and keeps them as
-`Graph.csr`.  Every other graph file, faulty ones included, is declined
-there and read record by record, with the same result and the same
-line-numbered errors.  A reader that runs out of memory raises
-MemoryError.
+When the C kernel is built, a graph file exactly as format_graph writes
+it (at least one edge) is read by ``kernels.read_graph`` into CSR arrays
+with sorted rows; the Graph is sliced from them and keeps them as
+`Graph.csr`.  Every other graph file, faulty ones included, and every
+graph file on the pure-Python backend, is read record by record: the
+reference reader, with the same result and line-numbered errors.  It
+builds a neighbor set only for the vertices the edges name.  A reader
+that runs out of memory raises MemoryError.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
@@ -75,6 +77,8 @@ def _records(text, kind, tag, noun):
             if len(tokens) != 4 or tokens[1] != kind:
                 _fail(lineno, f"expected header `p {kind} <n> <m>`")
             n = _parse_int(lineno, tokens[2], "header count", 0)
+            if n > sys.maxsize:  # longer than any Python list
+                _fail(lineno, f"header count {n} is above {sys.maxsize}")
             m = _parse_int(lineno, tokens[3], "header count", 0)
             break
         if tag is None or tokens[0] == tag:
@@ -97,27 +101,28 @@ def _records(text, kind, tag, noun):
 
 def parse_graph(text):
     """The graph of a `p graph` file.  Text exactly as format_graph writes
-    it is read by the active kernel; any other text, and every faulty
-    file, goes through the record loop, which names the first fault's
-    line."""
+    it is read by the C kernel when it is built; any other text, every
+    faulty file and every file on the pure-Python backend goes through
+    the record loop, which names the first fault's line."""
     # imported here, so that importing the package builds no kernel
     from cfcolor import kernels
 
-    status, start, vert = kernels.read_graph(text)
-    if status == 3:
-        raise MemoryError(f"reading a {len(text)}-character graph file ran out of memory")
-    if status:
-        return _parse_graph_records(text)
-    return Graph._from_csr(start, vert)
+    if kernels.read_graph is not None:
+        status, start, vert = kernels.read_graph(text)
+        if status == 0:
+            return Graph._from_csr(start, vert)
+        if status == 3:
+            raise MemoryError(f"reading a {len(text)}-character graph file ran out of memory")
+    return _parse_graph_records(text)
 
 
 def _parse_graph_records(text):
     """The graph of a `p graph` file, read record by record.  Each edge is
     checked once, against the adjacency sets built here, so the Graph is
-    made from them as is."""
+    made from them as is.  Only the vertices the edges name get a set."""
     records = _records(text, "graph", "e", "edge")
     n, _ = next(records)
-    adj = [set() for _ in range(n)]
+    adj = defaultdict(set)
     for lineno, tokens in records:
         if len(tokens) != 3:
             _fail(lineno, "expected `e <u> <v>`")
@@ -133,9 +138,10 @@ def _parse_graph_records(text):
             v = _parse_vertex(lineno, tokens[2], n)
         if u == v:
             _fail(lineno, f"self-loop at vertex {u + 1}")
-        if v in adj[u]:
+        row = adj[u]
+        if v in row:
             _fail(lineno, f"duplicate edge {u + 1} {v + 1}")
-        adj[u].add(v)
+        row.add(v)
         adj[v].add(u)
     return Graph._from_adjacency(n, adj)
 

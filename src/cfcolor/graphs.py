@@ -41,12 +41,16 @@ class Graph:
 
     @classmethod
     def _from_adjacency(cls, n, adj):
-        """The graph with adjacency rows `adj`, sets or lists, which the
-        caller has already checked to be symmetric, in range, loop-free
-        and without repeats."""
+        """The graph on n vertices whose row v is adj[v] sorted, for a dict
+        of neighbor sets that the caller has already checked to be
+        symmetric, in range and loop-free; a vertex missing from adj is
+        isolated, and its row is the shared empty tuple."""
+        rows = [()] * n
+        for v, nbrs in adj.items():
+            rows[v] = tuple(sorted(nbrs))
         g = cls.__new__(cls)
         g.n = n
-        g.adj = tuple(tuple(sorted(s)) for s in adj)
+        g.adj = tuple(rows)
         return g
 
     @classmethod

@@ -1,12 +1,14 @@
-"""The three kernel entries, each with a C backend in ``_kernel.c`` and a
-pure-Python one in ``_kernel_py``:
+"""The kernel entries of ``_kernel.c``; the first two also have a
+pure-Python backend in ``_kernel_py``:
 
 - ``solve_cf``, the conflict-free search: it prepares the input and calls
   ``search`` with flat arrays;
 - ``max_star(start, vert)``, the largest induced star of a graph, from
   its CSR adjacency arrays (``Graph.csr``);
 - ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
-  writes it, read into those CSR arrays with every row sorted.
+  writes it, read into those CSR arrays with every row sorted.  It is
+  None on the pure-Python backend, where ``fileio`` reads every graph
+  file record by record.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
@@ -32,9 +34,8 @@ memory (C kernel only); both backends raise ValueError for starts that do
 not rise from 0 to len(vert) and for a row that names a vertex outside
 [0, n) or its own vertex.  ``read_graph`` returns (status, start, vert)
 with status 0 = read, 1 = declined (any other text, a self-loop or a
-duplicate edge; start and vert are None) or 3 = out of memory (C kernel
-only).  Both backends accept and decline the same texts; neither sizes an
-array from a header count that the text cannot back.
+duplicate edge; start and vert are None) or 3 = out of memory; it sizes
+no array from a header count that the text cannot back.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ def _build(cache_dir, compiler):
 
 def load(cache_dir, compiler="cc"):
     """(backend, search, max_star, read_graph): the C kernels built into
-    cache_dir, or the pure-Python kernels when they cannot be built or
-    loaded."""
+    cache_dir, or the pure-Python kernels, with no graph reader, when they
+    cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.search, _kernel_py.max_star, _kernel_py.read_graph
+        return "pure-python", _kernel_py.search, _kernel_py.max_star, None
     return "compiled", _bind(lib), _bind_max_star(lib), _bind_read_graph(lib)
 
 
@@ -165,8 +166,8 @@ def _bind_max_star(lib):
 
 
 def _bind_read_graph(lib):
-    """``_kernel_py.read_graph`` on the C function of lib, which reads the
-    UTF-8 bytes of the text; the arrays are copied out of its block."""
+    """``read_graph`` on the C function of lib, which reads the UTF-8
+    bytes of the text; the arrays are copied out of its block."""
     c_read = lib.read_graph
     c_read.argtypes = [ctypes.c_char_p, ctypes.c_size_t, _ptr, ctypes.POINTER(_ptr)]
     c_read.restype = _int

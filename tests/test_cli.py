@@ -188,6 +188,19 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["on", "on-star"])
+def test_an_isolated_vertex_is_named_as_in_the_file(tmp_path, capsys, variant):
+    # the file's vertex 3 is the isolated one; the library counts from 0
+    gp = tmp_path / "g.txt"
+    gp.write_text("p graph 3 1\ne 1 2\n")
+    argv = ["solve", "--graph", str(gp), "--variant", variant, "--uniform", "1"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"input error: vertex 3 is isolated; --variant {variant} needs every "
+        "open neighborhood non-empty\n"
+    )
+
+
 def test_lemma_rejects_a_repeated_vertex_with_exit_3(tmp_path, capsys):
     hp = tmp_path / "h.txt"
     hp.write_text("p hgraph 3 1\nh 1 1 2\n")

@@ -3,11 +3,17 @@ from unittest import mock
 
 import pytest
 
-from cfcolor import _kernel_py, fileio, kernels
+from cfcolor import fileio, kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
 from cfcolor.graphs import Graph, Hypergraph, random_graph
-from util import cycle_graph, format_formula, format_hypergraph
+from util import (
+    cycle_graph,
+    format_formula,
+    format_hypergraph,
+    requires_compiled,
+    run_python,
+)
 
 
 def test_graph_round_trip():
@@ -252,11 +258,6 @@ def test_a_first_token_c_makes_a_comment_in_every_format(parse, write, text):
     assert write(parse(commented)) == write(parse(text)) == text
 
 
-# kernels.read_graph on the active backend (C when the kernel is built)
-# and on the pure-Python fallback
-READERS = [kernels.read_graph, _kernel_py.read_graph]
-
-
 def _edge_orders(text, rng):
     """text, then the same graph with its edge lines reversed, shuffled,
     and shuffled with the ends of every other edge swapped."""
@@ -267,19 +268,21 @@ def _edge_orders(text, rng):
     return [text] + [header + "".join(order) for order in (lines[::-1], shuffled, swapped)]
 
 
+@requires_compiled
 @pytest.mark.parametrize("seed", range(20))
 def test_parsed_graph_equals_the_constructed_one(seed):
-    # parse_graph builds its Graph from the reader's CSR arrays, not
+    # parse_graph builds its Graph from the C reader's CSR arrays, not
     # through Graph.__init__; both must give the same object and the same
-    # csr.  What format_graph writes is read by either reader when it has
+    # csr.  What format_graph writes is read by the C reader when it has
     # an edge, in any edge order, and gives the record loop's Graph; a
-    # file without edges is left to the record loop
+    # file without edges is left to the record loop.  With no reader, as
+    # on the pure-Python backend, parse_graph gives the same Graph
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 300), rng.choice([0.0, 0.02, 0.1, 0.5]), rng)
     for text in _edge_orders(fileio.format_graph(g), rng):
         assert fileio._parse_graph_records(text) == g
-        for reader in READERS:
-            assert reader(text) == ((0, *g.csr) if g.m else (1, None, None))
+        assert kernels.read_graph(text) == ((0, *g.csr) if g.m else (1, None, None))
+        for reader in (kernels.read_graph, None):
             with mock.patch.object(kernels, "read_graph", reader):
                 back = fileio.parse_graph(text)
             assert back == g and back.edges == g.edges and back.m == g.m
@@ -320,18 +323,91 @@ _DECLINED = [
     ("p graph 3 1\ne 1 2\n\ud800", "line 3: unexpected record '\\ud800'"),
     # an edge count that no text of this length can hold sizes nothing
     ("p graph 3 99999999999\ne 1 2\n", "header declares 99999999999 edges, found 1"),
+    # nor does a vertex count past any list's length
+    ("p graph 9223372036854775808 0\n",
+     "line 1: header count 9223372036854775808 is above 9223372036854775807"),
 ]
 
 
+@requires_compiled
 @pytest.mark.parametrize("text,want", _DECLINED)
 def test_other_graph_files_are_left_to_the_record_loop(text, want):
-    for reader in READERS:
-        assert reader(text) == (1, None, None)
-        with mock.patch.object(kernels, "read_graph", reader):
-            if isinstance(want, str):
-                for parse in (fileio.parse_graph, fileio._parse_graph_records):
-                    with pytest.raises(InputFormatError) as info:
-                        parse(text)
-                    assert str(info.value) == want
-            else:
-                assert fileio.parse_graph(text) == Graph(3, want)
+    assert kernels.read_graph(text) == (1, None, None)
+    if isinstance(want, str):
+        for parse in (fileio.parse_graph, fileio._parse_graph_records):
+            with pytest.raises(InputFormatError) as info:
+                parse(text)
+            assert str(info.value) == want
+    else:
+        assert fileio.parse_graph(text) == fileio._parse_graph_records(text) == Graph(3, want)
+
+
+def _mutant(text, rng):
+    """text with one mutation: a byte replaced, a line repeated or
+    deleted, or a header count moved by one."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(4)
+    if kind == 0:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice("019 \n\tep-") + text[i + 1:]
+    i = rng.randrange(len(lines))
+    if kind == 1:
+        return "".join(lines[:i + 1] + lines[i:])
+    if kind == 2:
+        return "".join(lines[:i] + lines[i + 1:])
+    counts = [int(t) for t in lines[0].split()[2:]]
+    counts[rng.randrange(2)] += rng.choice((-1, 1))
+    return "p graph %d %d\n" % tuple(counts) + "".join(lines[1:])
+
+
+def _graph_or_error(parse, text):
+    try:
+        return parse(text)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@requires_compiled
+def test_the_c_reader_reads_what_the_record_loop_reads():
+    # the reader's contract, on mutated files of small random graphs: a
+    # text the C reader accepts is a graph the record loop reads to the
+    # same Graph and csr; any other text parse_graph leaves to the record
+    # loop, with its Graph or its exact error.  Every format_graph text
+    # with an edge is accepted, so a lost fast path fails here
+    rng = random.Random(21)
+    statuses = []
+    for _ in range(2000):
+        g = random_graph(rng.randint(1, 9), rng.random(), rng)
+        text = fileio.format_graph(g)
+        assert g.m == 0 or kernels.read_graph(text) == (0, *g.csr)
+        mutant = _mutant(text, rng)
+        want = _graph_or_error(fileio._parse_graph_records, mutant)
+        status, start, vert = kernels.read_graph(mutant)
+        statuses.append(status)
+        got = _graph_or_error(fileio.parse_graph, mutant)
+        assert got == want, mutant
+        if status == 0:
+            assert (start, vert) == got.csr == want.csr, mutant
+        else:
+            assert (status, start, vert) == (1, None, None), mutant
+    # both sides of the contract are reached
+    assert min(statuses.count(0), statuses.count(1)) > 100
+
+
+_WIDE_HEADER = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cfcolor import fileio
+g = fileio.parse_graph("p graph 20000000 0\\n")
+print(g.n, g.has_isolated_vertex())
+g = fileio.parse_graph("p graph 20000000 1\\ne 1\\t20000000\\n")
+print(g.n, g.adj[0], g.adj[1], g.adj[-1])
+"""
+
+
+def test_a_wide_header_costs_a_word_per_vertex():
+    # the record loop gives a set only to the vertices the edges name
+    # (the tab leaves the second file to it too); 20M rows sharing one
+    # empty tuple fit a 1 GiB address space, a set per vertex does not
+    out = run_python(_WIDE_HEADER, timeout=60).stdout
+    assert out == "20000000 True\n20000000 (19999999,) () (0,)\n"

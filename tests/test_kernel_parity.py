@@ -1,7 +1,8 @@
 """The compiled and pure-Python kernels must explore the identical search
-tree: equal status, equal result, equal node count, on every input;
-their max_star must find the same largest induced star; and their
-read_graph must read the same texts into the same CSR arrays.  The
+tree: equal status, equal result, equal node count, on every input; and
+their max_star must find the same largest induced star.  The C
+read_graph, which has no pure-Python twin, must read a graph file into
+the CSR arrays of the Graph that fileio's record loop reads from it.  The
 compiled backend is ``_kernel.c``, built on import when a C compiler is
 present."""
 
@@ -16,11 +17,12 @@ import pytest
 from cfcolor import _kernel_py as pure
 from cfcolor import fileio, graphs, kernels
 from cfcolor.graphs import Graph, line_graph
-from util import brute_force_max_star, connected_parts, exact_one_by_parts, run_python
-
-
-requires_compiled = pytest.mark.skipif(
-    kernels.BACKEND != "compiled", reason="no C compiler to build _kernel.c"
+from util import (
+    brute_force_max_star,
+    connected_parts,
+    exact_one_by_parts,
+    requires_compiled,
+    run_python,
 )
 
 
@@ -274,13 +276,16 @@ def test_max_star_parity_on_the_benchmark_line_graphs():
         assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == (0, 2)
 
 
+@requires_compiled
 def test_read_graph_parity_on_the_benchmark_line_graphs():
-    # both readers give the CSR that Graph.csr computes from the rows, and
-    # parse_graph gives the same Graph and CSR with either
+    # the C reader gives the CSR that Graph.csr computes from the rows of
+    # the record loop's Graph, and parse_graph gives the same Graph and
+    # CSR with the C reader and without it, on the pure-Python backend
     for g in _benchmark_line_graphs():
         text = fileio.format_graph(g)
-        assert kernels.read_graph(text) == pure.read_graph(text) == (0, *g.csr)
-        for reader in (kernels.read_graph, pure.read_graph):
+        assert kernels.read_graph(text) == (0, *g.csr)
+        assert fileio._parse_graph_records(text) == g
+        for reader in (kernels.read_graph, None):
             with mock.patch.object(kernels, "read_graph", reader):
                 back = fileio.parse_graph(text)
             assert back == g and back.csr == g.csr
@@ -376,11 +381,13 @@ def test_read_graph_out_of_memory_is_status_3(tmp_path):
 
 
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
+    # the pure-Python backend has no graph reader: fileio reads every
+    # graph file record by record
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
         pure.search,
         pure.max_star,
-        pure.read_graph,
+        None,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
@@ -399,4 +406,4 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     path = _csr([[1], [0, 2], [1]])
     assert max_star(*path) == pure.max_star(*path) == (0, 2)
     text = "p graph 3 2\ne 2 3\ne 1 2\n"
-    assert read_graph(text) == pure.read_graph(text) == (0, *path)
+    assert read_graph(text) == (0, *path) == (0, *fileio._parse_graph_records(text).csr)

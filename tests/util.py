@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 
+import pytest
+
 from cfcolor import kernels
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Graph
@@ -24,6 +26,13 @@ from cfcolor.solve import (
     ChoosabilityCertificate,
     _canonical_k_subsets,
     solve_list_cf,
+)
+
+
+# for tests of the C kernel: alone, or against the pure-Python kernels or
+# the record loop of fileio
+requires_compiled = pytest.mark.skipif(
+    kernels.BACKEND != "compiled", reason="no C compiler to build _kernel.c"
 )
 
 
