@@ -1,6 +1,8 @@
 /* Compiled kernels, loaded with ctypes by cfcolor.kernels: the
    conflict-free search solve_cf, the induced-star search max_star and
-   the graph file reader read_graph.
+   the graph file reader read_graph.  Each returns a status that only
+   kernels.py reads; it turns them into results, MemoryError and
+   ValueError.
 
    solve_cf is a line-for-line port of _kernel_py.search: both explore the
    identical search tree and return the same status, result and node
@@ -29,19 +31,19 @@
    budget exceeded, 3 = out of memory, the one failure of that
    allocation.
 
-   max_star takes a graph's adjacency as CSR int arrays, Graph.csr, and
-   runs the branch and bound of _kernel_py.max_star on word bitsets, one
-   zeroed allocation per call again.  Status codes: 0 = done, 3 = out of
-   memory, 4 = the row *out names a vertex outside [0, n) or its own
-   vertex, or *out is -1 and the row starts decrease somewhere.
+   max_star takes a graph's adjacency as CSR int arrays, Graph.csr, whose
+   starts kernels.py has checked to rise from 0 to the number of
+   neighbors, and runs the branch and bound of _kernel_py.max_star on
+   word bitsets, one zeroed allocation per call again.  Status codes: 0 =
+   done, 3 = out of memory, 4 = the row *out names a vertex outside
+   [0, n) or its own vertex.
 
-   read_graph reads the text that fileio.format_graph writes into those
-   CSR arrays, every row sorted, in one allocation that free_graph
-   releases; it declines every other text, which fileio then reads
-   record by record.  Status codes: 0 = read, 1 = declined, 3 = out of
-   memory. */
+   read_graph reads the edge lines of the text that fileio.format_graph
+   writes into those CSR arrays, every row sorted, filling a zeroed block
+   that kernels.py allocates from the header it has checked; it declines
+   every other text, which fileio then reads record by record.  Status
+   codes: 0 = read, 1 = declined. */
 
-#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -302,7 +304,8 @@ static int clique_cover(size_t w, size_t lo, size_t hi, const uint64_t *masks,
 
 /* Largest t such that the graph has an induced K_{1,t}; see
    _kernel_py.max_star, whose masks, pruning and stack this keeps.
-   Vertex v's neighbors are adj_vert[adj_start[v]..adj_start[v+1]).
+   Vertex v's neighbors are adj_vert[adj_start[v]..adj_start[v+1]), and
+   the starts rise from 0.
    One zeroed block holds n bitsets of w = ceil(n / 64) words (the
    neighborhoods), a stack of max degree + 1 bitsets with their counts,
    and two bitsets of scratch.  A stack entry (size, p) keeps p in
@@ -314,14 +317,9 @@ int max_star(int n, const int *adj_start, const int *adj_vert, int *out) {
     *out = 0;
     if (n <= 0) return FOUND;
     size_t w = ((size_t)n + 63) / 64, depth = 1;
-    for (int v = 0; v < n; v++) {
-        if (adj_start[v + 1] < adj_start[v]) {
-            *out = -1;
-            return BAD_ADJACENCY;
-        }
+    for (int v = 0; v < n; v++)
         if ((size_t)(adj_start[v + 1] - adj_start[v]) >= depth)
             depth = (size_t)(adj_start[v + 1] - adj_start[v]) + 1;
-    }
     size_t rows = (size_t)n + depth + 2;
     if (rows > SIZE_MAX / sizeof(uint64_t) / (w + 1)) return NO_MEMORY;
     uint64_t *masks = calloc(rows * w + depth, sizeof *masks);
@@ -406,64 +404,42 @@ static int by_int(const void *a, const void *b) {
 }
 
 /* The simple graph of a text of len bytes exactly as format_graph writes
-   it: `p graph N M\n`, then M >= 1 lines `e U V\n`, canonical decimals,
-   1 <= U, V <= N, nothing after the last line.  Every edge line takes at
-   least 6 bytes, so M is at most len / 6, and N and 2M must fit an int:
-   no header count sizes an allocation the text cannot back.
+   it, whose header `p graph N M\n` the caller has checked, with 1 <= N,
+   1 <= M and N + 2 + 4M ints in the zeroed block: from text[pos], M lines
+   `e U V\n`, canonical decimals, 1 <= U, V <= N, nothing after the last
+   line.
 
-   On READ, size holds N and M and *csr one block of N + 2 + 4M ints:
-   the CSR starts csr[0..N], from csr + N + 2 the 2M neighbors, every
-   row sorted, and then the 2M ends of the lines in line order.  The
-   caller frees it with free_graph.  The one pass over the text keeps
-   the ends and counts the degrees into start[u + 2], so that after the
-   prefix sums start[u + 1] is the start of row u; the fill from the
-   ends puts row u at start[u + 1]++, which leaves start[u + 1] at its
-   end.  Rows come out sorted when the lines are, as format_graph writes
-   them; any other row is sorted in place.  Status codes: 0 = read, 1 =
-   declined (any other text, a self-loop or a duplicate edge, reversed or
-   not), 3 = out of memory. */
-int read_graph(const char *text, size_t len, int *size, int **csr) {
-    static const char head[] = "p graph ";
-    size_t pos = sizeof head - 1;
-    *csr = NULL;
-    if (len < pos || memcmp(text, head, pos) != 0) return DECLINED;
-    long long n = decimal(text, len, &pos, INT_MAX, ' ');
-    long long edges_max = (long long)(len / 6 < INT_MAX / 2 ? len / 6 : INT_MAX / 2);
-    long long m = n < 0 ? -1 : decimal(text, len, &pos, edges_max, '\n');
-    if (m < 0) return DECLINED;
-    int *start = calloc((size_t)n + 2 + 4 * (size_t)m, sizeof *start);
-    if (!start) return NO_MEMORY;
-    int *vert = start + n + 2, *ends = vert + 2 * m;
-    for (long long e = 0; e < m; e++) {
-        int *uv = ends + 2 * e;
-        if (!edge_line(text, len, &pos, n, uv, uv + 1) || uv[0] == uv[1]) goto declined;
+   When it reads the text, block holds the CSR starts block[0..N], from
+   block + N + 2 the 2M neighbors, every row sorted, and then the 2M ends
+   of the lines in line order.  The one pass over the text keeps the ends
+   and counts the degrees into start[u + 2], so that after the prefix
+   sums start[u + 1] is the start of row u; the fill from the ends puts
+   row u at start[u + 1]++, which leaves start[u + 1] at its end.  Rows
+   come out sorted when the lines are, as format_graph writes them; any
+   other row is sorted in place.  Status codes: 0 = read, 1 = declined (any
+   other text, a self-loop or a duplicate edge, reversed or not). */
+int read_graph(const char *text, size_t len, size_t pos, int n, int m, int *block) {
+    int *start = block, *vert = start + (size_t)n + 2, *ends = vert + 2 * (size_t)m;
+    for (int e = 0; e < m; e++) {
+        int *uv = ends + 2 * (size_t)e;
+        if (!edge_line(text, len, &pos, n, uv, uv + 1) || uv[0] == uv[1]) return DECLINED;
         start[(size_t)uv[0] + 2]++;
         start[(size_t)uv[1] + 2]++;
     }
-    if (pos != len) goto declined;
-    for (long long i = 2; i <= n + 1; i++) start[i] += start[i - 1];
-    for (long long e = 0; e < m; e++) {
-        int u = ends[2 * e], v = ends[2 * e + 1];
+    if (pos != len) return DECLINED;
+    for (size_t i = 2; i <= (size_t)n + 1; i++) start[i] += start[i - 1];
+    for (int e = 0; e < m; e++) {
+        int u = ends[2 * (size_t)e], v = ends[2 * (size_t)e + 1];
         vert[start[(size_t)u + 1]++] = v;
         vert[start[(size_t)v + 1]++] = u;
     }
-    for (long long x = 0; x < n; x++) {
+    for (int x = 0; x < n; x++) {
         int *row = vert + start[x], d = start[x + 1] - start[x], i = 1;
         while (i < d && row[i - 1] < row[i]) i++;
         if (i >= d) continue;
         qsort(row, (size_t)d, sizeof *row, by_int);
         for (i = 1; i < d; i++)
-            if (row[i - 1] == row[i]) goto declined;
+            if (row[i - 1] == row[i]) return DECLINED;
     }
-    size[0] = (int)n;
-    size[1] = (int)m;
-    *csr = start;
     return FOUND;
-declined:
-    free(start);
-    return DECLINED;
-}
-
-void free_graph(int *csr) {
-    free(csr);
 }

@@ -17,13 +17,13 @@ vert[start[v]:start[v + 1]].
 There is no pure-Python graph reader: without the C kernel,
 ``fileio`` reads every graph file record by record.
 
-Status codes: 0 = solution found (for ``max_star``: done), 1 = exhausted
-(no solution), 2 = node budget exceeded.
+``search`` returns (status, assignment, nodes) with status 0 = solution
+found, 1 = exhausted (no solution) or 2 = node budget exceeded;
+``max_star`` returns t.  ``check_csr`` is the CSR check of both
+``max_star`` backends.
 """
 
 from __future__ import annotations
-
-from operator import gt
 
 UNDECIDED = -2
 UNCOLORED = -1
@@ -212,8 +212,16 @@ def clique_cover(p, masks):
     return count
 
 
+def check_csr(start, vert):
+    """Raise ValueError unless the int array start rises from 0 to
+    len(vert), so that every row lies inside vert."""
+    starts = start.tolist()
+    if not starts or starts[0] != 0 or starts[-1] != len(vert) or starts != sorted(starts):
+        raise ValueError(BAD_CSR)
+
+
 def max_star(start, vert):
-    """(0, t) for the largest t such that the graph with CSR adjacency
+    """The largest t such that the graph with CSR adjacency
     (start, vert) contains an induced star K_{1,t}; t is 0 for an
     edgeless graph.  Starts that do not rise from 0 to len(vert), and a
     row that names a vertex outside [0, n) or its own vertex, raise
@@ -228,9 +236,8 @@ def max_star(start, vert):
     whose cover is all singletons is an independent set and needs no
     branching.
     """
+    check_csr(start, vert)
     n = len(start) - 1
-    if n < 0 or start[0] != 0 or start[n] != len(vert) or any(map(gt, start, start[1:])):
-        raise ValueError(BAD_CSR)
     masks = []
     for v in range(n):
         mask = 0
@@ -257,4 +264,4 @@ def max_star(start, vert):
             rest = p ^ low
             stack.append((size, rest))
             stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
-    return 0, best
+    return best

@@ -13,13 +13,14 @@ is a comment; comments and blank lines are ignored everywhere.  Vertices
 are 1-indexed on disk and translated to 0-indexed at this boundary.
 
 When the C kernel is built, a graph file exactly as format_graph writes
-it (at least one edge) is read by ``kernels.read_graph`` into CSR arrays
-with sorted rows; the Graph is sliced from them and keeps them as
-`Graph.csr`.  Every other graph file, faulty ones included, and every
-graph file on the pure-Python backend, is read record by record: the
-reference reader, with the same result and line-numbered errors.  It
-builds a neighbor set only for the vertices the edges name.  A reader
-that runs out of memory raises MemoryError.
+it, with at least one edge and no more vertices than characters, is read
+by ``kernels.read_graph`` into CSR arrays with sorted rows; the Graph is
+sliced from them and keeps them as `Graph.csr`.  Every other graph file,
+faulty ones included, and every graph file on the pure-Python backend,
+is read record by record: the reference reader, with the same result and
+line-numbered errors.  It builds a neighbor set only for the vertices
+the edges name.  Either reader raises MemoryError when it runs out of
+memory.
 """
 
 from __future__ import annotations
@@ -100,20 +101,15 @@ def _records(text, kind, tag, noun):
 
 
 def parse_graph(text):
-    """The graph of a `p graph` file.  Text exactly as format_graph writes
-    it is read by the C kernel when it is built; any other text, every
-    faulty file and every file on the pure-Python backend goes through
-    the record loop, which names the first fault's line."""
+    """The graph of a `p graph` file.  Text that the C reader accepts is
+    read by it when it is built; any other text, every faulty file and
+    every file on the pure-Python backend goes through the record loop,
+    which names the first fault's line."""
     # imported here, so that importing the package builds no kernel
     from cfcolor import kernels
 
-    if kernels.read_graph is not None:
-        status, start, vert = kernels.read_graph(text)
-        if status == 0:
-            return Graph._from_csr(start, vert)
-        if status == 3:
-            raise MemoryError(f"reading a {len(text)}-character graph file ran out of memory")
-    return _parse_graph_records(text)
+    csr = kernels.read_graph and kernels.read_graph(text)
+    return Graph._from_csr(*csr) if csr else _parse_graph_records(text)
 
 
 def _parse_graph_records(text):

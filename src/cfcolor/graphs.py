@@ -209,7 +209,7 @@ def max_star(g):
     Returns 0 for edgeless graphs.  The branch and bound runs in the
     active kernel (see ``_kernel_py.max_star``) on ``g.csr``;
     ``kernels.max_star`` is looked up at call time, so a test can swap
-    backends.  Raises MemoryError when the C kernel cannot allocate its
+    backends.  Raises MemoryError when the kernel cannot allocate its
     bitsets.
     """
     if g.n < 1:
@@ -217,10 +217,7 @@ def max_star(g):
     # imported here, so that importing the package builds no kernel
     from cfcolor import kernels
 
-    status, best = kernels.max_star(*g.csr)
-    if status == 3:
-        raise MemoryError(f"max_star on {g.n} vertices ran out of memory")
-    return best
+    return kernels.max_star(*g.csr)
 
 
 def maximal_independent_set(g):

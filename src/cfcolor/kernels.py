@@ -27,15 +27,17 @@ active.  ``exact_one``, the search behind PIMDS, PIDS and the 1-in-3
 oracle, is one ``solve_cf`` call with the single color 0, so it tries
 "not a member" first.
 
-Status codes of the search: 0 = solution found, 1 = exhausted (no
-solution), 2 = node budget exceeded, 3 = out of memory (C kernel only).
-``max_star`` returns (status, t) with status 0 = done or 3 = out of
-memory (C kernel only); both backends raise ValueError for starts that do
-not rise from 0 to len(vert) and for a row that names a vertex outside
-[0, n) or its own vertex.  ``read_graph`` returns (status, start, vert)
-with status 0 = read, 1 = declined (any other text, a self-loop or a
-duplicate edge; start and vert are None) or 3 = out of memory; it sizes
-no array from a header count that the text cannot back.
+``solve_cf`` returns (status, assignment, nodes) with status 0 =
+solution found, 1 = exhausted (no solution) or 2 = node budget exceeded.
+``max_star`` returns t; both backends raise ValueError, through
+``_kernel_py.check_csr``, for starts that do not rise from 0 to
+len(vert), and for a row that names a vertex outside [0, n) or its own
+vertex.  ``read_graph`` returns (start, vert), or None when it declines
+the text: any other text, a self-loop or a duplicate edge.  It checks
+the header here and sizes the block that C fills from the header's
+counts only when the text can back them: N at most the text's length,
+M at most a sixth of it.  Any entry whose allocation fails raises
+MemoryError; this module is the only one that reads a C status.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ COMPILE_FLAGS = ("-O2", "-shared", "-fPIC")
 MAX_BUDGET = 2**62
 
 _int = ctypes.c_int
-_int_size = ctypes.sizeof(_int)
+INT_MAX = 2 ** (8 * ctypes.sizeof(_int) - 1) - 1
 # arrays are passed as the addresses of array.array buffers: building those
 # costs a quarter of building ctypes arrays, which matters for tiny searches
 _ptr = ctypes.c_void_p
@@ -139,6 +141,8 @@ def _bind(lib):
             bool(require_total), symmetric, bool(uncolored_first),
             min(max(budget, 0), MAX_BUDGET), _address(out), _address(nodes),
         )
+        if status == 3:
+            raise MemoryError(f"solve_cf on {n} vertices ran out of memory")
         return status, out.tolist() if status == 0 else None, nodes[0]
 
     return search
@@ -153,43 +157,45 @@ def _bind_max_star(lib):
     def max_star(start, vert):
         if start.typecode != "i" or vert.typecode != "i":
             raise TypeError("max_star takes CSR arrays of C ints")
-        # the C kernel checks that the starts rise, and so stay inside vert
-        if not start or start[0] != 0 or start[-1] != len(vert):
-            raise ValueError(_kernel_py.BAD_CSR)
+        _kernel_py.check_csr(start, vert)
+        n = len(start) - 1
         out = array("i", [0])
-        status = c_max_star(len(start) - 1, _address(start), _address(vert), _address(out))
-        if status == 4:  # row out[0], or the starts when it is -1, are not a graph's
-            raise ValueError(_kernel_py.BAD_ROW.format(out[0]) if out[0] >= 0 else _kernel_py.BAD_CSR)
-        return status, out[0]
+        status = c_max_star(n, _address(start), _address(vert), _address(out))
+        if status == 3:
+            raise MemoryError(f"max_star on {n} vertices ran out of memory")
+        if status == 4:
+            raise ValueError(_kernel_py.BAD_ROW.format(out[0]))
+        return out[0]
 
     return max_star
 
 
 def _bind_read_graph(lib):
     """``read_graph`` on the C function of lib, which reads the UTF-8
-    bytes of the text; the arrays are copied out of its block."""
+    bytes of the text after the header into a block allocated here."""
     c_read = lib.read_graph
-    c_read.argtypes = [ctypes.c_char_p, ctypes.c_size_t, _ptr, ctypes.POINTER(_ptr)]
+    c_read.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_size_t, _int, _int, _ptr]
     c_read.restype = _int
-    c_free = lib.free_graph
-    c_free.argtypes = [_ptr]
-    c_free.restype = None
 
     def read_graph(text):
+        # the header line with its newline, empty when there is none; the
+        # text rebuilt from its counts declines what int() reads but
+        # format_graph does not write: signs, zeros, '_', other digits
+        head = text[:text.find("\n") + 1]
+        try:
+            _, _, n, m = head.split(" ")
+            n, m = int(n), int(m)
+        except ValueError:
+            return None
+        if (head != f"p graph {n} {m}\n" or not 1 <= n <= min(len(text), INT_MAX)
+                or not 1 <= m <= min(len(text) // 6, INT_MAX // 2)):
+            return None
         # a lone surrogate passes as bytes that no accepted text holds
         data = text.encode("utf-8", "surrogatepass")
-        size = array("i", [0, 0])
-        block = _ptr()
-        status = c_read(data, len(data), _address(size), ctypes.byref(block))
-        if status:
-            return status, None, None
-        n, m = size
-        try:
-            start = array("i", ctypes.string_at(block.value, _int_size * (n + 1)))
-            vert = array("i", ctypes.string_at(block.value + _int_size * (n + 2), _int_size * 2 * m))
-        finally:
-            c_free(block)
-        return 0, start, vert
+        block = array("i", [0]) * (n + 2 + 4 * m)
+        if c_read(data, len(data), len(head), n, m, _address(block)):
+            return None
+        return block[:n + 1], block[n + 2:n + 2 + 2 * m]
 
     return read_graph
 
@@ -202,12 +208,15 @@ def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):
     edges with per-vertex lists of dense colors; assignment[v] is v's
     color or -1 for uncolored.
 
-    A vertex outside [0, n) or a negative color raises ValueError before
-    an empty edge, which never has a unique color, answers "no".  When
+    A list count other than n, a vertex outside [0, n) or a negative
+    color raises ValueError before an empty edge, which never has a
+    unique color, answers "no".  When
     every list equals the first the search is color-symmetric and gets
     the shared list once.  ``search`` is looked up at call time, so a
     test can swap backends.
     """
+    if len(lists) != n:  # also for n < 0
+        raise ValueError(f"{len(lists)} lists for {n} vertices")
     edge_start, edge_vert = _csr(edges)
     symmetric = bool(lists) and lists.count(lists[0]) == n
     if symmetric:

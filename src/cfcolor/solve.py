@@ -82,12 +82,10 @@ def _dense_colors(lists, n_cap):
 def _kernel_result(search, budget, found):
     """The result of a kernel's (status, result, nodes), None when the
     search is exhausted.  Raises BudgetExceededError, with the nodes
-    explored, when the budget trips or the kernel runs out of memory."""
+    explored, when the budget trips."""
     status, result, nodes = found
     if status == 2:
         raise BudgetExceededError(f"{search} exceeded {budget} nodes", nodes=nodes)
-    if status == 3:
-        raise BudgetExceededError(f"{search} ran out of memory", nodes=nodes)
     return result
 
 
@@ -95,7 +93,8 @@ def solve_list_cf(inst, lists, budget=DEFAULT_NODE_BUDGET, uncolored_first=True)
     """Exhaustive backtracking search for an L-CF(*) coloring.
 
     Returns a coloring passing verify_cf, or None iff no such coloring
-    exists.  Raises BudgetExceededError when the node budget trips.  A
+    exists.  Raises BudgetExceededError when the node budget trips and
+    MemoryError when the kernel cannot allocate its arrays.  A
     star-variant search tries "uncolored" at each vertex before its list
     colors, unless `uncolored_first` is false; the order decides which
     coloring is found and how fast, never whether one exists.

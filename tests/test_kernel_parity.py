@@ -2,7 +2,8 @@
 tree: equal status, equal result, equal node count, on every input; and
 their max_star must find the same largest induced star.  The C
 read_graph, which has no pure-Python twin, must read a graph file into
-the CSR arrays of the Graph that fileio's record loop reads from it.  The
+the CSR arrays of the Graph that fileio's record loop reads from it.  A
+kernel whose allocation fails raises MemoryError.  The
 compiled backend is ``_kernel.c``, built on import when a C compiler is
 present."""
 
@@ -188,43 +189,55 @@ def test_budget_status_and_node_counts_match():
 _OUT_OF_MEMORY = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from cfcolor import kernels, solve
-from cfcolor.errors import BudgetExceededError
+from cfcolor import cli, fileio, kernels
+from cfcolor.graphs import Graph
 assert kernels.BACKEND == "compiled"
-found = kernels.solve_cf(2, [[0, 1]], [[0], [2**31 - 2]], False, 100)
-print(found)
 try:
-    solve._kernel_result("solve_list_cf", 100, found)
-except BudgetExceededError as exc:
+    kernels.solve_cf(2, [[0, 1]], [[0], [2**31 - 2]], False, 100)
+except MemoryError as exc:
     print(exc)
+open(%r, "w").write(fileio.format_graph(Graph(1000, [(v, v + 1) for v in range(999)])))
+open(%r, "w").write("".join(f"L {v + 1} {1000 * v} {1000 * v + 1000}\\n" for v in range(1000)))
+print(cli.main(["solve", "--graph", %r, "--lists", %r]))
 """
 
 
 @requires_compiled
-def test_out_of_memory_is_status_3():
+def test_out_of_memory_is_a_memory_error(tmp_path):
     # 2^31 - 1 colors give the one edge a count row of 8 GiB, past the
     # 2 GiB address space: the kernel's allocation fails before any node
-    out = run_python(_OUT_OF_MEMORY, timeout=60).stdout.splitlines()
-    assert out == ["(3, None, 0)", "solve_list_cf ran out of memory"]
+    # and the binding raises MemoryError.  Through the CLI, 1,000
+    # disjoint lists of 1,000 colors give 1,000 closed neighborhoods a
+    # count row of 4 MB each, and the CLI exits 2
+    graph, lists = str(tmp_path / "g.txt"), str(tmp_path / "lists.txt")
+    done = run_python(_OUT_OF_MEMORY % (graph, lists, graph, lists), timeout=60)
+    assert done.stdout.splitlines() == ["solve_cf on 2 vertices ran out of memory", "2"]
+    message = "solve_cf on 1000 vertices ran out of memory"
+    assert done.stderr == f"resources exhausted: MemoryError: {message}\n"
 
 
 def test_both_backends_reject_out_of_range_input():
-    # a vertex outside [0, n) or a negative color is an error on either
-    # backend, never an index that wraps around or runs off an array; both
-    # with equal lists, which are passed once, and with unequal ones
+    # a vertex outside [0, n), a negative color or a list count other
+    # than n is an error on either backend, never an index that wraps
+    # around or runs off an array; both with equal lists, which are passed
+    # once, and with unequal ones
     cases = [
-        ([[-1, 0]], [[0], [0]], "edge vertex out of range"),
-        ([[-1, 0]], [[0], [1]], "edge vertex out of range"),
-        ([[2, 0]], [[0], [0]], "edge vertex out of range"),
-        ([[2, 0]], [[1], [0]], "edge vertex out of range"),
-        ([[1, 0]], [[0, -1], [0, -1]], "negative color"),
-        ([[1, 0]], [[0], [0, -1]], "negative color"),
+        (2, [[-1, 0]], [[0], [0]], "edge vertex out of range"),
+        (2, [[-1, 0]], [[0], [1]], "edge vertex out of range"),
+        (2, [[2, 0]], [[0], [0]], "edge vertex out of range"),
+        (2, [[2, 0]], [[1], [0]], "edge vertex out of range"),
+        (2, [[1, 0]], [[0, -1], [0, -1]], "negative color"),
+        (2, [[1, 0]], [[0], [0, -1]], "negative color"),
+        (3, [[1, 0]], [[0], [0]], "2 lists for 3 vertices"),
+        (3, [[1, 0]], [[0], [1]], "2 lists for 3 vertices"),
+        (1, [[0]], [[0], [0]], "2 lists for 1 vertices"),
+        (-1, [], [], "0 lists for -1 vertices"),
     ]
-    for edges, lists, message in cases:
+    for n, edges, lists, message in cases:
         for search in (kernels.search, pure.search):
             with mock.patch.object(kernels, "search", search):
                 with pytest.raises(ValueError, match=message):
-                    kernels.solve_cf(2, edges, lists, False, 10)
+                    kernels.solve_cf(n, edges, lists, False, 10)
     # the range check runs before the answer for an empty set
     for sets in ([[-1]], [[2]], [[], [2]]):
         with pytest.raises(ValueError, match="edge vertex out of range"):
@@ -250,7 +263,7 @@ def test_max_star_parity_on_small_graphs():
     cases = _max_star_graphs()
     assert len(cases) >= 2000
     for g in cases:
-        want = (0, brute_force_max_star(g))
+        want = brute_force_max_star(g)
         assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == want, g.adj
 
 
@@ -273,7 +286,7 @@ def test_max_star_parity_on_the_benchmark_line_graphs():
     # edges, whose middle edge has two nonadjacent neighbors
     for g in _benchmark_line_graphs():
         assert g.n == 531
-        assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == (0, 2)
+        assert kernels.max_star(*g.csr) == pure.max_star(*g.csr) == 2
 
 
 @requires_compiled
@@ -283,7 +296,7 @@ def test_read_graph_parity_on_the_benchmark_line_graphs():
     # CSR with the C reader and without it, on the pure-Python backend
     for g in _benchmark_line_graphs():
         text = fileio.format_graph(g)
-        assert kernels.read_graph(text) == (0, *g.csr)
+        assert kernels.read_graph(text) == g.csr
         assert fileio._parse_graph_records(text) == g
         for reader in (kernels.read_graph, None):
             with mock.patch.object(kernels, "read_graph", reader):
@@ -333,7 +346,10 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from cfcolor import cli, graphs, kernels
 assert kernels.BACKEND == "compiled"
 g = graphs.Graph(150000, [(0, 1)])
-print(kernels.max_star(*g.csr))
+try:
+    kernels.max_star(*g.csr)
+except MemoryError as exc:
+    print(exc)
 try:
     graphs.max_star(g)
 except MemoryError as exc:
@@ -344,12 +360,14 @@ print(cli.main(["pipeline", "--graph", %r, "--lists", "RANGE:5", "--seed", "1"])
 
 
 @requires_compiled
-def test_max_star_out_of_memory_is_status_3(tmp_path):
+def test_max_star_out_of_memory_is_a_memory_error(tmp_path):
     # 150,000 neighborhoods of 2,344 words each are 2.8 GB of bitsets,
     # past the 2 GiB address space: the allocation fails before any search
     path = str(tmp_path / "wide.txt")
-    out = run_python(_MAX_STAR_OUT_OF_MEMORY % (path, path), timeout=60).stdout.splitlines()
-    assert out == ["(3, 0)", "max_star on 150000 vertices ran out of memory", "2"]
+    done = run_python(_MAX_STAR_OUT_OF_MEMORY % (path, path), timeout=60)
+    message = "max_star on 150000 vertices ran out of memory"
+    assert done.stdout.splitlines() == [message, message, "2"]
+    assert done.stderr == f"resources exhausted: MemoryError: {message}\n"
 
 
 _READER_OUT_OF_MEMORY = """
@@ -362,22 +380,22 @@ print(kernels.read_graph(wide))
 try:
     fileio.parse_graph(wide)
 except MemoryError as exc:
-    print(exc)
+    print(repr(exc))
 open(%r, "w").write(wide)
 print(cli.main(["edc", "--graph", %r]))
 """
 
 
 @requires_compiled
-def test_read_graph_out_of_memory_is_status_3(tmp_path):
-    # 2^31 - 1 row starts are 8 GiB, past the 2 GiB address space: the
-    # reader's one allocation fails, parse_graph raises MemoryError and the
-    # CLI exits 2
+def test_read_graph_out_of_memory_is_a_memory_error(tmp_path):
+    # the C reader declines 2^31 - 1 vertices in a 27-character text, so
+    # nothing is sized from them there; the record loop's row per vertex
+    # is 16 GiB, past the 2 GiB address space: parse_graph raises
+    # MemoryError and the CLI exits 2
     path = str(tmp_path / "wide.txt")
     done = run_python(_READER_OUT_OF_MEMORY % (path, path), timeout=60)
-    message = "reading a 27-character graph file ran out of memory"
-    assert done.stdout.splitlines() == ["(3, None, None)", message, "2"]
-    assert done.stderr == f"resources exhausted: MemoryError: {message}\n"
+    assert done.stdout.splitlines() == ["None", "MemoryError()", "2"]
+    assert done.stderr == "resources exhausted: MemoryError: \n"
 
 
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
@@ -404,6 +422,6 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert search(*args) == pure.search(*args) == (1, None, 2)
     # all three kernels come from the one library: the path 0 - 1 - 2
     path = _csr([[1], [0, 2], [1]])
-    assert max_star(*path) == pure.max_star(*path) == (0, 2)
+    assert max_star(*path) == pure.max_star(*path) == 2
     text = "p graph 3 2\ne 2 3\ne 1 2\n"
-    assert read_graph(text) == (0, *path) == (0, *fileio._parse_graph_records(text).csr)
+    assert read_graph(text) == path == fileio._parse_graph_records(text).csr
