@@ -413,17 +413,17 @@ def build_parser():
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--scaled", action="store_true")
     sp.add_argument("--k-override", type=positive)
-    sp.add_argument("--retries", type=positive, default=10)
+    sp.add_argument("--retries", type=positive, default=prob.RETRY_LIMIT)
     sp.add_argument("--trace")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("lemma", help="near-uniform hypergraph colorer")
     sp.add_argument("--hgraph", required=True)
-    sp.add_argument("--list-factor", type=positive, default=32)
+    sp.add_argument("--list-factor", type=positive, default=prob.LIST_FACTOR)
     sp.add_argument("--alpha", type=positive, help="alpha override")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--max-rounds", type=positive, default=1000)
+    sp.add_argument("--max-rounds", type=positive, default=prob.LEMMA_MAX_ROUNDS)
     sp.add_argument("--lists")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lemma)

@@ -139,7 +139,10 @@ def _parse_graph_records(text):
             _fail(lineno, f"duplicate edge {u + 1} {v + 1}")
         row.add(v)
         adj[v].add(u)
-    return Graph._from_adjacency(n, adj)
+    try:
+        return Graph._from_adjacency(n, adj)
+    except MemoryError:
+        raise MemoryError(f"parse_graph on {n} vertices ran out of memory") from None
 
 
 def format_graph(g):

@@ -108,7 +108,8 @@ class Graph:
 
 
 class Hypergraph:
-    """Vertex set 0..n-1 plus a list of non-empty vertex subsets.
+    """Vertex set 0..n-1 plus a list of non-empty vertex subsets; an edge
+    that names a vertex twice is an error, as in parse_hypergraph.
 
     Duplicate edges are kept: derived neighborhood hypergraphs must stay
     in one-to-one correspondence with the vertices of the source graph.
@@ -117,12 +118,15 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges):
-        edges = tuple(tuple(sorted(set(e))) for e in edges)
+        edges = tuple(tuple(sorted(e)) for e in edges)
         for e in edges:
             if not e:
                 raise ValueError("hyperedges must be non-empty")
             if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"edge {e} out of range for n={n}")
+            if len(set(e)) < len(e):
+                v = next(a for a, b in pairwise(e) if a == b)
+                raise ValueError(f"vertex {v} repeated in hyperedge {e}")
         self.n = n
         self.edges = edges
 

@@ -69,7 +69,8 @@ def _build(cache_dir, compiler):
     The file name carries a checksum of the source and the compile
     command, so an edit to either builds a new file.  A miss compiles to a
     temporary name of its own and renames it into place, so processes that
-    build at the same time never load a half-written file.
+    build at the same time never load a half-written file; then it removes
+    the libraries that earlier sources or commands left in cache_dir.
     """
     with open(SOURCE, "rb") as f:
         source = f.read()
@@ -97,6 +98,15 @@ def _build(cache_dir, compiler):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # another builder's temporary name does not end in .so; a process
+    # that fails to load a library removed here falls back in load
+    for name in os.listdir(cache_dir):
+        other = os.path.join(cache_dir, name)
+        if name.startswith("_kernel-") and name.endswith(".so") and other != path:
+            try:
+                os.remove(other)
+            except OSError:  # gone already, or not ours to remove
+                pass
     return path
 
 

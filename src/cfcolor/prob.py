@@ -29,14 +29,19 @@ from cfcolor.verify import unique_colors, verify_cf
 
 FULL_ALPHA_FLOOR = 2**12
 FULL_ALPHA_LOG_COEFF = 136
-FULL_LIST_FACTOR = 32
-FULL_B_FLOOR = 2**12
-FULL_B_LOG_COEFF = 272
-FULL_R_COEFF = 2**18
-SCALED_B_FLOOR = 2
-SCALED_B_LOG_COEFF = 0.0
-SCALED_R_COEFF = 32.0
+# the defaults of LemmaConfig and PipelineConfig, and of the CLI's flags
+LIST_FACTOR = 32
+LEMMA_MAX_ROUNDS = 1000
+RETRY_LIMIT = 10
 PIPELINE_MAX_ROUNDS = 200
+# the pipeline's constants by scaled_mode, the paper's (False) and the
+# desk-scale ones (True): b = min{s, max{b_floor, ceil(b_log_coeff ln 4
+# Delta)}} and r = ceil(r_coeff k ln Delta); the lemma requires lists of
+# list_factor * (max edge size) colors.  The trace prints the row as is.
+CONSTANTS = {
+    False: dict(b_floor=2**12, b_log_coeff=272, r_coeff=2**18, list_factor=LIST_FACTOR),
+    True: dict(b_floor=2, b_log_coeff=0.0, r_coeff=32.0, list_factor=LIST_FACTOR),
+}
 
 
 class ResampleFailure(BudgetExceededError):
@@ -63,8 +68,8 @@ class PipelineError(RuntimeError):
 class LemmaConfig:
     """Seed and size limits of the near-uniform colorer.
 
-    Defaults are the full-scale analysis thresholds: lists of size 32 *
-    (max edge size) and a minimum edge size of
+    Defaults are the full-scale analysis thresholds: lists of size
+    LIST_FACTOR * (max edge size) and a minimum edge size of
     max(2^12, ceil(136 ln(16 Gamma))) unless alpha_override is set.  The
     lemma's fractions are constants: an edge is bad while at least 7/8 of
     its vertices carry non-unique colors, so success leaves at least 1/8
@@ -72,9 +77,9 @@ class LemmaConfig:
     """
 
     rng_seed: int
-    list_factor: int = FULL_LIST_FACTOR
+    list_factor: int = LIST_FACTOR
     alpha_override: int | None = None
-    max_rounds: int = 1000
+    max_rounds: int = LEMMA_MAX_ROUNDS
 
     def __post_init__(self):
         if self.list_factor < 1:
@@ -179,35 +184,25 @@ def near_uniform_color(h, lists, cfg):
 class PipelineConfig:
     """Seed and switches of the CFCN* pipeline.
 
-    The constants are the paper's: b = min{s, max{2^12, 272 ln(4 Delta)}}
-    and required list size r = ceil(2^18 k ln Delta).  scaled_mode swaps
-    in the desk-scale b = min{s, 2} and r = ceil(32 k ln Delta).  In both
-    modes the lemma gets lists of 32 * (max edge size) colors and 200
-    resampling rounds per seed, and the exact fallback gets
-    solve.DEFAULT_NODE_BUDGET nodes.  The constants in effect are recorded
-    in the trace.
+    The constants of b and r are the row of CONSTANTS that scaled_mode
+    picks: the paper's, or the desk-scale ones.  In both modes the lemma
+    gets PIPELINE_MAX_ROUNDS resampling rounds per seed, and the exact
+    fallback gets solve.DEFAULT_NODE_BUDGET nodes.  The trace records the
+    row in effect.
     """
 
     rng_seed: int
     scaled_mode: bool = False
     k_override: int | None = None
-    retry_limit: int = 10
+    retry_limit: int = RETRY_LIMIT
 
     def __post_init__(self):
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
 
     @property
-    def b_floor(self):
-        return SCALED_B_FLOOR if self.scaled_mode else FULL_B_FLOOR
-
-    @property
-    def b_log_coeff(self):
-        return SCALED_B_LOG_COEFF if self.scaled_mode else FULL_B_LOG_COEFF
-
-    @property
-    def r_coeff(self):
-        return SCALED_R_COEFF if self.scaled_mode else FULL_R_COEFF
+    def constants(self):
+        return CONSTANTS[bool(self.scaled_mode)]
 
 
 def pipeline_list_size(g, cfg):
@@ -217,7 +212,7 @@ def pipeline_list_size(g, cfg):
     k = max(cfg.k_override if cfg.k_override is not None else max_star(g) + 1, 2)
     delta = g.max_degree()
     log_delta = math.log(delta) if delta >= 2 else 0.0
-    return k, delta, math.ceil(cfg.r_coeff * k * log_delta)
+    return k, delta, math.ceil(cfg.constants["r_coeff"] * k * log_delta)
 
 
 @dataclass
@@ -407,12 +402,7 @@ def cfcn_pipeline(g, lists, cfg):
         delta=delta,
         r=r,
         scaled_mode=cfg.scaled_mode,
-        constants={
-            "b_floor": cfg.b_floor,
-            "b_log_coeff": cfg.b_log_coeff,
-            "r_coeff": cfg.r_coeff,
-            "list_factor": FULL_LIST_FACTOR,
-        },
+        constants=dict(cfg.constants),
     )
     failures = []
     trace.attempts = 1
@@ -474,12 +464,10 @@ def _core(g, lists, cfg, k, delta, trace):
         g, order=[v for v in range(g.n) if v not in a_set]
     )
     s = len(classes)
-    log_term = (
-        math.ceil(cfg.b_log_coeff * math.log(4 * delta))
-        if cfg.b_log_coeff > 0 and delta >= 1
-        else 0
-    )
-    b = min(s, max(cfg.b_floor, log_term))
+    # Delta = 0 takes the log term at Delta = 1, below b_floor in both rows
+    constants = cfg.constants
+    log_term = math.ceil(constants["b_log_coeff"] * math.log(4 * max(delta, 1)))
+    b = min(s, max(constants["b_floor"], log_term))
     b_set = set().union(*classes[:b]) if classes else set()
     c_set = set().union(*classes[b:]) if s > b else set()
 

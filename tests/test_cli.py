@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from cfcolor import cli, fileio
+from cfcolor import cli, fileio, prob
 from cfcolor.coloring import ListAssignment
 from cfcolor.reductions import FIGURE_FORMULA
 from util import (
@@ -138,6 +138,18 @@ def test_pipeline_scaled_run_and_trace(tmp_path, capsys):
     capsys.readouterr()
     text = open(trace).read()
     assert "k 3" in text and "delegated no" in text
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    lemma = parser.parse_args(["lemma", "--hgraph", "h.txt", "--seed", "1"])
+    pipeline = parser.parse_args(
+        ["pipeline", "--graph", "g.txt", "--lists", "RANGE:1", "--seed", "1"]
+    )
+    lemma_cfg = prob.LemmaConfig(rng_seed=0)
+    assert lemma.list_factor == lemma_cfg.list_factor == 32
+    assert lemma.max_rounds == lemma_cfg.max_rounds == 1000
+    assert pipeline.retries == prob.PipelineConfig(rng_seed=0).retry_limit == 10
 
 
 def test_lemma_subcommand(tmp_path, capsys):

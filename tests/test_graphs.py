@@ -80,6 +80,14 @@ def test_derived_hypergraphs_equal_the_checked_construction():
             assert derived_hypergraph(g, "open") == Hypergraph(g.n, g.adj)
 
 
+def test_hypergraph_rejects_a_repeated_vertex():
+    # as parse_hypergraph does; merging the edge into (0, 1) hides the repeat
+    with pytest.raises(ValueError, match=r"vertex 0 repeated in hyperedge \(0, 0, 1\)"):
+        Hypergraph(3, [(0, 0, 1)])
+    with pytest.raises(ValueError, match="vertex 2 repeated"):
+        Hypergraph(4, [(0, 1), (2, 3, 2, 1)])
+
+
 def test_hypergraph_stats():
     h = Hypergraph(5, [(0, 1, 2), (2, 3), (3, 4), (0, 4)])
     max_deg, gamma, lo, hi = hypergraph_stats(h)

@@ -391,11 +391,25 @@ def test_read_graph_out_of_memory_is_a_memory_error(tmp_path):
     # the C reader declines 2^31 - 1 vertices in a 27-character text, so
     # nothing is sized from them there; the record loop's row per vertex
     # is 16 GiB, past the 2 GiB address space: parse_graph raises
-    # MemoryError and the CLI exits 2
+    # MemoryError, worded as the C entries word it, and the CLI exits 2
     path = str(tmp_path / "wide.txt")
     done = run_python(_READER_OUT_OF_MEMORY % (path, path), timeout=60)
-    assert done.stdout.splitlines() == ["None", "MemoryError()", "2"]
-    assert done.stderr == "resources exhausted: MemoryError: \n"
+    message = "parse_graph on 2147483647 vertices ran out of memory"
+    assert done.stdout.splitlines() == ["None", f"MemoryError('{message}')", "2"]
+    assert done.stderr == f"resources exhausted: MemoryError: {message}\n"
+
+
+@requires_compiled
+def test_a_build_removes_the_libraries_it_replaces(tmp_path):
+    # another compile command keys another library; building it removes
+    # the first, so the cache holds one library however often either
+    # the source or the command changes
+    assert kernels.load(tmp_path)[0] == "compiled"
+    [first] = tmp_path.iterdir()
+    with mock.patch.object(kernels, "COMPILE_FLAGS", ("-O1", "-shared", "-fPIC")):
+        assert kernels.load(tmp_path)[0] == "compiled"
+    [library] = tmp_path.iterdir()
+    assert library != first and library.name.startswith("_kernel-")
 
 
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):

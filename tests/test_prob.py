@@ -246,6 +246,23 @@ def test_pipeline_trace_lines_round_trip_key_facts():
     assert "delegated" in text
 
 
+@pytest.mark.parametrize(
+    "scaled_mode, line",
+    [
+        (False, "constants b_floor=4096 b_log_coeff=272 list_factor=32 r_coeff=262144"),
+        (True, "constants b_floor=2 b_log_coeff=0.0 list_factor=32 r_coeff=32.0"),
+    ],
+)
+def test_pipeline_trace_prints_the_constants_row(scaled_mode, line):
+    g = cycle_graph(5)
+    cfg = prob.PipelineConfig(rng_seed=1, scaled_mode=scaled_mode)
+    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    assert [x for x in trace.lines() if x.startswith("constants")] == [line]
+    # the trace holds a copy of the row, not the table's own
+    assert trace.constants == prob.CONSTANTS[scaled_mode]
+    assert trace.constants is not prob.CONSTANTS[scaled_mode]
+
+
 def test_pipeline_determinism():
     g = claw_free_corpus(1, 10, seed=24)[0]
     cfg = prob.PipelineConfig(rng_seed=4, scaled_mode=True)
