@@ -181,11 +181,11 @@ def derived_hypergraph(g, mode):
 
 
 def hypergraph_stats(h):
-    """(max vertex degree, Gamma, min edge size, max edge size).
+    """Gamma, the largest number of other edges that one edge meets (0
+    when h has no edge); the lemma's one statistic of h.
 
-    Gamma is the largest number of other edges that one edge meets.  Each
-    vertex gets a bitmask of the edges containing it, and the edges an
-    edge meets, itself included, are the OR of its vertices' masks.
+    Each vertex gets a bitmask of the edges containing it, and the edges
+    an edge meets, itself included, are the OR of its vertices' masks.
     Duplicate edges meet each other.
     """
     masks = [0] * h.n
@@ -193,15 +193,9 @@ def hypergraph_stats(h):
         bit = 1 << i
         for v in e:
             masks[v] |= bit
-    gamma = 0
-    for e in h.edges:
-        gamma = max(gamma, reduce(or_, map(masks.__getitem__, e), 0).bit_count() - 1)
-    sizes = [len(e) for e in h.edges]
-    return (
-        max((mask.bit_count() for mask in masks), default=0),
-        gamma,
-        min(sizes, default=0),
-        max(sizes, default=0),
+    return max(
+        (reduce(or_, map(masks.__getitem__, e), 0).bit_count() - 1 for e in h.edges),
+        default=0,
     )
 
 
@@ -210,14 +204,12 @@ def max_star(g):
 
     Equals the maximum, over vertices v, of the maximum independent set
     size inside N(v).  g is K_{1,k}-free exactly for all k > max_star(g).
-    Returns 0 for edgeless graphs.  The branch and bound runs in the
-    active kernel (see ``_kernel_py.max_star``) on ``g.csr``;
-    ``kernels.max_star`` is looked up at call time, so a test can swap
-    backends.  Raises MemoryError when the kernel cannot allocate its
+    Returns 0 for edgeless graphs, the empty one included.  The branch
+    and bound runs in the active kernel (see ``_kernel_py.max_star``) on
+    ``g.csr``; ``kernels.max_star`` is looked up at call time, so a test
+    can swap backends.  Raises MemoryError when the kernel cannot allocate its
     bitsets.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
     # imported here, so that importing the package builds no kernel
     from cfcolor import kernels
 
@@ -235,18 +227,15 @@ def maximal_independent_set(g):
     return frozenset(chosen)
 
 
-def greedy_color_classes(g, order=None):
+def greedy_color_classes(g, order):
     """Color classes S_1..S_s of a greedy proper coloring of the vertices
-    in `order` (default: every vertex by increasing id), as a tuple of
-    frozensets: each vertex gets the smallest color not used by an
-    already-colored neighbor.  Vertices outside `order` stay uncolored.
+    in `order`, as a tuple of frozensets: each vertex gets the smallest
+    color not used by an already-colored neighbor.  Vertices outside `order` stay uncolored.
 
     The classes partition the colored vertices, each class is
     independent, and every vertex of S_i (i >= 2) has a neighbor in each
     earlier class.
     """
-    if order is None:
-        order = range(g.n)
     color = {}
     classes = []
     for v in order:

@@ -125,7 +125,7 @@ def near_uniform_color(h, lists, cfg):
     sizes = [len(e) for e in h.edges]
     alpha = cfg.alpha_override
     if alpha is None:
-        alpha = required_alpha(hypergraph_stats(h)[1])
+        alpha = required_alpha(hypergraph_stats(h))
     if sizes and min(sizes) < alpha:
         raise ValueError(
             f"minimum edge size {min(sizes)} below required alpha {alpha}"
@@ -355,7 +355,7 @@ def reduce_lists(g, in_a, b_set, witness, lists, k, b):
         removed_x[u] = frozenset(xs)
         removed_y[u] = frozenset(ys)
         entries.append(reduced)
-    return ListAssignment(entries) if entries else None, removed_x, removed_y
+    return ListAssignment(entries), removed_x, removed_y
 
 
 def _check_structure(in_a, in_b, a_set, k, b):
@@ -418,17 +418,25 @@ def cfcn_pipeline(g, lists, cfg):
         trace.attempts = attempt + 1
         f, rounds = f1, 0
         if h2_job is not None:
+            h2, reduced, b_sorted, b = h2_job
+            lemma_cfg = LemmaConfig(
+                rng_seed=cfg.rng_seed + attempt,
+                list_factor=cfg.constants["list_factor"],
+                alpha_override=b,
+                max_rounds=PIPELINE_MAX_ROUNDS,
+            )
             try:
-                f2, rounds = _color_h2(*h2_job, seed=cfg.rng_seed + attempt)
+                f2, rounds = near_uniform_color(h2, reduced, lemma_cfg)
             except ResampleFailure as exc:
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 continue
-            except PipelineError as exc:
-                # the lemma's size checks fail before any sampling, so no
-                # other seed can pass them
-                failures.append(f"attempt {attempt + 1}: {exc}")
+            except ValueError as exc:
+                # reduced lists or edge sizes below the lemma's thresholds:
+                # the checks fail before any sampling, so no other seed
+                # can pass them
+                failures.append(f"attempt {attempt + 1}: [h2] {exc}")
                 break
-            f = f1.union(f2)
+            f = f1.union(PartialColoring({b_sorted[i]: c for i, c in f2.items()}))
         report = verify_cf(closed, f, lists=lists, require_total=False)
         if report.valid:
             trace.final = f
@@ -513,20 +521,7 @@ def _core(g, lists, cfg, k, delta, trace):
         len(b_sorted), [tuple(b_index[w] for w in in_b[v]) for v in sorted(c_set)]
     )
 
-    _, gamma, _, _ = hypergraph_stats(h2)
+    gamma = hypergraph_stats(h2)
     if gamma > delta * delta:
         raise PipelineError("h2", f"Gamma {gamma} exceeds Delta^2 {delta * delta}")
     return f1, (h2, reduced, b_sorted, b)
-
-
-def _color_h2(h2, reduced, b_sorted, b, seed):
-    """Resample H2 from `seed`; returns (f2 on the vertices of B, rounds)."""
-    lemma_cfg = LemmaConfig(
-        rng_seed=seed, alpha_override=b, max_rounds=PIPELINE_MAX_ROUNDS
-    )
-    try:
-        f2_local, rounds = near_uniform_color(h2, reduced, lemma_cfg)
-    except ValueError as exc:
-        # reduced lists or edge sizes below the lemma's thresholds
-        raise PipelineError("h2", str(exc)) from exc
-    return PartialColoring({b_sorted[i]: c for i, c in f2_local.items()}), rounds

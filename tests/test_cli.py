@@ -140,6 +140,46 @@ def test_pipeline_scaled_run_and_trace(tmp_path, capsys):
     assert "k 3" in text and "delegated no" in text
 
 
+def test_pipeline_on_the_empty_graph(tmp_path, capsys):
+    # the empty coloring is a CFCN* coloring of the graph with no vertex
+    gp = tmp_path / "empty.txt"
+    gp.write_text("p graph 0 0\n")
+    out, trace = tmp_path / "col.txt", tmp_path / "trace.txt"
+    args = ["--graph", str(gp), "--lists", "RANGE:1", "--seed", "1"]
+    assert cli.main(["pipeline", *args, "--out", str(out), "--trace", str(trace)]) == 0
+    assert out.read_text() == ""
+    lines = trace.read_text().splitlines()
+    assert {"k 2", "r 0", "delegated no"} <= set(lines)
+
+
+def test_hypergraph_instances(tmp_path, capsys):
+    hp = tmp_path / "h.txt"
+    hp.write_text("p hgraph 4 3\nh 1 2 3\nh 2 3 4\nh 1 4\n")
+    h = ["--hgraph", str(hp)]
+    col = str(tmp_path / "col.txt")
+    assert cli.main(["solve", *h, "--uniform", "2", "--total", "--out", col]) == 0
+    assert cli.main(["verify", *h, "--coloring", col, "--total"]) == 0
+    capsys.readouterr()
+    # exactly one of {1, 2, 3}, of {2, 3, 4} and of {1, 4} is impossible
+    assert cli.main(["choose", *h, "--k", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [f"l {v} 1" for v in range(1, 5)] == [x for x in out if x.startswith("l ")]
+    assert cli.main(["choose", *h, "--k", "2"]) == 0
+
+    # the report numbers vertices from 0: vertices 3 and 4 of the file are
+    # uncolored, and vertex 1's color is outside its list
+    part = tmp_path / "part.txt"
+    part.write_text("v 1 1\nv 2 2\n")
+    capsys.readouterr()
+    assert cli.main(["verify", *h, "--coloring", str(part), "--total"]) == 1
+    assert "vertex 2 violation uncolored" in capsys.readouterr().out.splitlines()
+    lists = tmp_path / "lists.txt"
+    lists.write_text("l 1 2 3\nl 2 2\nl 3 1\nl 4 1\n")
+    assert cli.main(["verify", *h, "--coloring", str(part), "--lists", str(lists)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "vertex 0 violation color-not-in-list" in out
+
+
 def test_flag_defaults_are_the_config_defaults():
     parser = cli.build_parser()
     lemma = parser.parse_args(["lemma", "--hgraph", "h.txt", "--seed", "1"])

@@ -90,10 +90,9 @@ def test_hypergraph_rejects_a_repeated_vertex():
 
 def test_hypergraph_stats():
     h = Hypergraph(5, [(0, 1, 2), (2, 3), (3, 4), (0, 4)])
-    max_deg, gamma, lo, hi = hypergraph_stats(h)
-    assert max_deg == 2
-    assert gamma == 2
-    assert (lo, hi) == (2, 3)
+    # (0, 1, 2) meets (2, 3) and (0, 4)
+    assert hypergraph_stats(h) == 2
+    assert hypergraph_stats(Hypergraph(3, [])) == 0
 
 
 def test_max_star():
@@ -124,7 +123,7 @@ def test_maximal_independent_set_properties():
 
 def test_greedy_classes_partition_and_properness():
     for g in nonisomorphic_graphs(5):
-        classes = greedy_color_classes(g)
+        classes = greedy_color_classes(g, range(g.n))
         seen = set()
         for cls in classes:
             assert not (cls & seen)

@@ -8,7 +8,6 @@ from cfcolor import prob
 from cfcolor.coloring import ListAssignment
 from cfcolor.graphs import (
     derived_hypergraph,
-    hypergraph_stats,
     line_graph,
     random_graph,
     random_hypergraph,
@@ -101,7 +100,7 @@ def test_lemma_lists_sizes():
 def test_near_uniform_color_succeeds_and_is_deterministic():
     rng = random.Random(1)
     h = random_hypergraph(64, 30, 16, 24, rng)
-    _, _, _, max_size = hypergraph_stats(h)
+    max_size = max(len(e) for e in h.edges)
     lists = ListAssignment.uniform_range(h.n, 32 * max_size)
     cfg = prob.LemmaConfig(rng_seed=5, alpha_override=16, max_rounds=100)
     f1, rounds1 = prob.near_uniform_color(h, lists, cfg)
@@ -308,6 +307,54 @@ def test_color_h1_covers_a_union_b():
         prob.color_h1(in_a, a, b, lists)
 
 
+def test_color_h1_falls_back_to_the_exact_solver(monkeypatch):
+    solved = []
+    solve_list_cf = prob.solve_list_cf
+    monkeypatch.setattr(
+        prob, "solve_list_cf", lambda *a: solved.append(1) or solve_list_cf(*a)
+    )
+    # B-vertex 3 sees all of A = {0, 1, 2}: greedy gives 0 and 1 the two
+    # colors of {1, 2} and is stuck at 2, which the solver on H1 colors
+    in_a = [[0], [1], [2], [0, 1, 2]]
+    a, b = {0, 1, 2}, {3}
+    lists = ListAssignment([(1, 2)] * 4)
+    f1, witness = prob.color_h1(in_a, a, b, lists)
+    assert solved == [1]
+    assert set(f1.domain) == a
+    assert all(f1[v] in lists.colors(v) for v in a)
+    assert witness == {v: smallest_once(f1, in_a[v]) for v in range(4)}
+
+    # three B-vertices ask for a proper 2-coloring of the triangle on A
+    in_a = [[0], [1], [2], [0, 1], [1, 2], [0, 2]]
+    with pytest.raises(
+        prob.PipelineError, match=r"^\[color_h1\] A-core hypergraph is uncolorable$"
+    ):
+        prob.color_h1(in_a, a, {3, 4, 5}, ListAssignment([(1, 2)] * 6))
+
+
+@pytest.mark.parametrize(
+    "in_a_2, witness, lists_2, message",
+    [
+        # A-vertices 0 and 1 protect two colors, above k - 1 = 1
+        ([0, 1], {0: 1, 1: 2, 2: 1, 3: 1}, (1, 2, 3), r"\|X_2\| = 2 > k-1"),
+        # B-vertices 2 and 3 protect two colors, above (k-1)(b-1)+1 = 1
+        ([0], {0: 1, 1: 1, 2: 1, 3: 2}, (1, 2, 3), r"\|Y_2\| = 2 exceeds \(k-1\)\(b-1\)\+1"),
+        # vertex 2's list holds only the struck color 1
+        ([0], {0: 1, 1: 1, 2: 1, 3: 1}, (1,), "vertex 2 left with empty list"),
+    ],
+    ids=["X", "Y", "empty-list"],
+)
+def test_reduce_lists_checks(in_a_2, witness, lists_2, message):
+    from cfcolor.graphs import Graph
+
+    # A = {0, 1}, B = {2, 3}; vertex 2 is the B-vertex checked first
+    g = Graph(4, [(0, 2), (1, 2), (2, 3)])
+    in_a = [[0], [1], in_a_2, [1]]
+    lists = ListAssignment([(1, 2, 3), (1, 2, 3), lists_2, (1, 2, 3)])
+    with pytest.raises(prob.PipelineError, match=message):
+        prob.reduce_lists(g, in_a, {2, 3}, witness, lists, k=2, b=1)
+
+
 def test_pipeline_retries_only_the_resampling(monkeypatch):
     """A failure that does not depend on the seed is recorded once and
     delegates at once; a failed resampling is retried with the next seed
@@ -348,6 +395,10 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
         assert trace.delegated and trace.part_c
         assert seeds == tried and len(trace.failures) == len(tried)
         assert trace.attempts == len(tried) and h1_calls == [1]
+    # the lemma's ValueError is recorded under the h2 stage
+    assert trace.failures == (
+        "attempt 1: [h2] minimum edge size 1 below required alpha 2",
+    )
 
     # with C empty nothing depends on the seed: a failed check is not retried
     invalid = SimpleNamespace(valid=False, edge_violations=[0])

@@ -228,18 +228,13 @@ def decide_choosable_unrestricted(inst, k, universe_size):
 
 
 def pairwise_hypergraph_stats(h):
-    """hypergraph_stats by intersecting every pair of edges."""
-    deg = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            deg[v] += 1
+    """hypergraph_stats' Gamma by intersecting every pair of edges."""
     edge_sets = [set(e) for e in h.edges]
     gamma = 0
     for i, ei in enumerate(edge_sets):
         hits = sum(1 for j, ej in enumerate(edge_sets) if j != i and ei & ej)
         gamma = max(gamma, hits)
-    sizes = [len(e) for e in h.edges]
-    return max(deg, default=0), gamma, min(sizes, default=0), max(sizes, default=0)
+    return gamma
 
 
 def brute_force_max_star(g):
