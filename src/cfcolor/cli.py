@@ -178,13 +178,9 @@ def cmd_edc(args):
 def cmd_pipeline(args):
     g = fileio.parse_graph(_read(args.graph))
     lists = _load_lists(args.lists, g.n)
-    cfg = prob.PipelineConfig(
-        rng_seed=args.seed,
-        scaled_mode=args.scaled,
-        k_override=args.k_override,
-        retry_limit=args.retries,
+    f, trace = prob.cfcn_pipeline(
+        g, lists, args.seed, args.scaled, args.k_override, args.retries
     )
-    f, trace = prob.cfcn_pipeline(g, lists, cfg)
     _emit(fileio.format_coloring(f), args.out)
     if args.trace:
         _write(args.trace, "\n".join(trace.lines()) + "\n")
@@ -197,13 +193,9 @@ def cmd_lemma(args):
         lists = _load_lists(args.lists, h.n)
     else:
         lists = prob.lemma_lists(h, args.list_factor)
-    cfg = prob.LemmaConfig(
-        rng_seed=args.seed,
-        list_factor=args.list_factor,
-        alpha_override=args.alpha,
-        max_rounds=args.max_rounds,
+    f, rounds = prob.near_uniform_color(
+        h, lists, args.seed, args.list_factor, args.alpha, args.max_rounds
     )
-    f, rounds = prob.near_uniform_color(h, lists, cfg)
     print(f"rounds {rounds}")
     _emit(fileio.format_coloring(f), args.out)
     return EXIT_YES
@@ -287,9 +279,8 @@ def _sweep_lemma(args):
     lo, hi = args.size
     rng = random.Random(args.seed)
     h = random_hypergraph(4 * hi, args.edges, lo, hi, rng)
-    cfg = prob.LemmaConfig(rng_seed=args.seed, alpha_override=lo)
-    lists = prob.lemma_lists(h, cfg.list_factor)
-    f, rounds = prob.near_uniform_color(h, lists, cfg)
+    lists = prob.lemma_lists(h, prob.LIST_FACTOR)
+    f, rounds = prob.near_uniform_color(h, lists, args.seed, alpha_override=lo)
     report = verify_cf(h, f, lists=lists, require_total=True)
     return [(1, report.valid, f"edges={args.edges} rounds={rounds}")]
 
@@ -301,10 +292,9 @@ def _sweep_pipeline(args):
         base = random_graph(10, 0.35, rng)
         g, _ = line_graph(base)
         for scaled in (False, True):
-            cfg = prob.PipelineConfig(rng_seed=args.seed + t, scaled_mode=scaled)
-            _, _, r = prob.pipeline_list_size(g, cfg)
+            _, _, r = prob.pipeline_list_size(g, scaled)
             lists = ListAssignment.uniform_range(g.n, max(r, 1))
-            f, trace = prob.cfcn_pipeline(g, lists, cfg)
+            f, trace = prob.cfcn_pipeline(g, lists, args.seed + t, scaled)
             report = verify_cf(derived_hypergraph(g, "closed"), f, lists=lists)
             mode = "scaled" if scaled else "full"
             part_c = len(trace.part_c) or "empty"

@@ -29,7 +29,7 @@ from cfcolor.verify import unique_colors, verify_cf
 
 FULL_ALPHA_FLOOR = 2**12
 FULL_ALPHA_LOG_COEFF = 136
-# the defaults of LemmaConfig and PipelineConfig, and of the CLI's flags
+# the defaults of near_uniform_color and cfcn_pipeline, and of the CLI's flags
 LIST_FACTOR = 32
 LEMMA_MAX_ROUNDS = 1000
 RETRY_LIMIT = 10
@@ -57,35 +57,10 @@ class ResampleFailure(BudgetExceededError):
 
 
 class PipelineError(RuntimeError):
-    """The pipeline failed; `stage` names where."""
+    """The pipeline failed; the message starts with the stage, in brackets."""
 
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
-
-
-@dataclass(frozen=True)
-class LemmaConfig:
-    """Seed and size limits of the near-uniform colorer.
-
-    Defaults are the full-scale analysis thresholds: lists of size
-    LIST_FACTOR * (max edge size) and a minimum edge size of
-    max(2^12, ceil(136 ln(16 Gamma))) unless alpha_override is set.  The
-    lemma's fractions are constants: an edge is bad while at least 7/8 of
-    its vertices carry non-unique colors, so success leaves at least 1/8
-    of every edge uniquely colored.
-    """
-
-    rng_seed: int
-    list_factor: int = LIST_FACTOR
-    alpha_override: int | None = None
-    max_rounds: int = LEMMA_MAX_ROUNDS
-
-    def __post_init__(self):
-        if self.list_factor < 1:
-            raise ValueError("list_factor must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 def lemma_lists(h, list_factor):
@@ -104,13 +79,23 @@ def required_alpha(gamma):
     )
 
 
-def near_uniform_color(h, lists, cfg):
+def near_uniform_color(
+    h,
+    lists,
+    rng_seed,
+    list_factor=LIST_FACTOR,
+    alpha_override=None,
+    max_rounds=LEMMA_MAX_ROUNDS,
+):
     """Sample-and-resample coloring of a near-uniform hypergraph.
 
     Colors every vertex uniformly from its list; while some edge E has
     X_E >= 7/8 |E| non-uniquely colored vertices, resamples all vertices
-    of the lowest-index such edge.  On success every edge sees at least
-    |E|/8 unique colors.
+    of the lowest-index such edge, at most max_rounds times.  On success
+    every edge sees at least |E|/8 unique colors.  Every list needs
+    list_factor * (max edge size) colors, and every edge at least
+    max(2^12, ceil(136 ln(16 Gamma))) vertices unless alpha_override
+    gives the minimum.  Returns (coloring, rounds).
 
     The set of bad edges is kept across rounds: a resample can change
     only the edges that meet the resampled one, so only those are
@@ -120,24 +105,28 @@ def near_uniform_color(h, lists, cfg):
     colored vertices.  Each recolored vertex updates them on its incident
     edges.  The finished coloring is checked by a full scan.
     """
+    if list_factor < 1:
+        raise ValueError("list_factor must be >= 1")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     if lists.n != h.n:
         raise ValueError("lists must cover every vertex")
     sizes = [len(e) for e in h.edges]
-    alpha = cfg.alpha_override
+    alpha = alpha_override
     if alpha is None:
         alpha = required_alpha(hypergraph_stats(h))
     if sizes and min(sizes) < alpha:
         raise ValueError(
             f"minimum edge size {min(sizes)} below required alpha {alpha}"
         )
-    need = cfg.list_factor * max(sizes, default=0)
+    need = list_factor * max(sizes, default=0)
     for v in range(h.n):
         if lists.size(v) < need:
             raise ValueError(
                 f"list of vertex {v} has {lists.size(v)} colors, need {need}"
             )
 
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(rng_seed)
     color = [lists.sample(v, rng) for v in range(h.n)]
     incident = h.incidence()
     counts = [Counter([color[v] for v in edge]) for edge in h.edges]
@@ -150,7 +139,7 @@ def near_uniform_color(h, lists, cfg):
     rounds = 0
     while bad:
         worst = min(bad)
-        if rounds >= cfg.max_rounds:
+        if rounds >= max_rounds:
             raise ResampleFailure(rounds, worst)
         touched = set()
         for v in h.edges[worst]:
@@ -180,39 +169,14 @@ def near_uniform_color(h, lists, cfg):
     return PartialColoring({v: color[v] for v in range(h.n)}), rounds
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Seed and switches of the CFCN* pipeline.
-
-    The constants of b and r are the row of CONSTANTS that scaled_mode
-    picks: the paper's, or the desk-scale ones.  In both modes the lemma
-    gets PIPELINE_MAX_ROUNDS resampling rounds per seed, and the exact
-    fallback gets solve.DEFAULT_NODE_BUDGET nodes.  The trace records the
-    row in effect.
-    """
-
-    rng_seed: int
-    scaled_mode: bool = False
-    k_override: int | None = None
-    retry_limit: int = RETRY_LIMIT
-
-    def __post_init__(self):
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
-
-    @property
-    def constants(self):
-        return CONSTANTS[bool(self.scaled_mode)]
-
-
-def pipeline_list_size(g, cfg):
+def pipeline_list_size(g, scaled_mode=False, k_override=None):
     """(k, Delta, r) on g: the claw bound k = max_star(g) + 1 or
-    cfg.k_override, never below 2, and the list size the pipeline requires,
+    k_override, never below 2, and the list size the pipeline requires,
     r = ceil(r_coeff k ln Delta), which is 0 when Delta < 2."""
-    k = max(cfg.k_override if cfg.k_override is not None else max_star(g) + 1, 2)
+    k = max(k_override if k_override is not None else max_star(g) + 1, 2)
     delta = g.max_degree()
     log_delta = math.log(delta) if delta >= 2 else 0.0
-    return k, delta, math.ceil(cfg.constants["r_coeff"] * k * log_delta)
+    return k, delta, math.ceil(CONSTANTS[bool(scaled_mode)]["r_coeff"] * k * log_delta)
 
 
 @dataclass
@@ -373,7 +337,9 @@ def _check_structure(in_a, in_b, a_set, k, b):
             )
 
 
-def cfcn_pipeline(g, lists, cfg):
+def cfcn_pipeline(
+    g, lists, rng_seed, scaled_mode=False, k_override=None, retry_limit=RETRY_LIMIT
+):
     """Full CFCN* list-coloring pipeline for K_{1,k}-free graphs.
 
     Builds a maximal independent core A, greedily classes the rest, colors
@@ -385,11 +351,18 @@ def cfcn_pipeline(g, lists, cfg):
     that does not depend on the seed fails, the run delegates to the
     exact solver (recorded in the trace).
 
+    The constants of b and r are the row of CONSTANTS that scaled_mode
+    picks: the paper's, or the desk-scale ones; the trace records it.  In
+    both modes the lemma gets PIPELINE_MAX_ROUNDS resampling rounds per
+    seed, and the exact fallback gets solve.DEFAULT_NODE_BUDGET nodes.
+
     Returns (coloring, trace).
     """
+    if retry_limit < 1:
+        raise ValueError("retry_limit must be >= 1")
     if lists.n != g.n:
         raise ValueError("lists must cover every vertex")
-    k, delta, r = pipeline_list_size(g, cfg)
+    k, delta, r = pipeline_list_size(g, scaled_mode, k_override)
     for v in range(g.n):
         if lists.size(v) < max(r, 1):
             raise ValueError(
@@ -397,36 +370,38 @@ def cfcn_pipeline(g, lists, cfg):
             )
 
     closed = derived_hypergraph(g, "closed")
+    constants = CONSTANTS[bool(scaled_mode)]
     trace = PipelineTrace(
         k=k,
         delta=delta,
         r=r,
-        scaled_mode=cfg.scaled_mode,
-        constants=dict(cfg.constants),
+        scaled_mode=scaled_mode,
+        constants=dict(constants),
     )
     failures = []
     trace.attempts = 1
     try:
-        f1, h2_job = _core(g, lists, cfg, k, delta, trace)
+        f1, h2_job = _core(g, lists, constants, k, delta, trace)
     except PipelineError as exc:
         failures.append(f"attempt 1: {exc}")
         tries = 0
     else:
-        tries = cfg.retry_limit if h2_job is not None else 1
+        tries = retry_limit if h2_job is not None else 1
 
     for attempt in range(tries):
         trace.attempts = attempt + 1
         f, rounds = f1, 0
         if h2_job is not None:
             h2, reduced, b_sorted, b = h2_job
-            lemma_cfg = LemmaConfig(
-                rng_seed=cfg.rng_seed + attempt,
-                list_factor=cfg.constants["list_factor"],
-                alpha_override=b,
-                max_rounds=PIPELINE_MAX_ROUNDS,
-            )
             try:
-                f2, rounds = near_uniform_color(h2, reduced, lemma_cfg)
+                f2, rounds = near_uniform_color(
+                    h2,
+                    reduced,
+                    rng_seed + attempt,
+                    list_factor=constants["list_factor"],
+                    alpha_override=b,
+                    max_rounds=PIPELINE_MAX_ROUNDS,
+                )
             except ResampleFailure as exc:
                 failures.append(f"attempt {attempt + 1}: {exc}")
                 continue
@@ -460,10 +435,11 @@ def cfcn_pipeline(g, lists, cfg):
     return f, trace
 
 
-def _core(g, lists, cfg, k, delta, trace):
+def _core(g, lists, constants, k, delta, trace):
     """The stages that do not depend on the seed: the core A, the classes,
-    the H1 coloring f1, the reduced lists and H2.  Returns (f1, None) when
-    C is empty, else (f1, (h2, reduced lists, B in order, b)).
+    the H1 coloring f1, the reduced lists and H2, with b from the
+    CONSTANTS row `constants`.  Returns (f1, None) when C is empty, else
+    (f1, (h2, reduced lists, B in order, b)).
     """
     a_set = maximal_independent_set(g)
     # A-vertices stay uncolored, so greedy-coloring the rest of g in
@@ -473,7 +449,6 @@ def _core(g, lists, cfg, k, delta, trace):
     )
     s = len(classes)
     # Delta = 0 takes the log term at Delta = 1, below b_floor in both rows
-    constants = cfg.constants
     log_term = math.ceil(constants["b_log_coeff"] * math.log(4 * max(delta, 1)))
     b = min(s, max(constants["b_floor"], log_term))
     b_set = set().union(*classes[:b]) if classes else set()

@@ -339,8 +339,9 @@ def test_criterion_9_lemma_engine():
         rng = random.Random(seed)
         h = random_hypergraph(512, 100, 64, 128, rng)
         lists = ListAssignment.uniform_range(h.n, 32 * 128)
-        cfg = prob.LemmaConfig(rng_seed=seed, alpha_override=64, max_rounds=50)
-        f, rounds = prob.near_uniform_color(h, lists, cfg)
+        f, rounds = prob.near_uniform_color(
+            h, lists, seed, alpha_override=64, max_rounds=50
+        )
         assert rounds <= 50
         for e in h.edges:
             unique = len(unique_colors([f[v] for v in e]))
@@ -364,8 +365,8 @@ def pipeline_corpus():
     return out
 
 
-def pipeline_lists(g, cfg):
-    _, _, r = prob.pipeline_list_size(g, cfg)
+def pipeline_lists(g, scaled_mode=False):
+    _, _, r = prob.pipeline_list_size(g, scaled_mode)
     return ListAssignment.uniform_range(g.n, max(r, 1))
 
 
@@ -393,9 +394,8 @@ def test_criterion_10_pipeline_end_to_end():
     closed = {id(g): derived_hypergraph(g, "closed") for g in corpus}
 
     for i, g in enumerate(corpus):
-        cfg = prob.PipelineConfig(rng_seed=9000 + i)
-        lists = pipeline_lists(g, cfg)
-        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        lists = pipeline_lists(g)
+        f, trace = prob.cfcn_pipeline(g, lists, 9000 + i)
         assert not trace.part_c, "full-scale constants must swallow every class"
         assert not trace.delegated
         assert verify_cf(closed[id(g)], f, lists=lists).valid
@@ -403,9 +403,8 @@ def test_criterion_10_pipeline_end_to_end():
 
     forced_c = 0
     for i, g in enumerate(corpus):
-        cfg = prob.PipelineConfig(rng_seed=9100 + i, scaled_mode=True, retry_limit=20)
-        lists = pipeline_lists(g, cfg)
-        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        lists = pipeline_lists(g, True)
+        f, trace = prob.cfcn_pipeline(g, lists, 9100 + i, True, retry_limit=20)
         assert verify_cf(closed[id(g)], f, lists=lists).valid
         check_trace(g, trace)
         if trace.part_c and not trace.delegated:

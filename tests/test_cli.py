@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -186,10 +187,14 @@ def test_flag_defaults_are_the_config_defaults():
     pipeline = parser.parse_args(
         ["pipeline", "--graph", "g.txt", "--lists", "RANGE:1", "--seed", "1"]
     )
-    lemma_cfg = prob.LemmaConfig(rng_seed=0)
-    assert lemma.list_factor == lemma_cfg.list_factor == 32
-    assert lemma.max_rounds == lemma_cfg.max_rounds == 1000
-    assert pipeline.retries == prob.PipelineConfig(rng_seed=0).retry_limit == 10
+    lemma_defaults = inspect.signature(prob.near_uniform_color).parameters
+    pipeline_defaults = inspect.signature(prob.cfcn_pipeline).parameters
+    assert lemma.list_factor == lemma_defaults["list_factor"].default == 32
+    assert lemma.max_rounds == lemma_defaults["max_rounds"].default == 1000
+    assert lemma.alpha is lemma_defaults["alpha_override"].default is None
+    assert pipeline.retries == pipeline_defaults["retry_limit"].default == 10
+    assert pipeline.scaled is pipeline_defaults["scaled_mode"].default is False
+    assert pipeline.k_override is pipeline_defaults["k_override"].default is None
 
 
 def test_lemma_subcommand(tmp_path, capsys):
@@ -314,6 +319,25 @@ def test_budget_exit_code(tmp_path, capsys):
     # a call inherits no flag from the call before it
     assert cli.main(argv) == 0
     assert not out.exists()
+
+
+def test_range_lists_over_the_dense_color_cap_exit_2(tmp_path, capsys):
+    # each list is cut to its first 1500 colors, and the cut lists of the
+    # 1500 vertices are disjoint
+    n = 1500
+    g = tmp_path / "path.txt"
+    g.write_text(fileio.format_graph(path_graph(n)))
+    lists = tmp_path / "lists.txt"
+    lists.write_text(
+        "".join(f"L {v} {v * 10**6} {(v + 1) * 10**6}\n" for v in range(1, n + 1))
+    )
+    assert cli.main(["solve", "--graph", str(g), "--lists", str(lists)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource budget exceeded: range lists span 2250000 colors, "
+        "over the dense-color cap\n"
+    )
 
 
 def test_choose_assignment_budget_exits_2(tmp_path, capsys):

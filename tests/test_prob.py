@@ -24,8 +24,18 @@ from util import (
 
 
 def test_lemma_config_validation():
-    with pytest.raises(ValueError):
-        prob.LemmaConfig(rng_seed=0, list_factor=0)
+    # each setting is checked where it is used, before any other check
+    h = random_hypergraph(20, 5, 2, 4, random.Random(0))
+    lists = ListAssignment.uniform_range(h.n, 1)
+    for setting, message in (
+        ({"list_factor": 0}, "list_factor must be >= 1"),
+        ({"max_rounds": 0}, "max_rounds must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prob.near_uniform_color(h, lists, 0, **setting)
+    g = cycle_graph(5)
+    with pytest.raises(ValueError, match="^retry_limit must be >= 1$"):
+        prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 1), 0, retry_limit=0)
 
 
 def test_required_alpha_full_scale_values():
@@ -45,25 +55,23 @@ def test_gamma_is_counted_only_when_alpha_is_not_given(monkeypatch):
     lists = ListAssignment.uniform_range(h.n, 32 * 4)
     # an override is the minimum edge size as given, whatever Gamma is
     with pytest.raises(ValueError, match="below required alpha 7"):
-        prob.near_uniform_color(h, lists, prob.LemmaConfig(rng_seed=0, alpha_override=7))
+        prob.near_uniform_color(h, lists, 0, alpha_override=7)
     assert counted == []
     with pytest.raises(ValueError, match="below required alpha 4096"):
-        prob.near_uniform_color(h, lists, prob.LemmaConfig(rng_seed=0))
+        prob.near_uniform_color(h, lists, 0)
     assert counted == [h]
     # the pipeline counts H2's Gamma once, in _core, however many seeds
     # the resampling tries
     for i, g in enumerate(claw_free_corpus(5, 12, seed=22)):
         counted.clear()
-        cfg = prob.PipelineConfig(rng_seed=200 + i, scaled_mode=True, retry_limit=20)
-        _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+        lists = pipeline_lists(g, True)
+        _, trace = prob.cfcn_pipeline(g, lists, 200 + i, True, retry_limit=20)
         assert len(counted) == (1 if trace.part_c else 0)
 
 
 def test_pipeline_list_size_values():
     from cfcolor.graphs import Graph
-    def sizes(g, scaled_mode, k_override):
-        cfg = prob.PipelineConfig(0, scaled_mode=scaled_mode, k_override=k_override)
-        return prob.pipeline_list_size(g, cfg)
+    sizes = prob.pipeline_list_size
 
     # C5: max_star 2, Delta 2; r = ceil(2^18 k ln 2) or ceil(32 k ln 2)
     c5 = cycle_graph(5)
@@ -102,9 +110,9 @@ def test_near_uniform_color_succeeds_and_is_deterministic():
     h = random_hypergraph(64, 30, 16, 24, rng)
     max_size = max(len(e) for e in h.edges)
     lists = ListAssignment.uniform_range(h.n, 32 * max_size)
-    cfg = prob.LemmaConfig(rng_seed=5, alpha_override=16, max_rounds=100)
-    f1, rounds1 = prob.near_uniform_color(h, lists, cfg)
-    f2, rounds2 = prob.near_uniform_color(h, lists, cfg)
+    settings = dict(alpha_override=16, max_rounds=100)
+    f1, rounds1 = prob.near_uniform_color(h, lists, 5, **settings)
+    f2, rounds2 = prob.near_uniform_color(h, lists, 5, **settings)
     assert dict(f1.items()) == dict(f2.items())
     assert rounds1 == rounds2
     assert set(f1.domain) == set(range(h.n))
@@ -118,20 +126,18 @@ def test_near_uniform_color_matches_full_rescan_at_scale():
     lists = ListAssignment.uniform_range(h.n, 12)
     for seed in range(3):
         for cap in (1, 5, 1000):
-            cfg = prob.LemmaConfig(
-                rng_seed=seed, list_factor=1, alpha_override=8, max_rounds=cap
-            )
+            settings = dict(list_factor=1, alpha_override=8, max_rounds=cap)
             try:
-                want = full_rescan_near_uniform_color(h, lists, cfg)
+                want = full_rescan_near_uniform_color(h, lists, seed, cap)
             except prob.ResampleFailure as exc:
                 with pytest.raises(prob.ResampleFailure) as got:
-                    prob.near_uniform_color(h, lists, cfg)
+                    prob.near_uniform_color(h, lists, seed, **settings)
                 assert (got.value.rounds, got.value.worst_edge) == (
                     exc.rounds,
                     exc.worst_edge,
                 )
                 continue
-            f, rounds = prob.near_uniform_color(h, lists, cfg)
+            f, rounds = prob.near_uniform_color(h, lists, seed, **settings)
             assert ([f[v] for v in range(h.n)], rounds) == want
 
 
@@ -139,18 +145,17 @@ def test_near_uniform_color_rejects_small_lists():
     rng = random.Random(2)
     h = random_hypergraph(40, 10, 16, 20, rng)
     lists = ListAssignment.uniform_range(h.n, 10)
-    cfg = prob.LemmaConfig(rng_seed=0, alpha_override=16)
     with pytest.raises(ValueError, match="list of vertex"):
-        prob.near_uniform_color(h, lists, cfg)
+        prob.near_uniform_color(h, lists, 0, alpha_override=16)
 
 
 def test_near_uniform_color_rejects_small_edges():
     rng = random.Random(3)
     h = random_hypergraph(40, 10, 2, 4, rng)
     lists = ListAssignment.uniform_range(h.n, 32 * 4)
-    cfg = prob.LemmaConfig(rng_seed=0)  # default alpha floor: 2^12
+    # default alpha floor: 2^12
     with pytest.raises(ValueError, match="minimum edge size"):
-        prob.near_uniform_color(h, lists, cfg)
+        prob.near_uniform_color(h, lists, 0)
 
 
 def claw_free_corpus(count, base_n, seed):
@@ -164,16 +169,15 @@ def claw_free_corpus(count, base_n, seed):
     return out
 
 
-def pipeline_lists(g, cfg):
-    _, _, r = prob.pipeline_list_size(g, cfg)
+def pipeline_lists(g, scaled_mode=False, k_override=None):
+    _, _, r = prob.pipeline_list_size(g, scaled_mode, k_override)
     return ListAssignment.uniform_range(g.n, max(r, 1))
 
 
 def test_pipeline_full_constants_color_claw_free_graphs():
     for i, g in enumerate(claw_free_corpus(5, 12, seed=21)):
-        cfg = prob.PipelineConfig(rng_seed=100 + i)
-        lists = pipeline_lists(g, cfg)
-        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        lists = pipeline_lists(g)
+        f, trace = prob.cfcn_pipeline(g, lists, 100 + i)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
         # the full-scale b always swallows every greedy class at desk scale
         assert trace.b == trace.s
@@ -185,14 +189,30 @@ def test_pipeline_full_constants_color_claw_free_graphs():
 def test_pipeline_scaled_mode_exercises_the_h2_stage():
     saw_c = 0
     for i, g in enumerate(claw_free_corpus(5, 12, seed=22)):
-        cfg = prob.PipelineConfig(rng_seed=200 + i, scaled_mode=True, retry_limit=20)
-        lists = pipeline_lists(g, cfg)
-        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        lists = pipeline_lists(g, True)
+        f, trace = prob.cfcn_pipeline(g, lists, 200 + i, True, retry_limit=20)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
         if trace.part_c and not trace.delegated:
             saw_c += 1
         check_trace_invariants(g, trace)
     assert saw_c > 0
+
+
+@pytest.mark.parametrize("palette", [2, 10])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pipeline_colors_non_uniform_lists(seed, palette):
+    """Lists of r colors drawn from a palette of palette * r: the reduced
+    lists of B differ from vertex to vertex, and H2 is colored from them
+    without delegating."""
+    g, _ = line_graph(random_graph(60, 0.3, random.Random(seed)))
+    _, _, r = prob.pipeline_list_size(g, True)
+    assert r == {1: 376, 2: 368, 3: 387}[seed]
+    rng = random.Random(100 + seed)
+    lists = ListAssignment([rng.sample(range(palette * r), r) for _ in range(g.n)])
+    f, trace = prob.cfcn_pipeline(g, lists, seed, True)
+    assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
+    assert trace.part_c and not trace.delegated
+    check_trace_invariants(g, trace)
 
 
 def check_trace_invariants(g, trace):
@@ -235,9 +255,8 @@ def check_trace_invariants(g, trace):
 
 def test_pipeline_trace_lines_round_trip_key_facts():
     g = claw_free_corpus(1, 10, seed=23)[0]
-    cfg = prob.PipelineConfig(rng_seed=9, scaled_mode=True)
-    lists = pipeline_lists(g, cfg)
-    _, trace = prob.cfcn_pipeline(g, lists, cfg)
+    lists = pipeline_lists(g, True)
+    _, trace = prob.cfcn_pipeline(g, lists, 9, True)
     text = "\n".join(trace.lines())
     assert f"k {trace.k}" in text
     assert f"delta {trace.delta}" in text
@@ -254,8 +273,7 @@ def test_pipeline_trace_lines_round_trip_key_facts():
 )
 def test_pipeline_trace_prints_the_constants_row(scaled_mode, line):
     g = cycle_graph(5)
-    cfg = prob.PipelineConfig(rng_seed=1, scaled_mode=scaled_mode)
-    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, scaled_mode), 1, scaled_mode)
     assert [x for x in trace.lines() if x.startswith("constants")] == [line]
     # the trace holds a copy of the row, not the table's own
     assert trace.constants == prob.CONSTANTS[scaled_mode]
@@ -264,18 +282,16 @@ def test_pipeline_trace_prints_the_constants_row(scaled_mode, line):
 
 def test_pipeline_determinism():
     g = claw_free_corpus(1, 10, seed=24)[0]
-    cfg = prob.PipelineConfig(rng_seed=4, scaled_mode=True)
-    lists = pipeline_lists(g, cfg)
-    f1, _ = prob.cfcn_pipeline(g, lists, cfg)
-    f2, _ = prob.cfcn_pipeline(g, lists, cfg)
+    lists = pipeline_lists(g, True)
+    f1, _ = prob.cfcn_pipeline(g, lists, 4, True)
+    f2, _ = prob.cfcn_pipeline(g, lists, 4, True)
     assert dict(f1.items()) == dict(f2.items())
 
 
 def test_pipeline_rejects_undersized_lists():
     g = claw_free_corpus(1, 10, seed=25)[0]
-    cfg = prob.PipelineConfig(rng_seed=0)
     with pytest.raises(ValueError, match="pipeline needs"):
-        prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 3), cfg)
+        prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 3), 0)
 
 
 def smallest_once(f1, vertices):
@@ -361,16 +377,15 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
     without redoing the stages before it."""
     # k = 2 forbids two A-neighbors, and vertex 1 of the path 0-1-2 has two
     g = path_graph(3)
-    cfg = prob.PipelineConfig(rng_seed=0, scaled_mode=True, k_override=2)
-    f, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    lists = pipeline_lists(g, True, 2)
+    f, trace = prob.cfcn_pipeline(g, lists, 0, True, k_override=2)
     assert trace.delegated and trace.attempts == 1
     assert trace.failures == (
         "attempt 1: [structure] vertex 1 has 2 A-neighbors, expected 1..1",
     )
 
     g = claw_free_corpus(1, 12, seed=22)[0]
-    cfg = prob.PipelineConfig(rng_seed=7, scaled_mode=True, retry_limit=4)
-    lists = pipeline_lists(g, cfg)
+    lists = pipeline_lists(g, True)
     color_h1 = prob.color_h1
     h1_calls, seeds = [], []
 
@@ -383,14 +398,14 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
         (prob.ResampleFailure(1, 0), [7, 8, 9, 10]),
         (ValueError("minimum edge size 1 below required alpha 2"), [7]),
     ):
-        def failing_lemma(h, lists, lemma_cfg):
-            seeds.append(lemma_cfg.rng_seed)
+        def failing_lemma(h, lists, rng_seed, **settings):
+            seeds.append(rng_seed)
             raise error
 
         monkeypatch.setattr(prob, "near_uniform_color", failing_lemma)
         h1_calls.clear()
         seeds.clear()
-        f, trace = prob.cfcn_pipeline(g, lists, cfg)
+        f, trace = prob.cfcn_pipeline(g, lists, 7, True, retry_limit=4)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
         assert trace.delegated and trace.part_c
         assert seeds == tried and len(trace.failures) == len(tried)
@@ -403,7 +418,6 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
     # with C empty nothing depends on the seed: a failed check is not retried
     invalid = SimpleNamespace(valid=False, edge_violations=[0])
     monkeypatch.setattr(prob, "verify_cf", lambda *args, **kwargs: invalid)
-    cfg = prob.PipelineConfig(rng_seed=7, retry_limit=4)
-    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, cfg), cfg)
+    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g), 7, retry_limit=4)
     assert not trace.part_c and trace.delegated
     assert trace.failures == ("attempt 1: verification failed on edges [0]",)

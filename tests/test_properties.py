@@ -182,20 +182,15 @@ def test_near_uniform_color_matches_full_rescan(h, extra, cap, seed):
     cap the same failure."""
     max_size = max(len(e) for e in h.edges)
     lists = ListAssignment.uniform_range(h.n, max_size + extra)
-    cfg = prob.LemmaConfig(
-        rng_seed=seed,
-        list_factor=1,
-        alpha_override=1,
-        max_rounds=cap,
-    )
+    settings = dict(list_factor=1, alpha_override=1, max_rounds=cap)
     try:
-        want = full_rescan_near_uniform_color(h, lists, cfg)
+        want = full_rescan_near_uniform_color(h, lists, seed, cap)
     except prob.ResampleFailure as exc:
         with pytest.raises(prob.ResampleFailure) as got:
-            prob.near_uniform_color(h, lists, cfg)
+            prob.near_uniform_color(h, lists, seed, **settings)
         assert (got.value.rounds, got.value.worst_edge) == (exc.rounds, exc.worst_edge)
         return
-    f, rounds = prob.near_uniform_color(h, lists, cfg)
+    f, rounds = prob.near_uniform_color(h, lists, seed, **settings)
     assert ([f[v] for v in range(h.n)], rounds) == want
 
 

@@ -545,6 +545,18 @@ def test_range_list_universe_is_checked_before_it_is_built():
             solve.solve_list_cf(inst, ListAssignment(entries))
 
 
+def test_explicit_list_universe_is_capped():
+    # 1500 disjoint explicit lists of 1500 colors hold 2,250,000 colors
+    n = 1500
+    inst = solve.SolveInstance.from_graph(path_graph(n), "cn-star")
+    lists = ListAssignment([tuple(range(2 * n * v, 2 * n * v + n)) for v in range(n)])
+    with pytest.raises(
+        BudgetExceededError,
+        match="^color universe of size 2250000 exceeds the dense-color cap$",
+    ):
+        solve.solve_list_cf(inst, lists)
+
+
 def test_long_range_lists_are_cut_before_their_colors_are_listed():
     import tracemalloc
 

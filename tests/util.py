@@ -255,12 +255,12 @@ def brute_force_max_star(g):
     return best
 
 
-def full_rescan_near_uniform_color(h, lists, cfg):
+def full_rescan_near_uniform_color(h, lists, rng_seed, max_rounds):
     """near_uniform_color's resampling loop that rescans every edge after
     each round and compares Fractions.  Returns (colors by vertex,
     rounds); raises ResampleFailure at the round cap.  Input checks are
     left to the code under test."""
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(rng_seed)
     color = [lists.sample(v, rng) for v in range(h.n)]
 
     def first_bad():
@@ -274,7 +274,7 @@ def full_rescan_near_uniform_color(h, lists, cfg):
     rounds = 0
     bad = first_bad()
     while bad is not None:
-        if rounds >= cfg.max_rounds:
+        if rounds >= max_rounds:
             raise ResampleFailure(rounds, bad)
         for v in h.edges[bad]:
             color[v] = lists.sample(v, rng)
