@@ -45,6 +45,16 @@ class ListAssignment:
         self._entries = tuple(normalized)
 
     @classmethod
+    def _from_sorted(cls, entries):
+        """The assignment with lists `entries`, which the caller has
+        already checked to be non-empty, sorted, duplicate-free tuples of
+        non-negative colors."""
+        lists = cls.__new__(cls)
+        lists._entries = tuple(entries)
+        lists.n = len(lists._entries)
+        return lists
+
+    @classmethod
     def uniform(cls, n, colors):
         colors = tuple(sorted(set(colors)))
         return cls([colors] * n)

@@ -226,7 +226,14 @@ def parse_lists(text, n):
             if len(tokens) < 3:
                 _fail(lineno, "expected `l <vertex> <c1> ...`")
             v = _parse_vertex(lineno, tokens[1], n)
-            entry = tuple(_parse_int(lineno, t, "color", 0) for t in tokens[2:])
+            # converted inline as in parse_hypergraph; on a fault,
+            # _parse_int words it for the first faulty token
+            try:
+                entry = tuple(map(int, tokens[2:]))
+            except ValueError:
+                entry = (-1,)
+            if min(entry) < 0:
+                entry = tuple(_parse_int(lineno, t, "color", 0) for t in tokens[2:])
         elif tokens[0] == "L":
             if len(tokens) != 4:
                 _fail(lineno, "expected `L <vertex> <lo> <hi>`")

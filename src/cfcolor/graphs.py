@@ -229,21 +229,24 @@ def maximal_independent_set(g):
 
 def greedy_color_classes(g, order):
     """Color classes S_1..S_s of a greedy proper coloring of the vertices
-    in `order`, as a tuple of frozensets: each vertex gets the smallest
-    color not used by an already-colored neighbor.  Vertices outside `order` stay uncolored.
+    in `order` (distinct vertices), as a tuple of frozensets: each vertex
+    gets the smallest color not used by an already-colored neighbor.
+    Vertices outside `order` stay uncolored.
 
     The classes partition the colored vertices, each class is
     independent, and every vertex of S_i (i >= 2) has a neighbor in each
     earlier class.
     """
-    color = {}
+    # used[v] has bit c set once a neighbor of v is colored c
+    used = [0] * g.n
     classes = []
     for v in order:
-        used = {color[w] for w in g.adj[v] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
+        u = used[v]
+        # the lowest zero bit of u: the smallest free color
+        c = (~u & (u + 1)).bit_length() - 1
+        bit = 1 << c
+        for w in g.adj[v]:
+            used[w] |= bit
         if c == len(classes):
             classes.append(set())
         classes[c].add(v)

@@ -298,8 +298,9 @@ def reduce_lists(g, in_a, b_set, witness, lists, k, b):
 
     For u in B, X_u holds the witness colors of u's A-neighbors in_a[u]
     (their own colors) and Y_u those of u's closed B-neighbors, from
-    color_h1's witness map; the reduced list is L_u minus both.  Returns
-    (assignment over sorted(B), X_u map, Y_u map).
+    color_h1's witness map; the reduced list is L_u minus both, which
+    `without` returns sorted and free of repeats.  Returns (assignment
+    over sorted(B), X_u map, Y_u map).
     """
     removed_x = {}
     removed_y = {}
@@ -319,7 +320,25 @@ def reduce_lists(g, in_a, b_set, witness, lists, k, b):
         removed_x[u] = frozenset(xs)
         removed_y[u] = frozenset(ys)
         entries.append(reduced)
-    return ListAssignment(entries), removed_x, removed_y
+    return ListAssignment._from_sorted(entries), removed_x, removed_y
+
+
+def _neighbor_tables(g, a_set, b_set, c_set):
+    """in_a[v], v's closed A-neighbors (v itself for v in A, since A is
+    independent), and in_b[v], each C-vertex's B-neighbors, keyed in the
+    order of c_set; every row increases.  Only the rows of A and B are
+    read, so the work is their degree sum, not every neighborhood's.
+    """
+    in_a = [[] for _ in range(g.n)]
+    for a in sorted(a_set):
+        for w in g.closed[a]:
+            in_a[w].append(a)
+    in_b = {v: [] for v in c_set}
+    for u in sorted(b_set):
+        for w in g.adj[u]:
+            if w in c_set:
+                in_b[w].append(u)
+    return in_a, in_b
 
 
 def _check_structure(in_a, in_b, a_set, k, b):
@@ -461,14 +480,7 @@ def _core(g, lists, constants, k, delta, trace):
     trace.part_b = frozenset(b_set)
     trace.part_c = frozenset(c_set)
 
-    # each neighborhood is scanned once: in_a[v] holds v's closed
-    # A-neighbors (v itself for v in A, since A is independent) and
-    # in_b[v] each C-vertex's B-neighbors, both in increasing order
-    in_a = [
-        [v] if v in a_set else [w for w in g.adj[v] if w in a_set]
-        for v in range(g.n)
-    ]
-    in_b = {v: [w for w in g.adj[v] if w in b_set] for v in c_set}
+    in_a, in_b = _neighbor_tables(g, a_set, b_set, c_set)
     _check_structure(in_a, in_b, a_set, k, b)
 
     needed = (k - 1) * b + 2

@@ -67,15 +67,18 @@ def verify_cf(h, f, lists=None, require_total=False):
     uniqueness count.  When several unique colors exist in an edge the
     reported witness carries the smallest one.
     """
-    get = dict(f.items()).get
+    fmap = dict(f.items())
     witnesses = []
     edge_violations = []
     for i, edge in enumerate(h.edges):
-        colors = [get(v) for v in edge]
+        # only the colored vertices of an edge count, so the scan over
+        # colors covers them alone
+        colored = [v for v in edge if v in fmap]
+        colors = [fmap[v] for v in colored]
         unique = unique_colors(colors)
         if unique:
             c = min(unique)
-            witnesses.append(EdgeWitness(i, edge[colors.index(c)], c))
+            witnesses.append(EdgeWitness(i, colored[colors.index(c)], c))
         else:
             edge_violations.append(i)
 

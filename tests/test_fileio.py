@@ -203,6 +203,10 @@ def test_lists_requires_every_vertex():
         (lambda t: fileio.parse_lists(t, 1), "l 1 x\n", "color is not an integer"),
         (lambda t: fileio.parse_lists(t, 1), "L 1 0 y\n", "range end is not an"),
         (lambda t: fileio.parse_lists(t, 1), "l 1 -2\n", "color -2 is below 0"),
+        # an `l` record's colors are converted in one pass; a fault is
+        # worded for its first faulty color
+        (lambda t: fileio.parse_lists(t, 1), "l 1 3 -1 x\n", "color -1 is below 0"),
+        (lambda t: fileio.parse_lists(t, 1), "l 1 3 x -1\n", "color is not an integer"),
         (lambda t: fileio.parse_lists(t, 1), "L 1 3 3\n", "empty range"),
         (
             lambda t: fileio.parse_lists(t, 1),

@@ -15,7 +15,14 @@ from cfcolor.graphs import (
     random_graph,
 )
 from cfcolor.smallgraphs import nonisomorphic_graphs
-from util import complete_graph, cycle_graph, has_edge, path_graph, star_graph
+from util import (
+    complete_graph,
+    cycle_graph,
+    first_fit_classes,
+    has_edge,
+    path_graph,
+    star_graph,
+)
 
 
 def test_graph_rejects_bad_edges():
@@ -135,6 +142,15 @@ def test_greedy_classes_partition_and_properness():
             for v in cls:
                 for j in range(i):
                     assert any(w in classes[j] for w in g.adj[v])
+
+
+def test_greedy_classes_match_first_fit_on_a_line_graph():
+    # the benchmark's size: 531 vertices, colored in full and, as the
+    # pipeline's core does, without a maximal independent set
+    g, _ = line_graph(random_graph(60, 0.3, random.Random(1)))
+    a_set = maximal_independent_set(g)
+    for order in (range(g.n), [v for v in range(g.n) if v not in a_set]):
+        assert greedy_color_classes(g, order) == first_fit_classes(g, order)
 
 
 def test_extended_double_cover_shape():

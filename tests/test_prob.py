@@ -8,7 +8,9 @@ from cfcolor import prob
 from cfcolor.coloring import ListAssignment
 from cfcolor.graphs import (
     derived_hypergraph,
+    greedy_color_classes,
     line_graph,
+    maximal_independent_set,
     random_graph,
     random_hypergraph,
 )
@@ -172,6 +174,26 @@ def claw_free_corpus(count, base_n, seed):
 def pipeline_lists(g, scaled_mode=False, k_override=None):
     _, _, r = prob.pipeline_list_size(g, scaled_mode, k_override)
     return ListAssignment.uniform_range(g.n, max(r, 1))
+
+
+def test_neighbor_tables_match_direct_scans():
+    # the tables from the rows of A and B equal those from every
+    # vertex's row, and in_b is keyed in the order of c_set, which names
+    # the C-vertex of a structure error
+    for g in claw_free_corpus(5, 12, seed=27):
+        a_set = maximal_independent_set(g)
+        classes = greedy_color_classes(
+            g, [v for v in range(g.n) if v not in a_set]
+        )
+        for b in range(len(classes) + 1):
+            b_set = set().union(*classes[:b])
+            c_set = set().union(*classes[b:])
+            in_a, in_b = prob._neighbor_tables(g, a_set, b_set, c_set)
+            assert in_a == [
+                [w for w in g.closed[v] if w in a_set] for v in range(g.n)
+            ]
+            want = {v: [w for w in g.adj[v] if w in b_set] for v in c_set}
+            assert list(in_b.items()) == list(want.items())
 
 
 def test_pipeline_full_constants_color_claw_free_graphs():

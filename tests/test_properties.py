@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 
 from cfcolor import fileio, prob, solve
 from cfcolor.coloring import ListAssignment, PartialColoring
-from cfcolor.graphs import Graph, Hypergraph, hypergraph_stats, max_star
+from cfcolor.graphs import (
+    Graph,
+    Hypergraph,
+    greedy_color_classes,
+    hypergraph_stats,
+    max_star,
+)
 from cfcolor.verify import verify_cf
 from util import (
     brute_force_cf,
     brute_force_max_star,
     canonical_assignments,
+    cf_report,
     cf_valid,
+    first_fit_classes,
     full_rescan_near_uniform_color,
     pairwise_hypergraph_stats,
 )
@@ -75,6 +83,43 @@ def test_verify_matches_direct_definition(h, data):
             verify_cf(h, f, require_total=total).valid
             == cf_valid(h, f, require_total=total)
         )
+
+
+@given(hypergraphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_report_matches_direct_definition(h, data):
+    """Every field of verify_cf's report, on edges that may repeat, partial
+    colorings, and with and without lists."""
+    repeats = data.draw(st.lists(st.sampled_from(h.edges), max_size=3))
+    h = Hypergraph(h.n, list(h.edges) + repeats)
+    f = data.draw(colorings(h.n))
+    lists = data.draw(
+        st.none()
+        | st.lists(
+            st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+            min_size=h.n,
+            max_size=h.n,
+        ).map(ListAssignment)
+    )
+    for total in (False, True):
+        report = verify_cf(h, f, lists=lists, require_total=total)
+        witnesses, edges, listed, uncolored = cf_report(h, f, lists, total)
+        got = tuple((w.edge_index, w.vertex, w.color) for w in report.witnesses)
+        assert got == witnesses
+        assert report.edge_violations == edges
+        assert report.list_violations == listed
+        assert report.totality_violations == uncolored
+        assert report.valid == (not (edges or listed or uncolored))
+
+
+@given(sparse_graphs(max_n=16), st.data())
+@settings(max_examples=150, deadline=None)
+def test_greedy_classes_match_first_fit(g, data):
+    """The same classes as the set-based first fit, on orders that leave
+    vertices out, as the pipeline's core leaves out its independent set."""
+    order = data.draw(st.permutations(range(g.n)))
+    order = order[: data.draw(st.integers(min_value=0, max_value=g.n))]
+    assert greedy_color_classes(g, order) == first_fit_classes(g, order)
 
 
 @given(hypergraphs(max_n=5, max_m=4), st.data())

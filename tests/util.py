@@ -120,6 +120,52 @@ def cf_valid(h, f, require_total=False):
     return True
 
 
+def cf_report(h, f, lists=None, require_total=False):
+    """verify_cf's report fields, restated from the definition: for each
+    edge, (edge, vertex, color) with the smallest color that exactly one
+    of its colored vertices has, or the edge as a violation; colored
+    vertices outside their lists; uncolored vertices when totality is
+    required.  Returns (witnesses, edge violations, list violations,
+    totality violations) as tuples."""
+    witnesses = []
+    edge_violations = []
+    for i, e in enumerate(h.edges):
+        colors = [f[v] for v in e if v in f]
+        once = sorted(c for c in set(colors) if colors.count(c) == 1)
+        if once:
+            (v,) = [v for v in e if v in f and f[v] == once[0]]
+            witnesses.append((i, v, once[0]))
+        else:
+            edge_violations.append(i)
+    list_violations = []
+    if lists is not None:
+        list_violations = [
+            v for v in range(h.n) if v in f and f[v] not in lists.colors(v)
+        ]
+    totality_violations = []
+    if require_total:
+        totality_violations = [v for v in range(h.n) if v not in f]
+    return (
+        tuple(witnesses),
+        tuple(edge_violations),
+        tuple(list_violations),
+        tuple(totality_violations),
+    )
+
+
+def first_fit_classes(g, order):
+    """greedy_color_classes with each vertex's used colors collected in a
+    set and the first free color searched upward."""
+    color = {}
+    for v in order:
+        used = {color[w] for w in g.adj[v] if w in color}
+        color[v] = min(c for c in range(len(used) + 1) if c not in used)
+    count = max(color.values(), default=-1) + 1
+    return tuple(
+        frozenset(v for v in color if color[v] == c) for c in range(count)
+    )
+
+
 def brute_force_cf(h, lists, require_total=False):
     """Some valid CF(*) coloring by full enumeration, or None."""
     options = []
