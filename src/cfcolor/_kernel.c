@@ -1,7 +1,8 @@
 /* Compiled kernels, loaded with ctypes by cfcolor.kernels: the
-   conflict-free search solve_cf, the induced-star search max_star and
-   the graph file reader read_graph.  Each returns a status that only
-   kernels.py reads; it turns them into results, MemoryError and
+   conflict-free search solve_cf, the induced-star search max_star, the
+   resampling colorer near_uniform and the file readers read_graph and
+   read_hypergraph.  Each returns a status that only kernels.py reads;
+   it turns them into results, MemoryError, ResampleFailure and
    ValueError.
 
    solve_cf is a line-for-line port of _kernel_py.search: both explore the
@@ -41,15 +42,22 @@
    read_graph reads the edge lines of the text that fileio.format_graph
    writes into those CSR arrays, every row sorted, filling a zeroed block
    that kernels.py allocates from the header it has checked; it declines
-   every other text, which fileio then reads record by record.  Status
-   codes: 0 = read, 1 = declined. */
+   every other text, which fileio then reads record by record.
+   read_hypergraph does the same for the canonical `p hgraph` text.
+   Status codes: 0 = read, 1 = declined.
+
+   near_uniform is the loop of _kernel_py.near_uniform: the same draws,
+   from Python's Mersenne Twister continued from its state, the same
+   resampled edges and the same rounds.  Status codes: 0 = done, 1 =
+   declined, 2 = round cap, 3 = out of memory, 5 = the final check
+   failed. */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4 };
-enum { DECLINED = 1 };  /* read_graph: not a text format_graph writes */
+enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4, CHECK_FAILED = 5 };
+enum { DECLINED = 1 };  /* the readers: not a text they read */
 enum { UNDECIDED = -2, UNCOLORED = -1 };
 
 typedef struct {
@@ -202,16 +210,16 @@ static void search_order(const CF *s, int *part, int *key, int *order, int *firs
 }
 
 /* CSR incidence of the edges: for each vertex, the edges containing it
-   in edge-index order.  inc_start starts zeroed; it counts each vertex's
-   edges, sums them to the end of its run, and the fill from the last
-   edge back leaves it at the start of its run. */
-static void incidence(CF *s) {
-    int *start = s->inc_start;
-    for (int i = 0; i < s->edge_start[s->m]; i++) start[s->edge_vert[i]]++;
-    for (int v = 1; v <= s->n; v++) start[v] += start[v - 1];
-    for (int ei = s->m - 1; ei >= 0; ei--)
-        for (int i = s->edge_start[ei]; i < s->edge_start[ei + 1]; i++)
-            s->inc_edge[--start[s->edge_vert[i]]] = ei;
+   in edge-index order.  inc_start (n + 1 ints) starts zeroed; it counts
+   each vertex's edges, sums them to the end of its run, and the fill from
+   the last edge back leaves it at the start of its run. */
+static void incidence(int n, int m, const int *edge_start, const int *edge_vert,
+                      int *inc_start, int *inc_edge) {
+    for (int i = 0; i < edge_start[m]; i++) inc_start[edge_vert[i]]++;
+    for (int v = 1; v <= n; v++) inc_start[v] += inc_start[v - 1];
+    for (int ei = m - 1; ei >= 0; ei--)
+        for (int i = edge_start[ei]; i < edge_start[ei + 1]; i++)
+            inc_edge[--inc_start[edge_vert[i]]] = ei;
 }
 
 /* Conflict-free (partial) list coloring search; see _kernel_py.solve_cf.
@@ -241,7 +249,7 @@ int solve_cf(int n, int m, const int *edge_start, const int *edge_vert,
     s.uniq = s.inc_edge + items;
     s.und = s.uniq + m;
     s.cnt = s.und + m;
-    incidence(&s);
+    incidence(n, m, edge_start, edge_vert, s.inc_start, s.inc_edge);
     search_order(&s, part, key, order, first);
     for (int ei = 0; ei < m; ei++) s.und[ei] = edge_start[ei + 1] - edge_start[ei];
     for (int v = 0; v < n; v++) s.state[v] = UNDECIDED;
@@ -369,10 +377,17 @@ int max_star(int n, const int *adj_start, const int *adj_vert, int *out) {
     return FOUND;
 }
 
+/* 1 when text[*pos] is the byte c, which *pos then moves past. */
+static int expect(const char *text, size_t len, size_t *pos, char c) {
+    if (*pos >= len || text[*pos] != c) return 0;
+    ++*pos;
+    return 1;
+}
+
 /* The canonical decimal (no sign, no leading zero) at text[*pos], which
-   must be at most limit and followed by the byte end; -1 otherwise.  On
-   success *pos moves past end. */
-static long long decimal(const char *text, size_t len, size_t *pos, long long limit, char end) {
+   must be at most limit; -1 otherwise.  On success *pos moves past its
+   digits. */
+static long long decimal(const char *text, size_t len, size_t *pos, long long limit) {
     size_t i = *pos;
     if (i >= len || text[i] < '1' || text[i] > '9') return -1;
     long long value = 0;
@@ -380,19 +395,18 @@ static long long decimal(const char *text, size_t len, size_t *pos, long long li
         value = value * 10 + (text[i] - '0');
         if (value > limit) return -1;
     }
-    if (i >= len || text[i] != end) return -1;
-    *pos = i + 1;
+    *pos = i;
     return value;
 }
 
 /* The line `e U V\n` at text[*pos] with 1 <= U, V <= n, as 0-based
    *u and *v; 0 when the text there is anything else. */
 static int edge_line(const char *text, size_t len, size_t *pos, long long n, int *u, int *v) {
-    if (*pos + 2 > len || text[*pos] != 'e' || text[*pos + 1] != ' ') return 0;
-    *pos += 2;
-    long long a = decimal(text, len, pos, n, ' ');
-    long long b = a < 0 ? -1 : decimal(text, len, pos, n, '\n');
-    if (b < 0) return 0;
+    long long a, b;
+    if (!expect(text, len, pos, 'e') || !expect(text, len, pos, ' ')
+        || (a = decimal(text, len, pos, n)) < 0 || !expect(text, len, pos, ' ')
+        || (b = decimal(text, len, pos, n)) < 0 || !expect(text, len, pos, '\n'))
+        return 0;
     *u = (int)(a - 1);
     *v = (int)(b - 1);
     return 1;
@@ -401,6 +415,18 @@ static int edge_line(const char *text, size_t len, size_t *pos, long long n, int
 static int by_int(const void *a, const void *b) {
     int x = *(const int *)a, y = *(const int *)b;
     return (x > y) - (x < y);
+}
+
+/* Sorts row[0..d) in place unless it ascends already; 0 when it names a
+   vertex twice. */
+static int sorted_row(int *row, int d) {
+    int i = 1;
+    while (i < d && row[i - 1] < row[i]) i++;
+    if (i >= d) return 1;
+    qsort(row, (size_t)d, sizeof *row, by_int);
+    for (i = 1; i < d; i++)
+        if (row[i - 1] == row[i]) return 0;
+    return 1;
 }
 
 /* The simple graph of a text of len bytes exactly as format_graph writes
@@ -433,13 +459,286 @@ int read_graph(const char *text, size_t len, size_t pos, int n, int m, int *bloc
         vert[start[(size_t)u + 1]++] = v;
         vert[start[(size_t)v + 1]++] = u;
     }
-    for (int x = 0; x < n; x++) {
-        int *row = vert + start[x], d = start[x + 1] - start[x], i = 1;
-        while (i < d && row[i - 1] < row[i]) i++;
-        if (i >= d) continue;
-        qsort(row, (size_t)d, sizeof *row, by_int);
-        for (i = 1; i < d; i++)
-            if (row[i - 1] == row[i]) return DECLINED;
-    }
+    for (int x = 0; x < n; x++)
+        if (!sorted_row(vert + start[x], start[x + 1] - start[x])) return DECLINED;
     return FOUND;
+}
+
+/* The hypergraph of a text of len bytes in the canonical `p hgraph`
+   form, whose header `p hgraph N M\n` the caller has checked, with
+   1 <= N and 1 <= M: from text[pos], M lines `h V1 ... Vk\n`, k >= 1,
+   single spaces, canonical decimals, 1 <= Vi <= N, no vertex twice in a
+   line, nothing after the last line.  The zeroed block holds M + 1 + cap
+   ints: the CSR starts of the edges, then their vertices, 0-based, each
+   edge sorted.  Every vertex takes at least two bytes of the text, so
+   the caller's cap of half its length is never reached by a text this
+   reads.  Status codes: 0 = read, 1 = declined (any other text,
+   including a vertex repeated in an edge). */
+int read_hypergraph(const char *text, size_t len, size_t pos, int n, int m, size_t cap,
+                    int *block) {
+    int *start = block, *vert = block + (size_t)m + 1;
+    size_t k = 0;
+    for (int e = 0; e < m; e++) {
+        if (!expect(text, len, &pos, 'h')) return DECLINED;
+        do {
+            long long v;
+            if (k == cap || !expect(text, len, &pos, ' ') || (v = decimal(text, len, &pos, n)) < 0)
+                return DECLINED;
+            vert[k++] = (int)(v - 1);
+        } while (!expect(text, len, &pos, '\n'));
+        start[e + 1] = (int)k;
+        if (!sorted_row(vert + start[e], start[e + 1] - start[e])) return DECLINED;
+    }
+    return pos == len ? FOUND : DECLINED;
+}
+
+/* The Mersenne Twister of Python's random module, continued from the
+   state random.Random.getstate() reports: 624 words and an index. */
+enum { MT_N = 624, MT_M = 397 };
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} Twister;
+
+static uint32_t twister_next(Twister *r) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (r->index >= MT_N) {
+        int k = 0;
+        for (; k < MT_N - MT_M; k++) {
+            y = (r->mt[k] & 0x80000000U) | (r->mt[k + 1] & 0x7fffffffU);
+            r->mt[k] = r->mt[k + MT_M] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        for (; k < MT_N - 1; k++) {
+            y = (r->mt[k] & 0x80000000U) | (r->mt[k + 1] & 0x7fffffffU);
+            r->mt[k] = r->mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        y = (r->mt[MT_N - 1] & 0x80000000U) | (r->mt[0] & 0x7fffffffU);
+        r->mt[MT_N - 1] = r->mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 1U];
+        r->index = 0;
+    }
+    y = r->mt[r->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+static int bit_length(uint64_t x) {
+#if defined(__GNUC__)
+    return x ? 64 - __builtin_clzll(x) : 0;
+#else
+    int k = 0;
+    for (; x; x >>= 1) k++;
+    return k;
+#endif
+}
+
+/* rng.randrange(size) for 1 <= size < 2^63, drawn as Python draws it:
+   getrandbits(k), k the bit length of size, again until it is below
+   size.  Above 32 bits the first word is the low one and the second is
+   cut to its top k - 32 bits. */
+static uint64_t randbelow(Twister *r, uint64_t size) {
+    int k = bit_length(size);
+    for (;;) {
+        uint64_t x = twister_next(r);
+        if (k <= 32)
+            x >>= 32 - k;
+        else
+            x |= (uint64_t)(twister_next(r) >> (64 - k)) << 32;
+        if (x < size) return x;
+    }
+}
+
+/* The lists of near_uniform: vertex v draws from list which[v].  List d
+   has size[d] colors: extra[off[d]..off[d + 1]) when lo[d] < 0, else the
+   colors from lo[d] up without the ascending removed colors
+   extra[off[d]..off[d + 1]). */
+typedef struct {
+    const int *which;
+    const long long *lo, *size, *off, *extra;
+} Lists;
+
+/* A color of v's list drawn as lists.sample draws it: index i is
+   rng.randrange(size).  In a range without removed colors x_0 < x_1 <
+   ..., index i is lo + i + j, j the number of x_t with x_t - t <= lo + i,
+   which do not fall as t grows. */
+static long long draw(const Lists *l, Twister *r, int v) {
+    int d = l->which[v];
+    long long i = (long long)randbelow(r, (uint64_t)l->size[d]);
+    const long long *x = l->extra + l->off[d];
+    if (l->lo[d] < 0) return x[i];
+    long long c = l->lo[d] + i, a = 0, b = l->off[d + 1] - l->off[d];
+    while (a < b) {
+        long long mid = a + (b - a) / 2;
+        if (x[mid] - mid <= c)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    return c + a;
+}
+
+/* Each edge counts its colors in a table of its own: a power of two of
+   at least twice its size slots, key[] the colors and count[] how often
+   they occur, 0 for a free slot.  Probing is linear, and a deletion
+   moves later entries back into the hole, so no probe meets a stale
+   slot and an update costs O(1) expected. */
+static size_t slot_of(uint64_t c, size_t mask) {
+    uint64_t h = c * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ h >> 32) & mask;
+}
+
+/* One more c: returns its count before. */
+static int count_up(uint64_t *key, int *count, size_t mask, uint64_t c) {
+    size_t i = slot_of(c, mask);
+    while (count[i] && key[i] != c) i = (i + 1) & mask;
+    key[i] = c;
+    return count[i]++;
+}
+
+/* One c fewer, which the table holds: returns its count before. */
+static int count_down(uint64_t *key, int *count, size_t mask, uint64_t c) {
+    size_t i = slot_of(c, mask);
+    while (!count[i] || key[i] != c) i = (i + 1) & mask;
+    int before = count[i]--;
+    if (before > 1) return before;
+    /* the entry at j moves into the hole at i unless its home slot lies
+       cyclically in (i, j] */
+    for (size_t j = (i + 1) & mask; count[j]; j = (j + 1) & mask) {
+        size_t home = slot_of(key[j], mask);
+        if (i <= j ? home <= i || home > j : home <= i && home > j) {
+            key[i] = key[j];
+            count[i] = count[j];
+            count[j] = 0;
+            i = j;
+        }
+    }
+    return before;
+}
+
+/* The slots of the table of an edge of d vertices. */
+static uint64_t table_size(int d) {
+    uint64_t cap = 1;
+    while (cap < 2 * (uint64_t)d) cap *= 2;
+    return cap;
+}
+
+static int by_u64(const void *a, const void *b) {
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Is an edge of size colors, once of them unique, bad: at least 7/8 of
+   its vertices colored non-uniquely? */
+static int is_bad(long long size, long long once) {
+    return 8 * (size - once) >= 7 * size;
+}
+
+/* The resampling loop of _kernel_py.near_uniform: every vertex draws a
+   color, then, while some edge is bad, the vertices of the lowest bad
+   edge draw again, at most max_rounds times.  Only the edges that meet
+   a resampled vertex are checked again.  The draws continue the Twister
+   state[0..624], index state[624], so each equals the pure kernel's.
+   The edges are CSR int arrays as in solve_cf; each vertex of an edge
+   appears once.  On FOUND color[v] is v's color and result[0] the
+   rounds; at the cap result holds the rounds and the lowest bad edge.
+   The finished coloring is checked again by sorting each edge's colors.
+   One zeroed block of 8-byte words holds the tables' starts and keys,
+   the bad edges as a bitset and the sorting buffer; one of ints, the
+   counts, each edge's unique colors and the incidence.  Status codes:
+   0 = done, 1 = declined (an edge names a vertex outside [0, n)), 2 =
+   round cap, 3 = out of memory, 5 = the final check failed. */
+int near_uniform(int n, int m, const int *edge_start, const int *edge_vert,
+                 const int *which, const long long *lo, const long long *size,
+                 const long long *off, const long long *extra, const unsigned *state,
+                 long long max_rounds, long long *color, long long *result) {
+    Lists lists = {which, lo, size, off, extra};
+    Twister rng;
+    for (int i = 0; i < MT_N; i++) rng.mt[i] = (uint32_t)state[i];
+    rng.index = (int)state[MT_N];
+    size_t slots = 0, widest = 0, items = (size_t)edge_start[m], bad_words = ((size_t)m + 63) / 64;
+    for (size_t i = 0; i < items; i++)
+        if (edge_vert[i] < 0 || edge_vert[i] >= n) return DECLINED;
+    for (int e = 0; e < m; e++) {
+        int d = edge_start[e + 1] - edge_start[e];
+        slots += (size_t)table_size(d);
+        if ((size_t)d > widest) widest = (size_t)d;
+    }
+    size_t words = (size_t)m + 1 + slots + bad_words + widest;
+    uint64_t *wide = calloc(words, sizeof *wide);
+    int *narrow = calloc(slots + (size_t)m + (size_t)n + 1 + items, sizeof *narrow);
+    if (!wide || !narrow) {
+        free(wide);
+        free(narrow);
+        return NO_MEMORY;
+    }
+    uint64_t *tab = wide, *key = tab + m + 1, *bad = key + slots, *buffer = bad + bad_words;
+    int *count = narrow, *once = count + slots, *inc_start = once + m, *inc_edge = inc_start + n + 1;
+    for (int e = 0; e < m; e++) tab[e + 1] = tab[e] + table_size(edge_start[e + 1] - edge_start[e]);
+    incidence(n, m, edge_start, edge_vert, inc_start, inc_edge);
+
+    for (int v = 0; v < n; v++) color[v] = draw(&lists, &rng, v);
+    for (int e = 0; e < m; e++) {
+        size_t mask = (size_t)(tab[e + 1] - tab[e]) - 1;
+        for (int i = edge_start[e]; i < edge_start[e + 1]; i++) {
+            int y = count_up(key + tab[e], count + tab[e], mask, (uint64_t)color[edge_vert[i]]);
+            once[e] += (y == 0) - (y == 1);
+        }
+        if (is_bad(edge_start[e + 1] - edge_start[e], once[e]))
+            bad[e / 64] |= (uint64_t)1 << (e % 64);
+    }
+    long long rounds = 0;
+    int status = FOUND;
+    for (;;) {
+        size_t w = 0;
+        while (w < bad_words && !bad[w]) w++;
+        if (w == bad_words) break;
+        int worst = (int)(w * 64) + lowest(bad[w]);
+        if (rounds >= max_rounds) {
+            result[1] = worst;
+            status = OVER_BUDGET;
+            break;
+        }
+        for (int i = edge_start[worst]; i < edge_start[worst + 1]; i++) {
+            int v = edge_vert[i];
+            long long old = color[v], new = color[v] = draw(&lists, &rng, v);
+            if (new == old) continue;
+            for (int j = inc_start[v]; j < inc_start[v + 1]; j++) {
+                int e = inc_edge[j];
+                size_t mask = (size_t)(tab[e + 1] - tab[e]) - 1;
+                int x = count_down(key + tab[e], count + tab[e], mask, (uint64_t)old);
+                int y = count_up(key + tab[e], count + tab[e], mask, (uint64_t)new);
+                /* old: 1 -> 0 loses a unique color, 2 -> 1 gains one;
+                   new: 0 -> 1 gains one, 1 -> 2 loses one */
+                once[e] += (x == 2) - (x == 1) + (y == 0) - (y == 1);
+            }
+        }
+        rounds++;
+        for (int i = edge_start[worst]; i < edge_start[worst + 1]; i++) {
+            int v = edge_vert[i];
+            for (int j = inc_start[v]; j < inc_start[v + 1]; j++) {
+                int e = inc_edge[j];
+                uint64_t bit = (uint64_t)1 << (e % 64);
+                if (is_bad(edge_start[e + 1] - edge_start[e], once[e]))
+                    bad[e / 64] |= bit;
+                else
+                    bad[e / 64] &= ~bit;
+            }
+        }
+    }
+    result[0] = rounds;
+    for (int e = 0; status == FOUND && e < m; e++) {
+        int d = edge_start[e + 1] - edge_start[e], unique = 0;
+        for (int i = 0; i < d; i++) buffer[i] = (uint64_t)color[edge_vert[edge_start[e] + i]];
+        qsort(buffer, (size_t)d, sizeof *buffer, by_u64);
+        for (int i = 0; i < d; i++)
+            unique += (i == 0 || buffer[i - 1] != buffer[i]) && (i == d - 1 || buffer[i + 1] != buffer[i]);
+        if (is_bad(d, unique)) status = CHECK_FAILED;
+    }
+    free(wide);
+    free(narrow);
+    return status;
 }

@@ -14,16 +14,27 @@ ports to word bitsets; here the bitsets are Python ints.  Both take a
 graph's adjacency as CSR (compressed sparse row) arrays: row v is
 vert[start[v]:start[v + 1]].
 
-There is no pure-Python graph reader: without the C kernel,
-``fileio`` reads every graph file record by record.
+``near_uniform`` is the sample-and-resample loop behind
+``prob.near_uniform_color``; the C kernel's draws continue the same
+Mersenne Twister stream, so both color alike.
+
+There are no pure-Python file readers: without the C kernel, ``fileio``
+reads every graph and hypergraph file record by record.
 
 ``search`` returns (status, assignment, nodes) with status 0 = solution
 found, 1 = exhausted (no solution) or 2 = node budget exceeded;
-``max_star`` returns t.  ``check_csr`` is the CSR check of both
-``max_star`` backends.
+``max_star`` returns t; ``near_uniform`` returns (color by vertex,
+rounds) or raises ResampleFailure.  ``check_csr`` is the CSR check of
+both ``max_star`` backends.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter
+
+from cfcolor.errors import ResampleFailure
+from cfcolor.verify import unique_colors
 
 UNDECIDED = -2
 UNCOLORED = -1
@@ -265,3 +276,64 @@ def max_star(start, vert):
             stack.append((size, rest))
             stack.append((size + 1, rest & ~masks[low.bit_length() - 1]))
     return best
+
+
+def near_uniform(h, lists, seed, max_rounds):
+    """The resampling loop of ``prob.near_uniform_color``, which checks
+    its input.  Every vertex draws a color with ``lists.sample`` from
+    ``random.Random(seed)``; while some edge is bad, with at least 7/8 of
+    its vertices colored non-uniquely, the vertices of the lowest-index
+    bad edge draw again, in edge order, at most max_rounds times.
+    Returns (color by vertex, rounds); at the cap it raises
+    ResampleFailure(rounds, lowest bad edge).
+
+    The set of bad edges is kept across rounds: a resample can change
+    only the edges that meet the resampled one, so only those are
+    checked again (Moser & Tardos, JACM 2010).  The check reads counts
+    kept per edge, not the edge's colors: a color -> count dict and the
+    number of colors counted once, which is the number of uniquely
+    colored vertices.  Each recolored vertex updates them on its incident
+    edges.  The finished coloring is checked by a full scan.
+    """
+    rng = random.Random(seed)
+    sizes = [len(e) for e in h.edges]
+    color = [lists.sample(v, rng) for v in range(h.n)]
+    incident = h.incidence()
+    counts = [Counter([color[v] for v in edge]) for edge in h.edges]
+    once = [list(cnt.values()).count(1) for cnt in counts]
+
+    def is_bad(i):
+        return 8 * (sizes[i] - once[i]) >= 7 * sizes[i]
+
+    bad = set(filter(is_bad, range(h.m)))
+    rounds = 0
+    while bad:
+        worst = min(bad)
+        if rounds >= max_rounds:
+            raise ResampleFailure(rounds, worst)
+        touched = set()
+        for v in h.edges[worst]:
+            old = color[v]
+            new = color[v] = lists.sample(v, rng)
+            touched.update(incident[v])
+            if new == old:
+                continue
+            for i in incident[v]:
+                cnt = counts[i]
+                x = cnt.pop(old)
+                if x > 1:
+                    cnt[old] = x - 1
+                y = cnt.get(new, 0)
+                cnt[new] = y + 1
+                # old: 1 -> 0 loses a unique color, 2 -> 1 gains one;
+                # new: 0 -> 1 gains one, 1 -> 2 loses one
+                once[i] += (x == 2) - (x == 1) + (y == 0) - (y == 1)
+        rounds += 1
+        bad -= touched
+        bad.update(filter(is_bad, touched))
+
+    for edge in h.edges:
+        non_unique = len(edge) - len(unique_colors([color[v] for v in edge]))
+        if 8 * non_unique >= 7 * len(edge):  # pragma: no cover
+            raise AssertionError("resampling terminated with a bad edge")
+    return color, rounds

@@ -2,20 +2,88 @@
 
 Colors are opaque non-negative integers; equality is their only semantic
 operation.  Lists are either explicit sorted sets or implicit contiguous
-ranges [lo, hi), held as `range` objects -- the latter avoids
-materializing the huge lists the randomized pipeline works with.
+ranges [lo, hi), held as `range` objects, or such a range without a few
+colors, held as a `ReducedRange` -- the latter two avoid materializing the
+huge lists the randomized pipeline works with.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
+
+
+class ReducedRange:
+    """The colors of the range `span` (step 1) without `removed`, an
+    ascending tuple of colors inside it: what ListAssignment.without
+    returns for a range list, in memory of the removed colors only.
+
+    It indexes, slices, measures, tests membership and iterates like the
+    tuple of its colors.  Removed colors at either end of the span shrink
+    it instead, so that equal color sets have equal spans and removed
+    colors, and compare and hash alike.  Index i is lo + i + j, lo the
+    span's start and j the number of removed colors x_t with
+    x_t - t <= lo + i (these do not fall as t grows), as the C kernel
+    indexes it.
+    """
+
+    __slots__ = ("span", "removed", "_shifted")
+
+    def __init__(self, span, removed):
+        lo, hi, i, j = span.start, span.stop, 0, len(removed)
+        while i < j and removed[i] == lo:
+            i, lo = i + 1, lo + 1
+        while i < j and removed[j - 1] == hi - 1:
+            j, hi = j - 1, hi - 1
+        self.span = range(lo, hi)
+        self.removed = tuple(removed[i:j])
+        self._shifted = tuple(x - t for t, x in enumerate(self.removed))
+
+    def __len__(self):
+        return len(self.span) - len(self.removed)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        size = len(self)
+        if not -size <= i < size:
+            raise IndexError("ReducedRange index out of range")
+        c = self.span.start + i % size
+        return c + bisect_right(self._shifted, c)
+
+    def __contains__(self, c):
+        if c not in self.span:
+            return False
+        i = bisect_left(self.removed, c)
+        return i == len(self.removed) or self.removed[i] != c
+
+    def __iter__(self):
+        lo = self.span.start
+        for x in self.removed:
+            yield from range(lo, x)
+            lo = x + 1
+        yield from range(lo, self.span.stop)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ReducedRange)
+            and self.span == other.span
+            and self.removed == other.removed
+        )
+
+    def __hash__(self):
+        return hash((self.span, self.removed))
+
+    def __repr__(self):
+        return f"ReducedRange({self.span!r}, {self.removed!r})"
 
 
 class ListAssignment:
     """Per-vertex color list.
 
     Each entry is either a sorted tuple of colors or a `range` with step
-    1 for the implicit list {lo, .., hi-1}.  Both index, slice, measure and
+    1 for the implicit list {lo, .., hi-1}; `without` and `_from_sorted`
+    also give ReducedRange entries.  All three index, slice, measure and
     test membership alike, so the accessors need no case split.
     """
 
@@ -47,8 +115,8 @@ class ListAssignment:
     @classmethod
     def _from_sorted(cls, entries):
         """The assignment with lists `entries`, which the caller has
-        already checked to be non-empty, sorted, duplicate-free tuples of
-        non-negative colors."""
+        already checked to be non-empty: sorted, duplicate-free tuples of
+        non-negative colors, or ReducedRanges."""
         lists = cls.__new__(cls)
         lists._entries = tuple(entries)
         lists.n = len(lists._entries)
@@ -61,7 +129,8 @@ class ListAssignment:
 
     @classmethod
     def uniform_range(cls, n, size, lo=0):
-        return cls([range(lo, lo + size)] * n)
+        # the one range is checked once
+        return cls._from_sorted(cls([range(lo, lo + size)])._entries * n)
 
     def size(self, v):
         return len(self._entries[v])
@@ -79,18 +148,13 @@ class ListAssignment:
         return e[rng.randrange(len(e))]
 
     def without(self, v, removed):
-        """L_v minus `removed`, as an explicit sorted tuple.  A range list
-        is cut at the removed colors it contains, so the time goes to
-        copying the colors kept, not to testing each of them."""
+        """L_v minus `removed`: a ReducedRange for a range list, whose
+        cost is the removed colors it holds, not the colors kept, and a
+        sorted tuple for any other list."""
         e = self._entries[v]
         if not isinstance(e, range):
             return tuple(c for c in e if c not in removed)
-        kept, lo = [], e.start
-        for c in sorted(c for c in removed if c in e):
-            kept += range(lo, c)
-            lo = c + 1
-        kept += range(lo, e.stop)
-        return tuple(kept)
+        return ReducedRange(e, sorted({c for c in removed if c in e}))
 
     def is_k_assignment(self, k):
         return all(self.size(v) == k for v in range(self.n))

@@ -15,3 +15,15 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message, nodes=None):
         super().__init__(message)
         self.nodes = nodes
+
+
+class ResampleFailure(BudgetExceededError):
+    """The resampling loop hit its round cap; retry with a fresh seed."""
+
+    def __init__(self, rounds, worst_edge):
+        super().__init__(
+            f"no good coloring after {rounds} resampling rounds "
+            f"(worst edge {worst_edge})"
+        )
+        self.rounds = rounds
+        self.worst_edge = worst_edge

@@ -15,12 +15,16 @@ are 1-indexed on disk and translated to 0-indexed at this boundary.
 When the C kernel is built, a graph file exactly as format_graph writes
 it, with at least one edge and no more vertices than characters, is read
 by ``kernels.read_graph`` into CSR arrays with sorted rows; the Graph is
-sliced from them and keeps them as `Graph.csr`.  Every other graph file,
-faulty ones included, and every graph file on the pure-Python backend,
-is read record by record: the reference reader, with the same result and
-line-numbered errors.  It builds a neighbor set only for the vertices
-the edges name.  Either reader raises MemoryError when it runs out of
-memory.
+sliced from them and keeps them as `Graph.csr`.  Likewise a hypergraph
+file in canonical form, with at least one edge, is read by
+``kernels.read_hypergraph``: the header `p hgraph <n> <m>` and m lines
+`h <v1> ... <vk>`, single spaces, decimals without sign or leading zero,
+no vertex twice in a line, every line ending in a newline and nothing
+after the last.  Every other file, faulty ones included, and every file
+on the pure-Python backend, is read record by record: the reference
+reader, with the same result and line-numbered errors.  The graph loop
+builds a neighbor set only for the vertices the edges name.  Either
+reader raises MemoryError when it runs out of memory.
 """
 
 from __future__ import annotations
@@ -152,10 +156,20 @@ def format_graph(g):
 
 
 def parse_hypergraph(text):
-    """The hypergraph of a `p hgraph` file.  Every edge is checked to be
-    non-empty, in range and free of repeats, so the Hypergraph is made
-    from the sorted edges as they are.  A repeat names the smallest
-    repeated vertex."""
+    """The hypergraph of a `p hgraph` file.  Text that the C reader
+    accepts is read by it when it is built; any other text goes through
+    the record loop, as in parse_graph."""
+    from cfcolor import kernels
+
+    csr = kernels.read_hypergraph and kernels.read_hypergraph(text)
+    return Hypergraph._from_csr(*csr) if csr else _parse_hypergraph_records(text)
+
+
+def _parse_hypergraph_records(text):
+    """The hypergraph of a `p hgraph` file, read record by record.  Every
+    edge is checked to be non-empty, in range and free of repeats, so the
+    Hypergraph is made from the sorted edges as they are.  A repeat names
+    the smallest repeated vertex."""
     records = _records(text, "hgraph", "h", "edge")
     n, _ = next(records)
     edges = []

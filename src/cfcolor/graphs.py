@@ -6,7 +6,8 @@ construction; operations never mutate their arguments.  A graph builds its
 closed neighborhoods once, on first use, as `Graph.closed`; every closed
 neighborhood in the package is read from there.  Its adjacency as the CSR
 int arrays that the C kernels read is `Graph.csr`, which a graph read from
-a file gets from the reader.
+a file gets from the reader; a hypergraph's edges as CSR arrays are
+`Hypergraph.csr`, likewise.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class Hypergraph:
     in one-to-one correspondence with the vertices of the source graph.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "__dict__")
 
     def __init__(self, n, edges):
         edges = tuple(tuple(sorted(e)) for e in edges)
@@ -138,6 +139,26 @@ class Hypergraph:
         h.n = n
         h.edges = tuple(edges)
         return h
+
+    @classmethod
+    def _from_csr(cls, n, start, vert):
+        """The hypergraph on n vertices whose edge i is
+        vert[start[i]:start[i + 1]], int arrays that the caller has
+        already checked to hold non-empty, sorted, duplicate-free edges in
+        range; they become its `csr`."""
+        flat = vert.tolist()
+        h = cls._from_sorted(n, [tuple(flat[a:b]) for a, b in pairwise(start)])
+        h.csr = start, vert
+        return h
+
+    @cached_property
+    def csr(self):
+        """(start, vert): the edges as int arrays, edge i being
+        vert[start[i]:start[i + 1]]."""
+        return (
+            array("i", accumulate(map(len, self.edges), initial=0)),
+            array("i", chain.from_iterable(self.edges)),
+        )
 
     @property
     def m(self):

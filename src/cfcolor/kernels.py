@@ -1,14 +1,25 @@
-"""The kernel entries of ``_kernel.c``; the first two also have a
-pure-Python backend in ``_kernel_py``:
+"""The kernel entries of ``_kernel.c``, each with its pure-Python twin in
+``_kernel_py`` or its fallback in ``fileio``:
 
 - ``solve_cf``, the conflict-free search: it prepares the input and calls
-  ``search`` with flat arrays;
+  ``search`` with flat arrays; twin ``_kernel_py.search``;
 - ``max_star(start, vert)``, the largest induced star of a graph, from
-  its CSR adjacency arrays (``Graph.csr``);
+  its CSR adjacency arrays (``Graph.csr``); twin ``_kernel_py.max_star``;
+- ``near_uniform(h, lists, seed, max_rounds)``, the sample-and-resample
+  loop of ``prob.near_uniform_color``, which checks its input; twin
+  ``_kernel_py.near_uniform``.  The C entry continues the Mersenne
+  Twister from ``random.Random(seed).getstate()``, so every draw is the
+  twin's ``rng.randrange(size)``.  It declines lists with an empty entry
+  or a color of 2^63 or more (TOP_COLOR), more than INT_MAX vertices,
+  edges or incidences and an edge vertex outside [0, n); the twin then
+  runs.  Rounds above MAX_BUDGET are clamped to it;
 - ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
-  writes it, read into those CSR arrays with every row sorted.  It is
-  None on the pure-Python backend, where ``fileio`` reads every graph
-  file record by record.
+  writes it, read into those CSR arrays with every row sorted, and
+  ``read_hypergraph(text)``, a `p hgraph` file in canonical form read
+  into (n, start, vert), the CSR arrays of its sorted edges
+  (``Hypergraph.csr``).  Both are None on the pure-Python backend, and
+  return None for every text they decline; ``fileio``'s record loops
+  read those.
 
 Both backends implement the identical conflict-free search (same
 branching order, same pruning), so any result is independent of which one
@@ -32,11 +43,15 @@ solution found, 1 = exhausted (no solution) or 2 = node budget exceeded.
 ``max_star`` returns t; both backends raise ValueError, through
 ``_kernel_py.check_csr``, for starts that do not rise from 0 to
 len(vert), and for a row that names a vertex outside [0, n) or its own
-vertex.  ``read_graph`` returns (start, vert), or None when it declines
-the text: any other text, a self-loop or a duplicate edge.  It checks
-the header here and sizes the block that C fills from the header's
-counts only when the text can back them: N at most the text's length,
-M at most a sixth of it.  Any entry whose allocation fails raises
+vertex.  ``near_uniform`` returns (color by vertex, rounds) and raises
+ResampleFailure at the round cap.  ``read_graph`` returns (start, vert),
+or None when it declines the text: any other text, a self-loop or a
+duplicate edge.  ``read_hypergraph`` declines any other text, including
+a vertex repeated in an edge.  Each reader checks the header here and
+sizes the block that C fills from the header's counts only when the
+text can back them: for a graph N at most the text's length and M at
+most a sixth of it, for a hypergraph M at most a quarter of it and one
+vertex per two bytes.  Any entry whose allocation fails raises
 MemoryError; this module is the only one that reads a C status.
 """
 
@@ -44,16 +59,19 @@ from __future__ import annotations
 
 import ctypes
 import os
+import random
 import zlib
 from array import array
 
 from cfcolor import _kernel_py
+from cfcolor.coloring import ReducedRange
+from cfcolor.errors import ResampleFailure
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "_kernel.c")
 COMPILE_FLAGS = ("-O2", "-shared", "-fPIC")
-# node counts are C long longs; clamping the budget here changes no result,
-# because no search gets near this many nodes
+# node counts and resampling rounds are C long longs; clamping a budget or
+# a round cap here changes no result, because no run gets near this many
 MAX_BUDGET = 2**62
 
 _int = ctypes.c_int
@@ -111,14 +129,21 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, search, max_star, read_graph): the C kernels built into
-    cache_dir, or the pure-Python kernels, with no graph reader, when they
-    cannot be built or loaded."""
+    """(backend, search, max_star, near_uniform, read_graph,
+    read_hypergraph): the C kernels built into cache_dir, or the
+    pure-Python kernels, with no file readers, when they cannot be built
+    or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
-        return "pure-python", _kernel_py.search, _kernel_py.max_star, None
-    return "compiled", _bind(lib), _bind_max_star(lib), _bind_read_graph(lib)
+        return (
+            "pure-python", _kernel_py.search, _kernel_py.max_star,
+            _kernel_py.near_uniform, None, None,
+        )
+    return (
+        "compiled", _bind(lib), _bind_max_star(lib), _bind_near_uniform(lib),
+        _bind_read_graph(lib), _bind_read_hypergraph(lib),
+    )
 
 
 def _address(buffer):
@@ -180,6 +205,98 @@ def _bind_max_star(lib):
     return max_star
 
 
+# colors at or above this are no C long long: near_uniform declines them
+TOP_COLOR = 2**63
+
+
+def _resampler_arrays(h, lists):
+    """The arrays the C near_uniform reads, or None when it cannot
+    represent the input: more than INT_MAX vertices, edges or
+    incidences, an empty list or a color of TOP_COLOR or more.  (C
+    declines an edge vertex outside [0, n) itself.)
+
+    They are h.csr, then (which, lo, size, off, extra): vertex v draws
+    from list which[v], one per distinct entry object.  A range or
+    ReducedRange list d is lo[d] >= 0 and its removed colors
+    extra[off[d]:off[d + 1]]; an explicit one is lo[d] = -1 and its
+    colors there."""
+    if max(h.n, h.m) > INT_MAX:
+        return None
+    try:
+        edge_start, edge_vert = h.csr
+    except OverflowError:  # more incidences than C ints
+        return None
+    entries = list(map(lists.colors, range(lists.n)))
+    ids = list(map(id, entries))
+    index = {key: d for d, key in enumerate(dict.fromkeys(ids))}
+    which = array("i", map(index.__getitem__, ids))
+    lo, size, off, extra = array("q"), array("q"), array("q", [0]), array("q")
+    for e in dict(zip(ids, entries)).values():
+        if not e:
+            return None
+        if isinstance(e, range):
+            e = ReducedRange(e, ())
+        if isinstance(e, ReducedRange):
+            start, top, colors = e.span.start, e.span[-1], e.removed
+        else:
+            start, top, colors = -1, e[-1], e
+        if top >= TOP_COLOR:
+            return None
+        lo.append(start)
+        size.append(len(e))
+        extra.extend(colors)
+        off.append(len(extra))
+    return edge_start, edge_vert, which, lo, size, off, extra
+
+
+def _bind_near_uniform(lib):
+    """``_kernel_py.near_uniform`` on the C function of lib.  The pure
+    kernel runs instead on input that _resampler_arrays or C declines;
+    max_rounds is clamped to MAX_BUDGET, which no run gets near."""
+    c_near = lib.near_uniform
+    c_near.argtypes = [_int, _int] + [_ptr] * 8 + [ctypes.c_longlong, _ptr, _ptr]
+    c_near.restype = _int
+
+    def near_uniform(h, lists, seed, max_rounds):
+        arrays = _resampler_arrays(h, lists)
+        if arrays is None:
+            return _kernel_py.near_uniform(h, lists, seed, max_rounds)
+        state = array("I", random.Random(seed).getstate()[1])
+        color = array("q", [0]) * h.n
+        result = array("q", [0, 0])
+        # the buffers stay referenced here until the C call returns
+        status = c_near(
+            h.n, h.m, *map(_address, arrays), _address(state),
+            min(max_rounds, MAX_BUDGET), _address(color), _address(result),
+        )
+        if status == 1:
+            return _kernel_py.near_uniform(h, lists, seed, max_rounds)
+        if status == 3:
+            raise MemoryError(f"near_uniform on {h.n} vertices ran out of memory")
+        if status == 2:
+            raise ResampleFailure(*result)
+        if status == 5:  # pragma: no cover
+            raise AssertionError("resampling terminated with a bad edge")
+        return color.tolist(), result[0]
+
+    return near_uniform
+
+
+def _header(text, kind):
+    """(head, n, m) of a text headed `p <kind> <n> <m>` with canonical
+    counts, head being that line with its newline; None for any other
+    text.  The text rebuilt from the counts declines what int() reads
+    but the writers do not write: signs, zeros, '_', other digits."""
+    # empty when there is no newline
+    head = text[:text.find("\n") + 1]
+    try:
+        _, _, n, m = head.split(" ")
+        n, m = int(n), int(m)
+    except ValueError:
+        return None
+    return (head, n, m) if head == f"p {kind} {n} {m}\n" else None
+
+
 def _bind_read_graph(lib):
     """``read_graph`` on the C function of lib, which reads the UTF-8
     bytes of the text after the header into a block allocated here."""
@@ -188,17 +305,11 @@ def _bind_read_graph(lib):
     c_read.restype = _int
 
     def read_graph(text):
-        # the header line with its newline, empty when there is none; the
-        # text rebuilt from its counts declines what int() reads but
-        # format_graph does not write: signs, zeros, '_', other digits
-        head = text[:text.find("\n") + 1]
-        try:
-            _, _, n, m = head.split(" ")
-            n, m = int(n), int(m)
-        except ValueError:
+        header = _header(text, "graph")
+        if header is None:
             return None
-        if (head != f"p graph {n} {m}\n" or not 1 <= n <= min(len(text), INT_MAX)
-                or not 1 <= m <= min(len(text) // 6, INT_MAX // 2)):
+        head, n, m = header
+        if not 1 <= n <= min(len(text), INT_MAX) or not 1 <= m <= min(len(text) // 6, INT_MAX // 2):
             return None
         # a lone surrogate passes as bytes that no accepted text holds
         data = text.encode("utf-8", "surrogatepass")
@@ -210,7 +321,36 @@ def _bind_read_graph(lib):
     return read_graph
 
 
-BACKEND, search, max_star, read_graph = load(os.path.join(HERE, "__pycache__"))
+def _bind_read_hypergraph(lib):
+    """``read_hypergraph`` on the C function of lib, as read_graph: the
+    block allocated here has room for M + 1 starts and one vertex per two
+    bytes after the header, the least a vertex takes (` 1`)."""
+    c_read = lib.read_hypergraph
+    c_read.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_size_t, _int, _int,
+                       ctypes.c_size_t, _ptr]
+    c_read.restype = _int
+
+    def read_hypergraph(text):
+        header = _header(text, "hgraph")
+        if header is None:
+            return None
+        head, n, m = header
+        # an edge line takes at least 4 characters, `h 1\n`
+        if not 1 <= n <= INT_MAX or not 1 <= m <= min(len(text) // 4, INT_MAX):
+            return None
+        data = text.encode("utf-8", "surrogatepass")
+        cap = (len(data) - len(head)) // 2
+        block = array("i", [0]) * (m + 1 + cap)
+        if c_read(data, len(data), len(head), n, m, cap, _address(block)):
+            return None
+        return n, block[:m + 1], block[m + 1:m + 1 + block[m]]
+
+    return read_hypergraph
+
+
+BACKEND, search, max_star, near_uniform, read_graph, read_hypergraph = load(
+    os.path.join(HERE, "__pycache__")
+)
 
 
 def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):

@@ -8,10 +8,13 @@ reported, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(NamedTuple):
+    """Edge edge_index has its smallest unique color `color` on `vertex`;
+    a tuple, the cheapest record to build once per edge."""
+
     edge_index: int
     vertex: int
     color: int

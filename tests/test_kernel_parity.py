@@ -1,11 +1,13 @@
 """The compiled and pure-Python kernels must explore the identical search
 tree: equal status, equal result, equal node count, on every input; and
-their max_star must find the same largest induced star.  The C
-read_graph, which has no pure-Python twin, must read a graph file into
-the CSR arrays of the Graph that fileio's record loop reads from it.  A
-kernel whose allocation fails raises MemoryError.  The
-compiled backend is ``_kernel.c``, built on import when a C compiler is
-present."""
+their max_star must find the same largest induced star.  Their
+near_uniform must draw the colors and resample the edges of the
+full-rescan loop, and fail at the same round and edge.  The C
+read_graph and read_hypergraph, which have no pure-Python twins, must
+read a file into the arrays of what fileio's record loop reads from it,
+and leave every other text to that loop.  A kernel whose allocation
+fails raises MemoryError.  The compiled backend is ``_kernel.c``, built
+on import when a C compiler is present."""
 
 import math
 import random
@@ -16,12 +18,16 @@ from unittest import mock
 import pytest
 
 from cfcolor import _kernel_py as pure
-from cfcolor import fileio, graphs, kernels
-from cfcolor.graphs import Graph, line_graph
+from cfcolor import cli, fileio, graphs, kernels, prob
+from cfcolor.coloring import ListAssignment
+from cfcolor.errors import InputFormatError, ResampleFailure
+from cfcolor.graphs import Graph, Hypergraph, line_graph
 from util import (
     brute_force_max_star,
     connected_parts,
     exact_one_by_parts,
+    format_hypergraph,
+    full_rescan_near_uniform_color,
     requires_compiled,
     run_python,
 )
@@ -31,6 +37,7 @@ from util import (
 def test_backend_is_compiled_when_built():
     assert kernels.BACKEND == "compiled"
     assert kernels.search is not pure.search
+    assert kernels.near_uniform is not pure.near_uniform
     # max_star hands the arrays' buffers to C, which reads C ints
     with pytest.raises(TypeError, match="CSR arrays of C ints"):
         kernels.max_star(array("q", [0]), array("i"))
@@ -412,18 +419,20 @@ def test_a_build_removes_the_libraries_it_replaces(tmp_path):
 
 
 def test_loader_falls_back_then_reuses_its_cache(tmp_path):
-    # the pure-Python backend has no graph reader: fileio reads every
-    # graph file record by record
+    # the pure-Python backend has no file readers: fileio reads every
+    # graph and hypergraph file record by record
     assert kernels.load(tmp_path, compiler="no-such-compiler") == (
         "pure-python",
         pure.search,
         pure.max_star,
+        pure.near_uniform,
+        None,
         None,
     )
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, search, max_star, read_graph = kernels.load(tmp_path)
+    backend, search, max_star, near_uniform, read_graph, read_hypergraph = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns
@@ -438,3 +447,245 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert max_star(*path) == pure.max_star(*path) == 2
     text = "p graph 3 2\ne 2 3\ne 1 2\n"
     assert read_graph(text) == path == fileio._parse_graph_records(text).csr
+    text = "p hgraph 3 2\nh 3 1\nh 2\n"
+    assert read_hypergraph(text) == (3, array("i", [0, 2, 3]), array("i", [0, 2, 1]))
+    h = fileio._parse_hypergraph_records(text)
+    assert near_uniform(h, ListAssignment.uniform_range(3, 4), 1, 5) == pure.near_uniform(
+        h, ListAssignment.uniform_range(3, 4), 1, 5
+    )
+
+
+def _resample(near_uniform, h, lists, seed, cap, list_factor=1):
+    """(colors by vertex, rounds) of prob.near_uniform_color on the kernel
+    near_uniform, or ("failed", rounds, worst edge) at the round cap."""
+    with mock.patch.object(kernels, "near_uniform", near_uniform):
+        try:
+            f, rounds = prob.near_uniform_color(
+                h, lists, seed, list_factor=list_factor, alpha_override=1, max_rounds=cap
+            )
+        except ResampleFailure as exc:
+            return "failed", exc.rounds, exc.worst_edge
+    return [f[v] for v in range(h.n)], rounds
+
+
+def _rescan(h, lists, seed, cap):
+    """_resample's result from the full-rescan loop of tests/util."""
+    try:
+        return full_rescan_near_uniform_color(h, lists, seed, cap)
+    except ResampleFailure as exc:
+        return "failed", exc.rounds, exc.worst_edge
+
+
+def _same_resampling(h, lists, seed, cap, list_factor=1):
+    """The active backend's resampling, after checking that the pure
+    kernel and the full-rescan loop give the same."""
+    got = _resample(kernels.near_uniform, h, lists, seed, cap, list_factor)
+    assert got == _resample(pure.near_uniform, h, lists, seed, cap, list_factor)
+    assert got == _rescan(h, lists, seed, cap), (h.edges, seed, cap)
+    return got
+
+
+def _resampler_lists(n, size, rng):
+    """Lists of `size` colors on n vertices: one shared range, ranges with
+    removed colors, each with others, and explicit lists."""
+    wide = ListAssignment([range(v % 3, v % 3 + size + 4) for v in range(n)])
+    return {
+        "range": ListAssignment.uniform_range(n, size),
+        "reduced": ListAssignment._from_sorted([
+            wide.without(v, set(rng.sample(wide.colors(v), 4))) for v in range(n)
+        ]),
+        "explicit": ListAssignment([rng.sample(range(3 * size), size) for _ in range(n)]),
+    }
+
+
+def test_near_uniform_parity_with_the_full_rescan():
+    # lists hardly longer than the edges, most edges of 2 vertices: many
+    # edges are bad, so that the caps of 1 and 5 rounds trip and 1000
+    # rounds do not
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(25):
+        n = rng.randint(4, 30)
+        edges = [rng.sample(range(n), rng.randint(2, min(n, rng.choice([2, 3, 8]))))
+                 for _ in range(rng.randint(1, 16))]
+        h = Hypergraph(n, edges)
+        size = max(map(len, h.edges)) + rng.choice([0, 0, 1])
+        for kind, lists in _resampler_lists(n, size, rng).items():
+            for cap in (1, 5, 1000):
+                got = _same_resampling(h, lists, rng.randrange(10**6), cap)
+                outcomes.add((kind, cap, got[0] == "failed"))
+    for kind in ("range", "reduced", "explicit"):
+        assert {(kind, 1, True), (kind, 1000, False)} <= outcomes
+    assert any(cap == 5 and failed for _, cap, failed in outcomes)
+
+
+def test_near_uniform_edge_cases_on_both_backends():
+    h = Hypergraph(12, [range(0, 6), range(3, 9), range(6, 12), (0, 11)])
+    singletons = Hypergraph(3, [(0,), (1,), (2,)])
+    one = ListAssignment.uniform_range(3, 1)
+    # one color per vertex: an edge of one vertex is never bad, an edge
+    # of two always is (the lemma's checks want two colors for it)
+    assert _same_resampling(singletons, one, 3, 5) == ([0, 0, 0], 0)
+    for near_uniform in (kernels.near_uniform, pure.near_uniform):
+        with pytest.raises(ResampleFailure) as got:
+            near_uniform(Hypergraph(3, [(2,), (0, 1)]), one, 3, 5)
+        assert (got.value.rounds, got.value.worst_edge) == (5, 1)
+        # an edge naming a vertex outside [0, n), which only _from_sorted
+        # lets through: C declines it, and the pure kernel fails on it
+        with pytest.raises(IndexError):
+            near_uniform(Hypergraph._from_sorted(3, [(0, 3)]), one, 3, 5)
+    # 2^32 + 1 colors are drawn from two Twister words, as is
+    # list_factor 10^14 times 6 (50 bits); a negative seed
+    _same_resampling(h, ListAssignment.uniform_range(12, 2**32 + 1), 5, 10)
+    huge = prob.lemma_lists(h, 10**14)
+    assert huge.size(0) == 6 * 10**14
+    _same_resampling(h, huge, 5, 10, list_factor=10**14)
+    _same_resampling(h, ListAssignment.uniform_range(12, 6), -12345, 1000)
+    # round caps above INT_MAX are clamped to MAX_BUDGET, which no run
+    # reaches
+    for cap in (2**31, 2**70):
+        _same_resampling(h, ListAssignment.uniform_range(12, 6), 2, cap)
+    # the C entry takes colors up to 2^63 - 1 and declines larger ones,
+    # explicit or in a range, which the pure kernel then colors
+    for top, declined in ((2**63 - 1, False), (2**63, True), (2**80, True)):
+        for last in (tuple(range(top - 6, top + 1)), range(top - 6, top + 1)):
+            lists = ListAssignment([range(7 * v, 7 * v + 7) for v in range(11)] + [last])
+            with mock.patch.object(pure, "near_uniform", wraps=pure.near_uniform) as twin:
+                got = _resample(kernels.near_uniform, h, lists, 9, 50)
+            assert got == _rescan(h, lists, 9, 50) and got[0][11] >= top - 6
+            if kernels.BACKEND == "compiled":
+                assert twin.called == declined
+
+
+def _benchmark_hypergraphs(count):
+    """(hypergraph, seed) of the first `count` lemma requests of the
+    benchmark's seed-1 randomized workload, drawn after the 40 graphs of
+    _benchmark_line_graphs as `cfbench/workloads.py` draws them: 1000
+    vertices and 600 edges of 8 to 12 vertices each."""
+    rng = random.Random("randomized:1")
+    pairs = list(combinations(range(60), 2))
+    for _ in range(40):
+        rng.sample(pairs, round(0.3 * math.comb(60, 2)))
+        rng.randrange(10**6)
+    found = []
+    for _ in range(count):
+        edges = [sorted(rng.sample(range(1000), rng.randint(8, 12))) for _ in range(600)]
+        found.append((Hypergraph(1000, edges), rng.randrange(10**6)))
+    return found
+
+
+@requires_compiled
+def test_read_hypergraph_and_lemma_parity_on_the_benchmark_hypergraphs(tmp_path, capsys):
+    # the C reader gives the Hypergraph of the record loop, and the lemma
+    # request prints the same rounds and coloring on both backends
+    for h, seed in _benchmark_hypergraphs(20):
+        text = format_hypergraph(h)
+        assert kernels.read_hypergraph(text) is not None
+        assert fileio.parse_hypergraph(text) == fileio._parse_hypergraph_records(text) == h
+    for i, (h, seed) in enumerate(_benchmark_hypergraphs(3)):
+        path = tmp_path / f"hyper{i}.hgraph"
+        path.write_text(format_hypergraph(h))
+        argv = ["lemma", "--hgraph", str(path), "--list-factor", "1", "--alpha", "8",
+                "--seed", str(seed)]
+        outputs = []
+        for near_uniform, reader in ((kernels.near_uniform, kernels.read_hypergraph),
+                                     (pure.near_uniform, None)):
+            with mock.patch.object(kernels, "near_uniform", near_uniform), \
+                    mock.patch.object(kernels, "read_hypergraph", reader):
+                assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("rounds ")
+
+
+@requires_compiled
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p hgraph 3 1\nc a comment\nh 1 2\n",
+        "p hgraph 3 1\nh 1\t2\n",
+        "p hgraph 3 1\nh 1  2\n",
+        "p hgraph 3 1\nh 1 2 \n",
+        "p hgraph 3 1\nh 01 2\n",
+        "p hgraph 3 1\nh 1 2",
+        "p hgraph 3 1\r\nh 1 2\r\n",
+        "p hgraph 3 1\nh 1 2 1\n",
+        "p hgraph 3 1\nh 1 4\n",
+        "p hgraph 3 1\nh 0 2\n",
+        "p hgraph 3 1\nh\n",
+        "p hgraph 3 2\nh 1 2\n",
+        "p hgraph 3 1\nh 1 2\nh 3\n",
+        "p hgraph 3 1\nh 1 2\nx\n",
+        "p hgraph 03 1\nh 1 2\n",
+    ],
+    ids=["comment", "tab", "two-spaces", "trailing-space", "leading-zero", "no-newline",
+         "crlf", "repeated-vertex", "vertex-above-n", "vertex-0", "empty-edge",
+         "too-few-edges", "too-many-edges", "trailing-text", "header-zero"],
+)
+def test_read_hypergraph_leaves_other_texts_to_the_record_loop(text):
+    # the record loop reads what the C reader declines, with its result
+    # or its line-numbered error
+    assert kernels.read_hypergraph(text) is None
+    try:
+        want = fileio._parse_hypergraph_records(text)
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as got:
+            fileio.parse_hypergraph(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert fileio.parse_hypergraph(text) == want
+
+
+_NEAR_UNIFORM_OUT_OF_MEMORY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from cfcolor import kernels
+from cfcolor.coloring import ListAssignment
+from cfcolor.graphs import Hypergraph
+assert kernels.BACKEND == "compiled"
+edge = tuple(range(129))
+h = Hypergraph._from_sorted(129, [edge] * 80000)
+try:
+    kernels.near_uniform(h, ListAssignment.uniform_range(129, 200), 1, 10)
+except MemoryError as exc:
+    print(exc)
+"""
+
+
+@requires_compiled
+def test_near_uniform_out_of_memory_is_a_memory_error():
+    # 80,000 copies of an edge of 129 vertices pass as 41 MB of vertex
+    # ints, but their count tables of 512 slots each take 492 MB, which
+    # with the incidence is past the 512 MiB address space: the
+    # allocation fails before any draw
+    done = run_python(_NEAR_UNIFORM_OUT_OF_MEMORY, timeout=120)
+    assert done.stdout == "near_uniform on 129 vertices ran out of memory\n"
+
+
+_RANGE_LISTS_IN_BOUNDED_MEMORY = """
+import contextlib, io, resource
+from random import Random
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from cfcolor import cli, fileio, graphs
+g, _ = graphs.line_graph(graphs.random_graph(60, 0.3, Random(1)))
+assert g.n == 518
+open(%r, "w").write(fileio.format_graph(g))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["pipeline", "--graph", %r, "--lists", "RANGE:1000000", "--seed", "1",
+                  "--scaled", "--out", %r, "--trace", %r]),
+        cli.main(["verify", "--graph", %r, "--coloring", %r, "--lists", "RANGE:1000000"]),
+    ]
+print(codes)
+"""
+
+
+def test_pipeline_range_lists_in_bounded_memory(tmp_path):
+    # the reduced B-vertex lists keep a range and the few colors struck
+    # from it, not a million colors each, so CI's 518-vertex line graph is
+    # colored from RANGE:1000000 within 512 MiB, without delegating
+    graph, out, trace = (str(tmp_path / name) for name in ("lg.txt", "col.txt", "trace.txt"))
+    script = _RANGE_LISTS_IN_BOUNDED_MEMORY % (graph, graph, out, trace, graph, out)
+    done = run_python(script, timeout=120)
+    assert done.stdout == "[0, 0]\n"
+    lines = (tmp_path / "trace.txt").read_text().splitlines()
+    assert "delegated no" in lines

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcolor import fileio, prob, solve
-from cfcolor.coloring import ListAssignment, PartialColoring
+from cfcolor.coloring import ListAssignment, PartialColoring, ReducedRange
 from cfcolor.graphs import (
     Graph,
     Hypergraph,
@@ -246,12 +246,60 @@ def test_near_uniform_color_matches_full_rescan(h, extra, cap, seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_without_matches_the_comprehension(lo, size, removed):
-    """The same tuple as filtering L_v color by color, on range and tuple
-    entries, with removed colors inside and outside the list and
-    repeated ones."""
+    """The same colors as filtering L_v color by color, on range and
+    tuple entries, with removed colors inside and outside the list and
+    repeated ones; a range entry gives a ReducedRange, whose tuple is
+    compared."""
     entries = [range(lo, lo + size), tuple(range(lo, lo + 2 * size, 2))]
     lists = ListAssignment(entries)
     for as_set in (set(removed), removed):
         for v, entry in enumerate(entries):
             want = tuple(c for c in entry if c not in as_set)
-            assert lists.without(v, as_set) == want
+            assert tuple(lists.without(v, as_set)) == want
+
+
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.integers(min_value=0, max_value=80), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=80), max_size=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_reduced_range_acts_like_its_tuple(lo, size, removed, again, seed):
+    """A reduced range list indexes, slices, measures, tests membership,
+    iterates and samples like the tuple of the colors it keeps, and
+    equals every reduced list of the same colors; reduced again, it
+    gives that tuple."""
+    span = range(lo, lo + size)
+    lists = ListAssignment([span])
+    for strike in (set(removed), set(removed) | set(again)):
+        reduced = lists.without(0, strike)
+        want = tuple(c for c in span if c not in strike)
+        assert isinstance(reduced, ReducedRange)
+        assert len(reduced) == len(want) and bool(reduced) == bool(want)
+        assert tuple(reduced) == want
+        assert [reduced[i] for i in range(-len(want), len(want))] == list(want + want)
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                reduced[i]
+        for cut in (slice(None), slice(1, -1), slice(None, None, 3), slice(5, 1, -1)):
+            assert reduced[cut] == want[cut]
+        for c in range(lo - 2, lo + size + 2):
+            assert (c in reduced) == (c in want)
+        # equal colors, other removed ones: the whole span minus its gaps
+        if want:
+            hull = range(want[0], want[-1] + 1)
+            other = ListAssignment([hull]).without(0, set(hull) - set(want))
+            assert other == reduced and hash(other) == hash(reduced)
+        if not want:
+            continue
+        explicit, kept = ListAssignment([want]), ListAssignment._from_sorted([reduced])
+        assert kept.size(0) == explicit.size(0)
+        assert kept.colors(0) is reduced
+        assert all(kept.contains(0, c) == explicit.contains(0, c) for c in span)
+        rng_kept, rng_explicit = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert kept.sample(0, rng_kept) == explicit.sample(0, rng_explicit)
+    twice = ListAssignment._from_sorted([lists.without(0, set(removed))]).without(0, set(again))
+    assert twice == tuple(lists.without(0, set(removed) | set(again)))
