@@ -1,9 +1,10 @@
 /* Compiled kernels, loaded with ctypes by cfcolor.kernels: the
    conflict-free search solve_cf, the induced-star search max_star, the
-   resampling colorer near_uniform and the file readers read_graph and
-   read_hypergraph.  Each returns a status that only kernels.py reads;
-   it turns them into results, MemoryError, ResampleFailure and
-   ValueError.
+   first-fit coloring greedy_color, the edge-meeting count
+   hypergraph_gamma, the resampling colorer near_uniform and the file
+   readers read_graph and read_hypergraph.  Each returns a status that
+   only kernels.py reads; it turns them into results, MemoryError,
+   ResampleFailure and ValueError.
 
    solve_cf is a line-for-line port of _kernel_py.search: both explore the
    identical search tree and return the same status, result and node
@@ -39,6 +40,11 @@
    done, 3 = out of memory, 4 = the row *out names a vertex outside
    [0, n) or its own vertex.
 
+   greedy_color colors the vertices of an order first-fit over those CSR
+   arrays, and hypergraph_gamma counts the edges that each edge of a
+   hypergraph meets over its CSR edges.  Both check that every row names
+   vertices in [0, n) only, and allocate one zeroed block per call.
+
    read_graph reads the edge lines of the text that fileio.format_graph
    writes into those CSR arrays, every row sorted, filling a zeroed block
    that kernels.py allocates from the header it has checked; it declines
@@ -56,7 +62,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4, CHECK_FAILED = 5 };
+enum {
+    FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4, CHECK_FAILED = 5,
+    REPEATED = 6
+};
 enum { DECLINED = 1 };  /* the readers: not a text they read */
 enum { UNDECIDED = -2, UNCOLORED = -1 };
 
@@ -373,6 +382,81 @@ int max_star(int n, const int *adj_start, const int *adj_vert, int *out) {
         }
     }
     free(masks);
+    *out = best;
+    return FOUND;
+}
+
+/* 0, or BAD_ADJACENCY with *out the first of the m CSR rows that names a
+   vertex outside [0, n). */
+static int rows_in_range(int n, int m, const int *start, const int *vert, int *out) {
+    for (int r = 0; r < m; r++)
+        for (int i = start[r]; i < start[r + 1]; i++)
+            if (vert[i] < 0 || vert[i] >= n) {
+                *out = r;
+                return BAD_ADJACENCY;
+            }
+    return FOUND;
+}
+
+/* First-fit coloring of the vertices order[0..len) of the graph with CSR
+   adjacency as in max_star; see _kernel_py.greedy_color.  Each vertex
+   takes the smallest color that no already-colored neighbor has: the
+   colors of its neighbors are stamped with its position + 1 in one zeroed
+   block of n + 1 ints, and the first unstamped one is its color.  color
+   holds n ints, -1 on entry, and keeps -1 for a vertex not in order.
+   kernels.py has checked the order's vertices to lie in [0, n).  Status
+   codes: 0 = done, 3 = out of memory, 4 = the row *out names a vertex
+   outside [0, n), 6 = the order repeats the vertex *out. */
+int greedy_color(int n, const int *adj_start, const int *adj_vert, int len, const int *order,
+                 int *color, int *out) {
+    if (rows_in_range(n, n, adj_start, adj_vert, out)) return BAD_ADJACENCY;
+    int *stamp = calloc((size_t)n + 1, sizeof *stamp);
+    if (!stamp) return NO_MEMORY;
+    for (int p = 0; p < len; p++) {
+        int v = order[p], c = 0;
+        if (color[v] >= 0) {
+            free(stamp);
+            *out = v;
+            return REPEATED;
+        }
+        /* a colored vertex's color is below the number colored before it */
+        for (int i = adj_start[v]; i < adj_start[v + 1]; i++)
+            if (color[adj_vert[i]] >= 0) stamp[color[adj_vert[i]]] = p + 1;
+        while (stamp[c] == p + 1) c++;
+        color[v] = c;
+    }
+    free(stamp);
+    return FOUND;
+}
+
+/* Gamma of the hypergraph on n vertices with m CSR edges as in solve_cf,
+   the largest number of other edges that one edge meets (0 without
+   edges); see _kernel_py.gamma.  Edge e marks every edge it reaches
+   through the incidence of its vertices with e + 1, itself first, and
+   counts the edges it marks.  One zeroed block holds the incidence and
+   the marks; kernels.py passes n >= 0.  Status codes: 0 = done, with Gamma in *out, 3 = out of
+   memory, 4 = the edge *out names a vertex outside [0, n). */
+int hypergraph_gamma(int n, int m, const int *edge_start, const int *edge_vert, int *out) {
+    if (rows_in_range(n, m, edge_start, edge_vert, out)) return BAD_ADJACENCY;
+    size_t items = (size_t)edge_start[m];
+    int *inc_start = calloc((size_t)n + 1 + items + (size_t)m, sizeof *inc_start);
+    if (!inc_start) return NO_MEMORY;
+    int *inc_edge = inc_start + (size_t)n + 1, *mark = inc_edge + items, best = 0;
+    incidence(n, m, edge_start, edge_vert, inc_start, inc_edge);
+    for (int e = 0; e < m; e++) {
+        int met = 0;
+        mark[e] = e + 1;
+        for (int i = edge_start[e]; i < edge_start[e + 1]; i++) {
+            int v = edge_vert[i];
+            for (int j = inc_start[v]; j < inc_start[v + 1]; j++)
+                if (mark[inc_edge[j]] != e + 1) {
+                    mark[inc_edge[j]] = e + 1;
+                    met++;
+                }
+        }
+        if (met > best) best = met;
+    }
+    free(inc_start);
     *out = best;
     return FOUND;
 }

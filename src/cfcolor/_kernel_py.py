@@ -14,6 +14,12 @@ ports to word bitsets; here the bitsets are Python ints.  Both take a
 graph's adjacency as CSR (compressed sparse row) arrays: row v is
 vert[start[v]:start[v + 1]].
 
+``greedy_color`` is the first-fit coloring behind
+``graphs.greedy_color_classes``, on the same CSR arrays, and ``gamma``
+the edge-meeting count behind ``graphs.hypergraph_stats``, on a
+hypergraph's CSR edges (``Hypergraph.csr``); the C kernel computes both
+without bitmasks, to the same results.
+
 ``near_uniform`` is the sample-and-resample loop behind
 ``prob.near_uniform_color``; the C kernel's draws continue the same
 Mersenne Twister stream, so both color alike.
@@ -23,25 +29,33 @@ reads every graph and hypergraph file record by record.
 
 ``search`` returns (status, assignment, nodes) with status 0 = solution
 found, 1 = exhausted (no solution) or 2 = node budget exceeded;
-``max_star`` returns t; ``near_uniform`` returns (color by vertex,
-rounds) or raises ResampleFailure.  ``check_csr`` is the CSR check of
-both ``max_star`` backends.
+``max_star`` returns t; ``greedy_color`` a color per vertex; ``gamma``
+Gamma; ``near_uniform`` returns (color by vertex, rounds) or raises
+ResampleFailure.  ``check_csr`` is the CSR check of both backends of
+``max_star``, ``greedy_color`` and ``gamma``, and ``check_order`` the
+order check of both ``greedy_color`` backends.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import reduce
+from itertools import pairwise
+from operator import or_
 
 from cfcolor.errors import ResampleFailure
 from cfcolor.verify import unique_colors
 
 UNDECIDED = -2
 UNCOLORED = -1
-# the errors of both max_star backends for CSR arrays that are not a
-# simple graph's
+# the errors of both backends of max_star, greedy_color and gamma for
+# CSR arrays and orders they cannot read
 BAD_CSR = "CSR starts must rise from 0 to the number of neighbors"
 BAD_ROW = "adjacency row {} names a vertex outside [0, n) or itself"
+BAD_VERTEX = "CSR row {} names a vertex outside [0, n)"
+BAD_ORDER = "order vertex {} lies outside [0, n)"
+REPEATED_ORDER = "order repeats vertex {}"
 
 
 def search(n, m, edge_start, edge_vert, list_lo, list_hi, list_color, num_colors,
@@ -278,6 +292,75 @@ def max_star(start, vert):
     return best
 
 
+def check_order(n, order):
+    """Raise ValueError unless every vertex of `order` lies in [0, n): the
+    check both ``greedy_color`` backends make before any other on the
+    order."""
+    if order and (min(order) < 0 or max(order) >= n):
+        raise ValueError(BAD_ORDER.format(next(v for v in order if not 0 <= v < n)))
+
+
+def _check_rows(n, start, vert):
+    """Raise ValueError for the first CSR row that names a vertex outside
+    [0, n)."""
+    if vert and (min(vert) < 0 or max(vert) >= n):
+        for r, (a, b) in enumerate(pairwise(start)):
+            if any(not 0 <= v < n for v in vert[a:b]):
+                raise ValueError(BAD_VERTEX.format(r))
+
+
+def greedy_color(start, vert, order):
+    """The first-fit color of each vertex of the graph with CSR adjacency
+    (start, vert), -1 for a vertex not in `order`: the vertices of order
+    take in turn the smallest color that no already-colored neighbor has.
+    Bad starts, an order vertex outside [0, n), a row vertex outside
+    [0, n) and a repeated order vertex raise ValueError, in that order.
+
+    used[v] has bit c set once a neighbor of v is colored c, and the
+    lowest zero bit is the smallest free color.
+    """
+    check_csr(start, vert)
+    n = len(start) - 1
+    check_order(n, order)
+    _check_rows(n, start, vert)
+    color = [UNCOLORED] * n
+    used = [0] * n
+    for v in order:
+        if color[v] >= 0:
+            raise ValueError(REPEATED_ORDER.format(v))
+        u = used[v]
+        c = color[v] = (~u & (u + 1)).bit_length() - 1
+        bit = 1 << c
+        for w in vert[start[v]:start[v + 1]]:
+            used[w] |= bit
+    return color
+
+
+def gamma(n, start, vert):
+    """Gamma of the hypergraph on n vertices with CSR edges (start, vert):
+    the largest number of other edges that one edge meets, 0 without
+    edges.  Duplicate edges meet each other.  Bad starts and an edge
+    vertex outside [0, n) raise ValueError.
+
+    Each vertex gets a bitmask of the edges containing it, and the edges
+    an edge meets, itself included, are the OR of its own bit and its
+    vertices' masks.
+    """
+    check_csr(start, vert)
+    _check_rows(n, start, vert)
+    edges = [vert[a:b] for a, b in pairwise(start)]
+    masks = [0] * n
+    for i, e in enumerate(edges):
+        bit = 1 << i
+        for v in e:
+            masks[v] |= bit
+    return max(
+        (reduce(or_, map(masks.__getitem__, e), 1 << i).bit_count() - 1
+         for i, e in enumerate(edges)),
+        default=0,
+    )
+
+
 def near_uniform(h, lists, seed, max_rounds):
     """The resampling loop of ``prob.near_uniform_color``, which checks
     its input.  Every vertex draws a color with ``lists.sample`` from
@@ -298,7 +381,7 @@ def near_uniform(h, lists, seed, max_rounds):
     rng = random.Random(seed)
     sizes = [len(e) for e in h.edges]
     color = [lists.sample(v, rng) for v in range(h.n)]
-    incident = h.incidence()
+    incident = h.incidence
     counts = [Counter([color[v] for v in edge]) for edge in h.edges]
     once = [list(cnt.values()).count(1) for cnt in counts]
 

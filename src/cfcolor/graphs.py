@@ -7,16 +7,17 @@ closed neighborhoods once, on first use, as `Graph.closed`; every closed
 neighborhood in the package is read from there.  Its adjacency as the CSR
 int arrays that the C kernels read is `Graph.csr`, which a graph read from
 a file gets from the reader; a hypergraph's edges as CSR arrays are
-`Hypergraph.csr`, likewise.
+`Hypergraph.csr`, likewise.  A hypergraph's incidence is built once, on
+first use, as `Hypergraph.incidence`; a derived neighborhood hypergraph
+gets its graph's rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, chain, combinations, pairwise
-from operator import or_
 
 
 class Graph:
@@ -164,14 +165,15 @@ class Hypergraph:
     def m(self):
         return len(self.edges)
 
+    @cached_property
     def incidence(self):
-        """For each vertex, the indices of the edges containing it, in
-        increasing order."""
+        """For each vertex, the indices of the edges containing it, as a
+        tuple of increasing tuples."""
         incident = [[] for _ in range(self.n)]
         for i, e in enumerate(self.edges):
             for v in e:
                 incident[v].append(i)
-        return incident
+        return tuple(map(tuple, incident))
 
     def __eq__(self, other):
         return (
@@ -190,6 +192,10 @@ class Hypergraph:
 def derived_hypergraph(g, mode):
     """Hypergraph of open or closed vertex neighborhoods, one edge per
     vertex in vertex order.
+
+    Its incidence is the graph's own rows: v lies in N(u) iff u lies in
+    N(v), and likewise for N[.], so the edges containing v are those of
+    the vertices in N(v), or N[v], in increasing order.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,27 +203,27 @@ def derived_hypergraph(g, mode):
         for v in range(g.n):
             if not g.adj[v]:
                 raise ValueError(f"vertex {v} is isolated; open neighborhood empty")
-        return Hypergraph._from_sorted(g.n, g.adj)
-    return Hypergraph._from_sorted(g.n, g.closed)
+        rows = g.adj
+    else:
+        rows = g.closed
+    h = Hypergraph._from_sorted(g.n, rows)
+    h.incidence = rows
+    return h
 
 
 def hypergraph_stats(h):
     """Gamma, the largest number of other edges that one edge meets (0
-    when h has no edge); the lemma's one statistic of h.
+    when h has no edge); the lemma's one statistic of h.  Duplicate edges
+    meet each other.
 
-    Each vertex gets a bitmask of the edges containing it, and the edges
-    an edge meets, itself included, are the OR of its vertices' masks.
-    Duplicate edges meet each other.
+    It is ``kernels.gamma`` on ``h.csr``, looked up at call time as
+    ``max_star`` looks up its kernel, so the CSR arrays are built once and
+    the resampler reuses them.
     """
-    masks = [0] * h.n
-    for i, e in enumerate(h.edges):
-        bit = 1 << i
-        for v in e:
-            masks[v] |= bit
-    return max(
-        (reduce(or_, map(masks.__getitem__, e), 0).bit_count() - 1 for e in h.edges),
-        default=0,
-    )
+    # imported here, so that importing the package builds no kernel
+    from cfcolor import kernels
+
+    return kernels.gamma(h.n, *h.csr)
 
 
 def max_star(g):
@@ -250,28 +256,25 @@ def maximal_independent_set(g):
 
 def greedy_color_classes(g, order):
     """Color classes S_1..S_s of a greedy proper coloring of the vertices
-    in `order` (distinct vertices), as a tuple of frozensets: each vertex
-    gets the smallest color not used by an already-colored neighbor.
-    Vertices outside `order` stay uncolored.
+    in `order`, a sequence of distinct vertices, as a tuple of frozensets:
+    each vertex gets the smallest color not used by an already-colored
+    neighbor.  Vertices outside `order` stay uncolored.
 
     The classes partition the colored vertices, each class is
     independent, and every vertex of S_i (i >= 2) has a neighbor in each
-    earlier class.
+    earlier class.  The colors are ``kernels.greedy_color`` on ``g.csr``,
+    looked up at call time; a vertex outside [0, n) or repeated in order
+    raises ValueError.
     """
-    # used[v] has bit c set once a neighbor of v is colored c
-    used = [0] * g.n
-    classes = []
-    for v in order:
-        u = used[v]
-        # the lowest zero bit of u: the smallest free color
-        c = (~u & (u + 1)).bit_length() - 1
-        bit = 1 << c
-        for w in g.adj[v]:
-            used[w] |= bit
-        if c == len(classes):
-            classes.append(set())
-        classes[c].add(v)
-    return tuple(frozenset(c) for c in classes)
+    # imported here, so that importing the package builds no kernel
+    from cfcolor import kernels
+
+    color = kernels.greedy_color(*g.csr, order)
+    classes = [[] for _ in range(max(color, default=-1) + 1)]
+    for v, c in enumerate(color):
+        if c >= 0:
+            classes[c].append(v)
+    return tuple(map(frozenset, classes))
 
 
 def extended_double_cover(g):

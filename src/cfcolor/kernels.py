@@ -5,6 +5,14 @@
   ``search`` with flat arrays; twin ``_kernel_py.search``;
 - ``max_star(start, vert)``, the largest induced star of a graph, from
   its CSR adjacency arrays (``Graph.csr``); twin ``_kernel_py.max_star``;
+- ``greedy_color(start, vert, order)``, the first-fit color of each
+  vertex of ``order`` over those arrays and -1 for every other vertex,
+  behind ``graphs.greedy_color_classes``; twin
+  ``_kernel_py.greedy_color``;
+- ``gamma(n, start, vert)``, Gamma of a hypergraph on n vertices from its
+  CSR edges (``Hypergraph.csr``), the value of
+  ``graphs.hypergraph_stats``; twin ``_kernel_py.gamma``.  A vertex
+  count outside [0, INT_MAX] runs the twin;
 - ``near_uniform(h, lists, seed, max_rounds)``, the sample-and-resample
   loop of ``prob.near_uniform_color``, which checks its input; twin
   ``_kernel_py.near_uniform``.  The C entry continues the Mersenne
@@ -43,7 +51,12 @@ solution found, 1 = exhausted (no solution) or 2 = node budget exceeded.
 ``max_star`` returns t; both backends raise ValueError, through
 ``_kernel_py.check_csr``, for starts that do not rise from 0 to
 len(vert), and for a row that names a vertex outside [0, n) or its own
-vertex.  ``near_uniform`` returns (color by vertex, rounds) and raises
+vertex.  ``greedy_color`` returns a list of colors and ``gamma`` an int;
+both backends of each raise ValueError for bad starts (``check_csr``),
+then, for ``greedy_color``, for an order vertex outside [0, n)
+(``_kernel_py.check_order``), then for a row that names a vertex outside
+[0, n), then, for ``greedy_color``, for an order that repeats a vertex.
+``near_uniform`` returns (color by vertex, rounds) and raises
 ResampleFailure at the round cap.  ``read_graph`` returns (start, vert),
 or None when it declines the text: any other text, a self-loop or a
 duplicate edge.  ``read_hypergraph`` declines any other text, including
@@ -129,20 +142,22 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, search, max_star, near_uniform, read_graph,
-    read_hypergraph): the C kernels built into cache_dir, or the
-    pure-Python kernels, with no file readers, when they cannot be built
-    or loaded."""
+    """(backend, search, max_star, greedy_color, gamma, near_uniform,
+    read_graph, read_hypergraph): the C kernels built into cache_dir, or
+    the pure-Python kernels, with no file readers, when they cannot be
+    built or loaded."""
     try:
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
         return (
             "pure-python", _kernel_py.search, _kernel_py.max_star,
-            _kernel_py.near_uniform, None, None,
+            _kernel_py.greedy_color, _kernel_py.gamma, _kernel_py.near_uniform,
+            None, None,
         )
     return (
-        "compiled", _bind(lib), _bind_max_star(lib), _bind_near_uniform(lib),
-        _bind_read_graph(lib), _bind_read_hypergraph(lib),
+        "compiled", _bind(lib), _bind_max_star(lib), _bind_greedy_color(lib),
+        _bind_gamma(lib), _bind_near_uniform(lib), _bind_read_graph(lib),
+        _bind_read_hypergraph(lib),
     )
 
 
@@ -203,6 +218,64 @@ def _bind_max_star(lib):
         return out[0]
 
     return max_star
+
+
+def _status_error(status, entry, n, out):
+    """The error of a greedy_color or hypergraph_gamma status other than
+    0, with the index the C function left in out."""
+    if status == 3:
+        return MemoryError(f"{entry} on {n} vertices ran out of memory")
+    if status == 4:
+        return ValueError(_kernel_py.BAD_VERTEX.format(out))
+    return ValueError(_kernel_py.REPEATED_ORDER.format(out))
+
+
+def _bind_greedy_color(lib):
+    """``_kernel_py.greedy_color`` on the C function of lib."""
+    c_greedy = lib.greedy_color
+    c_greedy.argtypes = [_int, _ptr, _ptr, _int, _ptr, _ptr, _ptr]
+    c_greedy.restype = _int
+
+    def greedy_color(start, vert, order):
+        if start.typecode != "i" or vert.typecode != "i":
+            raise TypeError("greedy_color takes CSR arrays of C ints")
+        _kernel_py.check_csr(start, vert)
+        n = len(start) - 1
+        _kernel_py.check_order(n, order)
+        order = array("i", order)
+        color = array("i", [-1]) * n
+        out = array("i", [0])
+        status = c_greedy(
+            n, _address(start), _address(vert), len(order), _address(order),
+            _address(color), _address(out),
+        )
+        if status:
+            raise _status_error(status, "greedy_color", n, out[0])
+        return color.tolist()
+
+    return greedy_color
+
+
+def _bind_gamma(lib):
+    """``_kernel_py.gamma`` on the C function of lib; the pure kernel runs
+    instead for a vertex count outside [0, INT_MAX]."""
+    c_gamma = lib.hypergraph_gamma
+    c_gamma.argtypes = [_int, _int, _ptr, _ptr, _ptr]
+    c_gamma.restype = _int
+
+    def gamma(n, start, vert):
+        if start.typecode != "i" or vert.typecode != "i":
+            raise TypeError("gamma takes CSR arrays of C ints")
+        _kernel_py.check_csr(start, vert)
+        if not 0 <= n <= INT_MAX:
+            return _kernel_py.gamma(n, start, vert)
+        out = array("i", [0])
+        status = c_gamma(n, len(start) - 1, _address(start), _address(vert), _address(out))
+        if status:
+            raise _status_error(status, "gamma", n, out[0])
+        return out[0]
+
+    return gamma
 
 
 # colors at or above this are no C long long: near_uniform declines them
@@ -348,9 +421,10 @@ def _bind_read_hypergraph(lib):
     return read_hypergraph
 
 
-BACKEND, search, max_star, near_uniform, read_graph, read_hypergraph = load(
-    os.path.join(HERE, "__pycache__")
-)
+(
+    BACKEND, search, max_star, greedy_color, gamma, near_uniform, read_graph,
+    read_hypergraph,
+) = load(os.path.join(HERE, "__pycache__"))
 
 
 def solve_cf(n, edges, lists, require_total, budget, uncolored_first=True):

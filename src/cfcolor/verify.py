@@ -69,19 +69,27 @@ def verify_cf(h, f, lists=None, require_total=False):
     colored (when require_total).  Uncolored vertices are ignored by the
     uniqueness count.  When several unique colors exist in an edge the
     reported witness carries the smallest one.
+
+    Only the colored vertices count, so they are counted through
+    h.incidence: each puts itself into the edges containing it, and the
+    work is their degrees plus one step per edge, not the sum of the edge
+    sizes.  A colored vertex outside [0, h.n) lies in no edge.
     """
     fmap = dict(f.items())
+    incidence = h.incidence
+    colored = [[] for _ in range(h.m)]
+    for v in fmap:
+        if 0 <= v < h.n:
+            for i in incidence[v]:
+                colored[i].append(v)
     witnesses = []
     edge_violations = []
-    for i, edge in enumerate(h.edges):
-        # only the colored vertices of an edge count, so the scan over
-        # colors covers them alone
-        colored = [v for v in edge if v in fmap]
-        colors = [fmap[v] for v in colored]
+    for i, vertices in enumerate(colored):
+        colors = [fmap[v] for v in vertices]
         unique = unique_colors(colors)
         if unique:
             c = min(unique)
-            witnesses.append(EdgeWitness(i, colored[colors.index(c)], c))
+            witnesses.append(EdgeWitness(i, vertices[colors.index(c)], c))
         else:
             edge_violations.append(i)
 

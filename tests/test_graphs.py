@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cfcolor.coloring import PartialColoring
 from cfcolor.graphs import (
     Graph,
     Hypergraph,
@@ -15,6 +16,7 @@ from cfcolor.graphs import (
     random_graph,
 )
 from cfcolor.smallgraphs import nonisomorphic_graphs
+from cfcolor.verify import verify_cf
 from util import (
     complete_graph,
     cycle_graph,
@@ -85,6 +87,38 @@ def test_derived_hypergraphs_equal_the_checked_construction():
                 derived_hypergraph(g, "open")
         else:
             assert derived_hypergraph(g, "open") == Hypergraph(g.n, g.adj)
+
+
+def _benchmark_line_graph():
+    """The line graph of G(60, 531), the randomized workload's size: 531
+    vertices."""
+    rng = random.Random(1)
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    return line_graph(Graph(60, rng.sample(pairs, 531)))[0]
+
+
+def test_derived_incidence_is_the_graphs_rows():
+    # derived_hypergraph presets the incidence to g.adj or g.closed; it
+    # must be the one counted from the edges, in both modes, on graphs
+    # with isolated vertices (which have no open neighborhood) and at the
+    # benchmark's size, and verify_cf must report alike through either
+    big = _benchmark_line_graph()
+    assert big.n == 531
+    cases = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    cases += [Graph(3), Graph(4, [(0, 1)]), big]
+    rng = random.Random(5)
+    checked = {"open": 0, "closed": 0}
+    for g in cases:
+        for mode in ("open", "closed"):
+            if mode == "open" and g.has_isolated_vertex():
+                continue
+            h = derived_hypergraph(g, mode)
+            plain = Hypergraph(h.n, h.edges)
+            assert h.incidence == plain.incidence
+            f = PartialColoring({v: rng.randrange(3) for v in range(g.n) if rng.random() < 0.3})
+            assert verify_cf(h, f) == verify_cf(plain, f)
+            checked[mode] += 1
+    assert checked["open"] > 30 and checked["closed"] == len(cases)
 
 
 def test_hypergraph_rejects_a_repeated_vertex():

@@ -1,6 +1,8 @@
 """The compiled and pure-Python kernels must explore the identical search
 tree: equal status, equal result, equal node count, on every input; and
-their max_star must find the same largest induced star.  Their
+their max_star must find the same largest induced star, their
+greedy_color the same first-fit colors and their gamma the same Gamma,
+each refusing the same input with the same error.  Their
 near_uniform must draw the colors and resample the edges of the
 full-rescan loop, and fail at the same round and edge.  The C
 read_graph and read_hypergraph, which have no pure-Python twins, must
@@ -26,8 +28,10 @@ from util import (
     brute_force_max_star,
     connected_parts,
     exact_one_by_parts,
+    first_fit_classes,
     format_hypergraph,
     full_rescan_near_uniform_color,
+    pairwise_hypergraph_stats,
     requires_compiled,
     run_python,
 )
@@ -346,6 +350,114 @@ def test_max_star_extremes_on_both_backends(backend):
             search(array("i", start), array("i", vert))
 
 
+def _first_fit_colors(g, order):
+    """greedy_color's colors, read off the classes of the set-based first
+    fit."""
+    color = [-1] * g.n
+    for c, cls in enumerate(first_fit_classes(g, order)):
+        for v in cls:
+            color[v] = c
+    return color
+
+
+def test_greedy_color_parity_on_random_graphs():
+    # graphs of up to 40 vertices, n = 0 and edgeless ones included, each
+    # colored in full, in a shuffled part of its vertices and in the empty
+    # order
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        p = rng.choice([0.0, 0.1, 0.3, 0.7])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for order in (list(range(n)), rng.sample(range(n), rng.randint(0, n)), []):
+            want = _first_fit_colors(g, order)
+            assert kernels.greedy_color(*g.csr, order) == pure.greedy_color(*g.csr, order) == want
+
+
+def test_gamma_parity_on_random_hypergraphs():
+    # hypergraphs of up to 30 vertices with repeated edges, n = 0, and no
+    # edges, against the pairwise reference
+    rng = random.Random(29)
+    cases = [Hypergraph(0, []), Hypergraph(5, []), Hypergraph(2, [(0, 1)] * 3)]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        edges = [rng.sample(range(n), rng.randint(1, min(n, 6))) for _ in range(rng.randint(0, 30))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+        cases.append(Hypergraph(n, edges))
+    for h in cases:
+        want = pairwise_hypergraph_stats(h)
+        assert kernels.gamma(h.n, *h.csr) == pure.gamma(h.n, *h.csr) == want, h.edges
+
+
+def test_greedy_color_and_gamma_parity_on_the_benchmark_line_graphs():
+    # the pipeline's classes, of the vertices outside a maximal independent
+    # set, and Gamma of the closed neighborhoods, which meet far more
+    # edges than the pipeline's H2
+    for g in _benchmark_line_graphs():
+        a_set = graphs.maximal_independent_set(g)
+        order = [v for v in range(g.n) if v not in a_set]
+        assert kernels.greedy_color(*g.csr, order) == pure.greedy_color(*g.csr, order)
+        closed = graphs.derived_hypergraph(g, "closed")
+        assert kernels.gamma(g.n, *closed.csr) == pure.gamma(g.n, *closed.csr)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_greedy_color_and_gamma_refuse_what_they_cannot_read(backend):
+    greedy = kernels.greedy_color if backend == "active" else pure.greedy_color
+    gamma = kernels.gamma if backend == "active" else pure.gamma
+    # starts that would read outside vert
+    for start, vert in (([], []), ([1, 1], [0]), ([0, 2, 1, 2], [1, 2])):
+        start, vert = array("i", start), array("i", vert)
+        with pytest.raises(ValueError, match="CSR starts must rise"):
+            greedy(start, vert, [])
+        with pytest.raises(ValueError, match="CSR starts must rise"):
+            gamma(3, start, vert)
+    # a row, of a graph or of a hypergraph's edges, naming a vertex
+    # outside [0, n): the first such row is named.  A graph has a row per
+    # vertex; a hypergraph's n is its own
+    for rows, n, row in (([[1], [3]], 2, 1), ([[-1], [0]], 2, 0), ([[0], [1], [2]], 2, 2)):
+        if n == len(rows):
+            with pytest.raises(ValueError, match=f"CSR row {row} names a vertex outside"):
+                greedy(*_csr(rows), [])
+        with pytest.raises(ValueError, match=f"CSR row {row} names a vertex outside"):
+            gamma(n, *_csr(rows))
+    with pytest.raises(ValueError, match="CSR row 0 names a vertex outside"):
+        gamma(-1, *_csr([[0]]))
+    assert gamma(-1, *_csr([])) == 0
+    # the order is checked first, then the rows, then repeats in the order
+    path = _csr([[1], [0, 2], [1]])
+    bad_rows = _csr([[1], [5], [1]])
+    for order, v in (([0, 3], 3), ([-1, 0], -1), ([2**40, 7], 2**40), ([0, 0, 9], 9)):
+        for csr in (path, bad_rows):
+            with pytest.raises(ValueError, match=f"order vertex {v} lies outside"):
+                greedy(*csr, order)
+    with pytest.raises(ValueError, match="CSR row 1 names"):
+        greedy(*bad_rows, [0, 0])
+    for order, v in (([0, 0], 0), ([2, 1, 0, 1], 1)):
+        with pytest.raises(ValueError, match=f"order repeats vertex {v}$"):
+            greedy(*path, order)
+
+
+_GAMMA_OUT_OF_MEMORY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cfcolor import graphs, kernels
+assert kernels.BACKEND == "compiled"
+try:
+    graphs.hypergraph_stats(graphs.Hypergraph(1 << 29, [(0,)]))
+except MemoryError as exc:
+    print(exc)
+"""
+
+
+@requires_compiled
+def test_gamma_out_of_memory_is_a_memory_error():
+    # the incidence starts of 2^29 vertices take 2 GiB, past the 1 GiB
+    # address space: the allocation fails before any count
+    done = run_python(_GAMMA_OUT_OF_MEMORY, timeout=60)
+    assert done.stdout == "gamma on 536870912 vertices ran out of memory\n"
+
+
 _MAX_STAR_OUT_OF_MEMORY = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -425,6 +537,8 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
         "pure-python",
         pure.search,
         pure.max_star,
+        pure.greedy_color,
+        pure.gamma,
         pure.near_uniform,
         None,
         None,
@@ -432,7 +546,10 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     assert list(tmp_path.iterdir()) == []
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
-    backend, search, max_star, near_uniform, read_graph, read_hypergraph = kernels.load(tmp_path)
+    (
+        backend, search, max_star, greedy_color, gamma, near_uniform, read_graph,
+        read_hypergraph,
+    ) = kernels.load(tmp_path)
     assert backend == "compiled"
     [library] = tmp_path.iterdir()
     built = library.stat().st_mtime_ns
@@ -442,9 +559,12 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     # the edge {0, 1} and the lists [0], [0], passed unshared
     args = (2, 1, [0, 2], [0, 1], [0, 1], [1, 2], [0, 0], 1, True, False, True, 10)
     assert search(*args) == pure.search(*args) == (1, None, 2)
-    # all three kernels come from the one library: the path 0 - 1 - 2
+    # all the kernels come from the one library: the path 0 - 1 - 2
     path = _csr([[1], [0, 2], [1]])
     assert max_star(*path) == pure.max_star(*path) == 2
+    assert greedy_color(*path, [1, 0]) == pure.greedy_color(*path, [1, 0]) == [1, 0, -1]
+    # as edges, the rows {1}, {0, 2}, {1}: only the two copies of {1} meet
+    assert gamma(3, *path) == pure.gamma(3, *path) == 1
     text = "p graph 3 2\ne 2 3\ne 1 2\n"
     assert read_graph(text) == path == fileio._parse_graph_records(text).csr
     text = "p hgraph 3 2\nh 3 1\nh 2\n"

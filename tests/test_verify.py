@@ -4,7 +4,7 @@ from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import Hypergraph, derived_hypergraph
 from cfcolor.reductions import FIGURE_FORMULA
 from cfcolor.smallgraphs import nonisomorphic_graphs
-from cfcolor.verify import is_pimds, is_pids, unique_colors, verify_cf
+from cfcolor.verify import EdgeWitness, is_pimds, is_pids, unique_colors, verify_cf
 from util import cycle_graph, path_graph, star_graph
 
 
@@ -58,6 +58,21 @@ def test_totality_enforced_when_requested():
     report = verify_cf(h, f, require_total=True)
     assert not report.valid
     assert report.totality_violations == (2,)
+
+
+def test_colored_vertices_outside_the_hypergraph_lie_in_no_edge():
+    # counted through the incidence, a vertex outside [0, h.n) must count
+    # in no edge, as in a scan of the edges, and must not index the
+    # incidence: -1 would read the last vertex's edges of a derived
+    # hypergraph
+    h = Hypergraph(3, [(0, 1), (1, 2)])
+    report = verify_cf(h, PartialColoring({0: 1, 3: 2, 7: 1}))
+    assert report.witnesses == (EdgeWitness(0, 0, 1),)
+    assert report.edge_violations == (1,)
+    closed = derived_hypergraph(path_graph(3), "closed")
+    report = verify_cf(closed, PartialColoring({-1: 5, 3: 5}))
+    assert not report.valid and report.witnesses == ()
+    assert report.edge_violations == (0, 1, 2)
 
 
 def test_report_lines_mention_each_violation():
