@@ -54,9 +54,9 @@
 
    near_uniform is the loop of _kernel_py.near_uniform: the same draws,
    from Python's Mersenne Twister continued from its state, the same
-   resampled edges and the same rounds.  Status codes: 0 = done, 1 =
-   declined, 2 = round cap, 3 = out of memory, 5 = the final check
-   failed. */
+   resampled edges and the same rounds.  Status codes: 0 = done, 2 =
+   round cap, 3 = out of memory, 4 = an edge names a vertex outside
+   [0, n), 5 = the final check failed. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -733,8 +733,8 @@ static int is_bad(long long size, long long once) {
    One zeroed block of 8-byte words holds the tables' starts and keys,
    the bad edges as a bitset and the sorting buffer; one of ints, the
    counts, each edge's unique colors and the incidence.  Status codes:
-   0 = done, 1 = declined (an edge names a vertex outside [0, n)), 2 =
-   round cap, 3 = out of memory, 5 = the final check failed. */
+   0 = done, 2 = round cap, 3 = out of memory, 4 = the edge result[1]
+   names a vertex outside [0, n), 5 = the final check failed. */
 int near_uniform(int n, int m, const int *edge_start, const int *edge_vert,
                  const int *which, const long long *lo, const long long *size,
                  const long long *off, const long long *extra, const unsigned *state,
@@ -744,8 +744,11 @@ int near_uniform(int n, int m, const int *edge_start, const int *edge_vert,
     for (int i = 0; i < MT_N; i++) rng.mt[i] = (uint32_t)state[i];
     rng.index = (int)state[MT_N];
     size_t slots = 0, widest = 0, items = (size_t)edge_start[m], bad_words = ((size_t)m + 63) / 64;
-    for (size_t i = 0; i < items; i++)
-        if (edge_vert[i] < 0 || edge_vert[i] >= n) return DECLINED;
+    int row;
+    if (rows_in_range(n, m, edge_start, edge_vert, &row)) {
+        result[1] = row;
+        return BAD_ADJACENCY;
+    }
     for (int e = 0; e < m; e++) {
         int d = edge_start[e + 1] - edge_start[e];
         slots += (size_t)table_size(d);

@@ -368,7 +368,8 @@ def near_uniform(h, lists, seed, max_rounds):
     its vertices colored non-uniquely, the vertices of the lowest-index
     bad edge draw again, in edge order, at most max_rounds times.
     Returns (color by vertex, rounds); at the cap it raises
-    ResampleFailure(rounds, lowest bad edge).
+    ResampleFailure(rounds, lowest bad edge).  An edge vertex outside
+    [0, n) raises ValueError, as in ``gamma``.
 
     The set of bad edges is kept across rounds: a resample can change
     only the edges that meet the resampled one, so only those are
@@ -378,6 +379,7 @@ def near_uniform(h, lists, seed, max_rounds):
     colored vertices.  Each recolored vertex updates them on its incident
     edges.  The finished coloring is checked by a full scan.
     """
+    _check_rows(h.n, *h.csr)
     rng = random.Random(seed)
     sizes = [len(e) for e in h.edges]
     color = [lists.sample(v, rng) for v in range(h.n)]

@@ -2,18 +2,21 @@
 
 Decision subcommands exit 0 for yes, 1 for no, 2 when a resource budget
 tripped or the run failed for want of resources (a failed pipeline, the
-recursion limit, memory); all subcommands exit 3 on malformed input or a
-path that cannot be read or written.  A failure never exits 1, which means
-"no": as a process (``run``), an exception that escapes ``main``, such as
-a failed self-check, is a crash and exits 2 too.  Randomized paths require an explicit --seed; identical command and
-seed give byte-identical output.  What a command prints as its coloring or
-graph is also exactly what it writes to --out.
+recursion limit, memory); all subcommands exit 3 on malformed input, a
+path that cannot be read or written, or a failed write to standard
+output.  A failure never exits 1, which means "no": as a process
+(``run``), an exception that escapes ``main``, such as a failed
+self-check, is a crash and exits 2 too.  Randomized paths require an
+explicit --seed; identical command and seed give byte-identical output.
+What a command prints as its coloring or graph is also exactly what it
+writes to --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 import traceback
@@ -210,7 +213,6 @@ def _sweep_propositions(args):
     # largest order first, so an order too large to enumerate fails at once
     orders = range(1, args.max_n + 1)
     classes = {n: nonisomorphic_graphs(n) for n in reversed(orders)}
-    rows = []
     for n in orders:
         for g in classes[n]:
             chi_cn_star = chi(g, "cn-star")
@@ -221,14 +223,12 @@ def _sweep_propositions(args):
                 chi_on_star = chi(g, "on-star")
                 ok = ok and chi_cn_star <= 2 * chi_on_star
                 detail += f" chiON* {chi_on_star}"
-            rows.append((len(rows) + 1, ok, detail))
-    return rows
+            yield ok, detail
 
 
 def _sweep_reductions(args):
     rng = random.Random(args.seed)
-    rows = []
-    for t in range(args.trials):
+    for _ in range(args.trials):
         n = rng.randint(3, 6)
         m = rng.randint(1, min(5, math.comb(n, 3)))
         clauses = set()
@@ -244,8 +244,7 @@ def _sweep_reductions(args):
             cn_cert = reductions.truth_to_certificate(formula, sat, "cn")
             ok = ok and reductions.certificate_to_truth(formula, on_cert, "on") == sat
             ok = ok and reductions.certificate_to_truth(formula, cn_cert, "cn") == sat
-        rows.append((t + 1, ok, f"n={n} m={m} sat={'yes' if sat else 'no'}"))
-    return rows
+        yield ok, f"n={n} m={m} sat={'yes' if sat else 'no'}"
 
 
 def nonnegative(text):
@@ -282,12 +281,11 @@ def _sweep_lemma(args):
     lists = prob.lemma_lists(h, prob.LIST_FACTOR)
     f, rounds = prob.near_uniform_color(h, lists, args.seed, alpha_override=lo)
     report = verify_cf(h, f, lists=lists, require_total=True)
-    return [(1, report.valid, f"edges={args.edges} rounds={rounds}")]
+    yield report.valid, f"edges={args.edges} rounds={rounds}"
 
 
 def _sweep_pipeline(args):
     rng = random.Random(args.seed)
-    rows = []
     for t in range(args.trials):
         base = random_graph(10, 0.35, rng)
         g, _ = line_graph(base)
@@ -298,9 +296,7 @@ def _sweep_pipeline(args):
             report = verify_cf(derived_hypergraph(g, "closed"), f, lists=lists)
             mode = "scaled" if scaled else "full"
             part_c = len(trace.part_c) or "empty"
-            detail = f"trial={t + 1} mode={mode} n={g.n} C={part_c}"
-            rows.append((len(rows) + 1, report.valid, detail))
-    return rows
+            yield report.valid, f"trial={t + 1} mode={mode} n={g.n} C={part_c}"
 
 
 SWEEPS = {
@@ -312,14 +308,15 @@ SWEEPS = {
 
 
 def cmd_sweep(args):
-    rows = SWEEPS[args.suite](args)
+    """Print each row of the suite as it is checked, then the summary."""
+    rows = failed = 0
+    for rows, (ok, detail) in enumerate(SWEEPS[args.suite](args), 1):
+        failed += not ok
+        print(f"{rows:4d} {'pass' if ok else 'FAIL'} {detail}", flush=True)
     if not rows:
         raise InputFormatError(f"suite {args.suite} has nothing to check")
-    ok_all = all(ok for _, ok, _ in rows)
-    for idx, ok, detail in rows:
-        print(f"{idx:4d} {'pass' if ok else 'FAIL'} {detail}")
-    print(f"suite {args.suite}: {'pass' if ok_all else 'FAIL'} ({len(rows)} rows)")
-    return EXIT_YES if ok_all else EXIT_NO
+    print(f"suite {args.suite}: {'FAIL' if failed else 'pass'} ({rows} rows)")
+    return EXIT_NO if failed else EXIT_YES
 
 
 def build_parser():
@@ -452,9 +449,20 @@ def run(argv=None):
     """``main`` as a process entry: an exception that escapes it is a
     crash, whose traceback and a last line `internal error: <type>:
     <message>` go to stderr, and exits 2.  ``main`` itself lets it
-    escape, so that an in-process caller sees the crash."""
+    escape, so that an in-process caller sees the crash.  A failed write
+    to standard output, such as to a reader that closed it early, is an
+    input error, as an unwritable --out is: one stderr line, exit 3."""
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # main words every file it cannot read or write, so what escapes
+        # it is standard output
+        print(f"input error: cannot write standard output: {exc}", file=sys.stderr)
+        # what stays buffered would fail the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

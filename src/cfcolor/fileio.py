@@ -268,7 +268,9 @@ def parse_lists(text, n):
         entries[v] = entry
     missing = [v + 1 for v in range(n) if entries[v] is None]
     if missing:
-        raise InputFormatError(f"no list for vertices {missing}")
+        # the count and the first ten keep the line short on large graphs
+        first = ", ".join(map(str, missing[:10])) + (", ..." if missing[10:] else "")
+        raise InputFormatError(f"no list for {len(missing)} of {n} vertices: {first}")
     return ListAssignment(entries)
 
 

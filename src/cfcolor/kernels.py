@@ -18,9 +18,9 @@
   ``_kernel_py.near_uniform``.  The C entry continues the Mersenne
   Twister from ``random.Random(seed).getstate()``, so every draw is the
   twin's ``rng.randrange(size)``.  It declines lists with an empty entry
-  or a color of 2^63 or more (TOP_COLOR), more than INT_MAX vertices,
-  edges or incidences and an edge vertex outside [0, n); the twin then
-  runs.  Rounds above MAX_BUDGET are clamped to it;
+  or a color of 2^63 or more (TOP_COLOR) and more than INT_MAX vertices,
+  edges or incidences; the twin then runs.  Rounds above MAX_BUDGET are
+  clamped to it;
 - ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
   writes it, read into those CSR arrays with every row sorted, and
   ``read_hypergraph(text)``, a `p hgraph` file in canonical form read
@@ -57,9 +57,10 @@ then, for ``greedy_color``, for an order vertex outside [0, n)
 (``_kernel_py.check_order``), then for a row that names a vertex outside
 [0, n), then, for ``greedy_color``, for an order that repeats a vertex.
 ``near_uniform`` returns (color by vertex, rounds) and raises
-ResampleFailure at the round cap.  ``read_graph`` returns (start, vert),
-or None when it declines the text: any other text, a self-loop or a
-duplicate edge.  ``read_hypergraph`` declines any other text, including
+ResampleFailure at the round cap; both backends raise ValueError for an
+edge that names a vertex outside [0, n), as ``gamma`` does.
+``read_graph`` returns (start, vert), or None when it declines the text:
+any other text, a self-loop or a duplicate edge.  ``read_hypergraph`` declines any other text, including
 a vertex repeated in an edge.  Each reader checks the header here and
 sizes the block that C fills from the header's counts only when the
 text can back them: for a graph N at most the text's length and M at
@@ -285,8 +286,7 @@ TOP_COLOR = 2**63
 def _resampler_arrays(h, lists):
     """The arrays the C near_uniform reads, or None when it cannot
     represent the input: more than INT_MAX vertices, edges or
-    incidences, an empty list or a color of TOP_COLOR or more.  (C
-    declines an edge vertex outside [0, n) itself.)
+    incidences, an empty list or a color of TOP_COLOR or more.
 
     They are h.csr, then (which, lo, size, off, extra): vertex v draws
     from list which[v], one per distinct entry object.  A range or
@@ -324,7 +324,7 @@ def _resampler_arrays(h, lists):
 
 def _bind_near_uniform(lib):
     """``_kernel_py.near_uniform`` on the C function of lib.  The pure
-    kernel runs instead on input that _resampler_arrays or C declines;
+    kernel runs instead on input that _resampler_arrays declines;
     max_rounds is clamped to MAX_BUDGET, which no run gets near."""
     c_near = lib.near_uniform
     c_near.argtypes = [_int, _int] + [_ptr] * 8 + [ctypes.c_longlong, _ptr, _ptr]
@@ -342,10 +342,10 @@ def _bind_near_uniform(lib):
             h.n, h.m, *map(_address, arrays), _address(state),
             min(max_rounds, MAX_BUDGET), _address(color), _address(result),
         )
-        if status == 1:
-            return _kernel_py.near_uniform(h, lists, seed, max_rounds)
         if status == 3:
             raise MemoryError(f"near_uniform on {h.n} vertices ran out of memory")
+        if status == 4:
+            raise ValueError(_kernel_py.BAD_VERTEX.format(result[1]))
         if status == 2:
             raise ResampleFailure(*result)
         if status == 5:  # pragma: no cover

@@ -314,21 +314,21 @@ def _find_exact_one(sets, n, budget):
     return frozenset(members)
 
 
-def find_pimds(g, budget=DEFAULT_NODE_BUDGET):
+def find_pimds(g):
     """Some perfect induced matching dominating set of g, or None.
 
     A set S qualifies iff every vertex of g has exactly one neighbor in
     S, i.e. S hits every open neighborhood exactly once.
     """
-    return _find_exact_one(g.adj, g.n, budget)
+    return _find_exact_one(g.adj, g.n, DEFAULT_NODE_BUDGET)
 
 
-def find_pids(g, budget=DEFAULT_NODE_BUDGET):
+def find_pids(g):
     """Some perfect independent dominating set of g, or None.
 
     A set S qualifies iff S hits every closed neighborhood exactly once.
     """
-    return _find_exact_one(g.closed, g.n, budget)
+    return _find_exact_one(g.closed, g.n, DEFAULT_NODE_BUDGET)
 
 
 def solve_one_in_three(formula):

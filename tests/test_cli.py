@@ -1,10 +1,12 @@
 import inspect
+import os
 import sys
 
 import pytest
 
 from cfcolor import cli, fileio, prob
 from cfcolor.coloring import ListAssignment
+from cfcolor.errors import BudgetExceededError
 from cfcolor.reductions import FIGURE_FORMULA
 from util import (
     cycle_graph,
@@ -662,6 +664,81 @@ def test_sweep_that_checks_nothing_exits_3(capsys, argv):
     captured = capsys.readouterr()
     assert f"suite {argv[1]} has nothing to check" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_prints_each_row_as_it_is_checked(monkeypatch, capsys):
+    # a budget trip after two rows leaves both on stdout and exits 2
+    def tripped(args):
+        yield True, "first"
+        yield False, "second"
+        raise BudgetExceededError("test budget")
+
+    monkeypatch.setitem(cli.SWEEPS, "tripped", tripped)
+    assert cli.main(["sweep", "--suite", "tripped"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "   1 pass first\n   2 FAIL second\n"
+    assert captured.err == "resource budget exceeded: test budget\n"
+
+    # a failed row fails the suite, which still checks every row
+    def failing(args):
+        yield False, "first"
+        yield True, "second"
+
+    monkeypatch.setitem(cli.SWEEPS, "failing", failing)
+    assert cli.main(["sweep", "--suite", "failing"]) == 1
+    assert capsys.readouterr().out == (
+        "   1 FAIL first\n   2 pass second\nsuite failing: FAIL (2 rows)\n"
+    )
+
+
+_KILLED_SWEEP = """
+import os, sys
+from cfcolor import cli
+
+def killed(args):
+    yield True, "first"
+    os._exit(9)
+
+cli.SWEEPS["killed"] = killed
+sys.exit(cli.run(["sweep", "--suite", "killed"]))
+"""
+
+
+def test_a_killed_sweep_has_flushed_the_rows_before():
+    # each row is flushed as it is printed, so a process killed in the
+    # next row, as `timeout` kills it, leaves the row in its stdout pipe
+    done = run_python(_KILLED_SWEEP, check=False, timeout=60)
+    assert (done.returncode, done.stdout) == (9, "   1 pass first\n")
+
+
+_CLOSED_READER = """
+import sys
+from cfcolor import cli
+sys.exit(cli.run(%r))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each row is flushed as it is printed
+        ["sweep", "--suite", "propositions", "--max-n", "3"],
+        # the answer stays buffered until the process entry flushes it
+        ["oracle", "--formula", "FORMULA"],
+    ],
+)
+def test_a_closed_reader_exits_3_without_a_traceback(tmp_path, argv):
+    # a reader that closed standard output, as `head -n 1` does, makes
+    # the process exit 3 with one stderr line, as an unwritable --out does
+    argv = [write_figure(tmp_path) if a == "FORMULA" else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_python(_CLOSED_READER % argv, check=False, timeout=60, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 3
+    assert done.stderr == "input error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 def test_out_holds_exactly_the_printed_result(tmp_path, capsys):

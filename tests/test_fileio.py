@@ -197,6 +197,19 @@ def test_lists_requires_every_vertex():
         fileio.parse_lists("l 1 1 2\n", 2)
 
 
+def test_missing_lists_are_counted_and_the_first_ten_named():
+    # a lists file holding only a comment, for a 20,000-vertex graph,
+    # gives one short line, not all 20,000 vertices
+    with pytest.raises(InputFormatError) as got:
+        fileio.parse_lists("c no lists\n", 20_000)
+    assert str(got.value) == (
+        "no list for 20000 of 20000 vertices: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ..."
+    )
+    text = "".join(f"l {v} 1\n" for v in range(1, 21) if v not in (3, 7, 20))
+    with pytest.raises(InputFormatError, match=r"^no list for 3 of 20 vertices: 3, 7, 20$"):
+        fileio.parse_lists(text, 20)
+
+
 @pytest.mark.parametrize(
     "parse,text,message",
     [

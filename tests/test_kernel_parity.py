@@ -651,9 +651,12 @@ def test_near_uniform_edge_cases_on_both_backends():
             near_uniform(Hypergraph(3, [(2,), (0, 1)]), one, 3, 5)
         assert (got.value.rounds, got.value.worst_edge) == (5, 1)
         # an edge naming a vertex outside [0, n), which only _from_sorted
-        # lets through: C declines it, and the pure kernel fails on it
-        with pytest.raises(IndexError):
-            near_uniform(Hypergraph._from_sorted(3, [(0, 3)]), one, 3, 5)
+        # lets through, is refused as gamma refuses it; vertex -1 is not
+        # read as vertex 2
+        for edges, row in (([(0, 3)], 0), ([(1, 2), (-1, 0)], 1)):
+            bad = Hypergraph._from_sorted(3, edges)
+            with pytest.raises(ValueError, match=f"^CSR row {row} names a vertex outside"):
+                near_uniform(bad, one, 3, 5)
     # 2^32 + 1 colors are drawn from two Twister words, as is
     # list_factor 10^14 times 6 (50 bits); a negative seed
     _same_resampling(h, ListAssignment.uniform_range(12, 2**32 + 1), 5, 10)

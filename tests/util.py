@@ -36,18 +36,22 @@ requires_compiled = pytest.mark.skipif(
 )
 
 
-def run_python(code, *flags, timeout=None, check=True):
-    """Run code in a fresh interpreter that imports this cfcolor; with
-    check, a nonzero exit raises."""
+def run_python(code, *flags, timeout=None, check=True, stdout=subprocess.PIPE):
+    """Run code in a fresh interpreter that imports this cfcolor, its
+    stdout going to `stdout` (captured by default); with check, a
+    nonzero exit raises."""
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = dict(os.environ)
+    # stdout is block-buffered, as it is for a user, unless flushed
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         check=check,
         timeout=timeout,
