@@ -1,10 +1,10 @@
 /* Compiled kernels, loaded with ctypes by cfcolor.kernels: the
    conflict-free search solve_cf, the induced-star search max_star, the
-   first-fit coloring greedy_color, the edge-meeting count
-   hypergraph_gamma, the resampling colorer near_uniform and the file
-   readers read_graph and read_hypergraph.  Each returns a status that
-   only kernels.py reads; it turns them into results, MemoryError,
-   ResampleFailure and ValueError.
+   edge-meeting count hypergraph_gamma, the resampling colorer
+   near_uniform, the pipeline's seed-independent stages pipeline_core and
+   the file readers read_graph and read_hypergraph.  Each returns a
+   status that only kernels.py reads; it turns them into results,
+   MemoryError, ResampleFailure and ValueError.
 
    solve_cf is a line-for-line port of _kernel_py.search: both explore the
    identical search tree and return the same status, result and node
@@ -40,10 +40,9 @@
    done, 3 = out of memory, 4 = the row *out names a vertex outside
    [0, n) or its own vertex.
 
-   greedy_color colors the vertices of an order first-fit over those CSR
-   arrays, and hypergraph_gamma counts the edges that each edge of a
-   hypergraph meets over its CSR edges.  Both check that every row names
-   vertices in [0, n) only, and allocate one zeroed block per call.
+   hypergraph_gamma counts the edges that each edge of a hypergraph meets
+   over its CSR edges.  It checks that every row names vertices in
+   [0, n) only, and allocates one zeroed block per call.
 
    read_graph reads the edge lines of the text that fileio.format_graph
    writes into those CSR arrays, every row sorted, filling a zeroed block
@@ -56,15 +55,20 @@
    from Python's Mersenne Twister continued from its state, the same
    resampled edges and the same rounds.  Status codes: 0 = done, 2 =
    round cap, 3 = out of memory, 4 = an edge names a vertex outside
-   [0, n), 5 = the final check failed. */
+   [0, n), 5 = the final check failed.
+
+   pipeline_core finds what _kernel_py.pipeline_core finds, reading range
+   lists as near_uniform reads them, and fills blocks that kernels.py
+   allocates.  Status codes: 0 = done, whether a check failed or not, 1 =
+   declined (an H1 greedy dead end), 3 = out of memory, 4 = a row names
+   a vertex outside [0, n). */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 enum {
-    FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4, CHECK_FAILED = 5,
-    REPEATED = 6
+    FOUND = 0, EXHAUSTED = 1, OVER_BUDGET = 2, NO_MEMORY = 3, BAD_ADJACENCY = 4, CHECK_FAILED = 5
 };
 enum { DECLINED = 1 };  /* the readers: not a text they read */
 enum { UNDECIDED = -2, UNCOLORED = -1 };
@@ -398,35 +402,23 @@ static int rows_in_range(int n, int m, const int *start, const int *vert, int *o
     return FOUND;
 }
 
-/* First-fit coloring of the vertices order[0..len) of the graph with CSR
-   adjacency as in max_star; see _kernel_py.greedy_color.  Each vertex
-   takes the smallest color that no already-colored neighbor has: the
-   colors of its neighbors are stamped with its position + 1 in one zeroed
-   block of n + 1 ints, and the first unstamped one is its color.  color
-   holds n ints, -1 on entry, and keeps -1 for a vertex not in order.
-   kernels.py has checked the order's vertices to lie in [0, n).  Status
-   codes: 0 = done, 3 = out of memory, 4 = the row *out names a vertex
-   outside [0, n), 6 = the order repeats the vertex *out. */
-int greedy_color(int n, const int *adj_start, const int *adj_vert, int len, const int *order,
-                 int *color, int *out) {
-    if (rows_in_range(n, n, adj_start, adj_vert, out)) return BAD_ADJACENCY;
-    int *stamp = calloc((size_t)n + 1, sizeof *stamp);
-    if (!stamp) return NO_MEMORY;
+/* First-fit coloring of the distinct vertices order[0..len) of the graph
+   with CSR adjacency as in max_star, rows checked; see
+   _kernel_py.greedy_color.  color holds -1 on entry and keeps it for a
+   vertex not in order.  Each vertex takes the smallest color that no
+   already-colored neighbor has: the colors of its neighbors are stamped
+   with its position + 1 in a zeroed block of n + 2 ints, a neighbor
+   colored c at stamp[c + 1] and an uncolored one at stamp[0], which no
+   color reads, and the first unstamped color is its own. */
+static void first_fit(const int *adj_start, const int *adj_vert, int len, const int *order,
+                      int *color, int *stamp) {
     for (int p = 0; p < len; p++) {
         int v = order[p], c = 0;
-        if (color[v] >= 0) {
-            free(stamp);
-            *out = v;
-            return REPEATED;
-        }
         /* a colored vertex's color is below the number colored before it */
-        for (int i = adj_start[v]; i < adj_start[v + 1]; i++)
-            if (color[adj_vert[i]] >= 0) stamp[color[adj_vert[i]]] = p + 1;
-        while (stamp[c] == p + 1) c++;
+        for (int i = adj_start[v]; i < adj_start[v + 1]; i++) stamp[color[adj_vert[i]] + 1] = p + 1;
+        while (stamp[c + 1] == p + 1) c++;
         color[v] = c;
     }
-    free(stamp);
-    return FOUND;
 }
 
 /* Gamma of the hypergraph on n vertices with m CSR edges as in solve_cf,
@@ -645,13 +637,10 @@ typedef struct {
     const long long *lo, *size, *off, *extra;
 } Lists;
 
-/* A color of v's list drawn as lists.sample draws it: index i is
-   rng.randrange(size).  In a range without removed colors x_0 < x_1 <
-   ..., index i is lo + i + j, j the number of x_t with x_t - t <= lo + i,
-   which do not fall as t grows. */
-static long long draw(const Lists *l, Twister *r, int v) {
-    int d = l->which[v];
-    long long i = (long long)randbelow(r, (uint64_t)l->size[d]);
+/* Color i of list d, 0 <= i < size[d].  In a range without removed
+   colors x_0 < x_1 < ..., index i is lo + i + j, j the number of x_t
+   with x_t - t <= lo + i, which do not fall as t grows. */
+static long long list_color(const Lists *l, int d, long long i) {
     const long long *x = l->extra + l->off[d];
     if (l->lo[d] < 0) return x[i];
     long long c = l->lo[d] + i, a = 0, b = l->off[d + 1] - l->off[d];
@@ -663,6 +652,13 @@ static long long draw(const Lists *l, Twister *r, int v) {
             b = mid;
     }
     return c + a;
+}
+
+/* A color of v's list drawn as lists.sample draws it: index
+   rng.randrange(size). */
+static long long draw(const Lists *l, Twister *r, int v) {
+    int d = l->which[v];
+    return list_color(l, d, (long long)randbelow(r, (uint64_t)l->size[d]));
 }
 
 /* Each edge counts its colors in a table of its own: a power of two of
@@ -827,5 +823,242 @@ int near_uniform(int n, int m, const int *edge_start, const int *edge_vert,
     }
     free(wide);
     free(narrow);
+    return status;
+}
+
+static int by_ll(const void *a, const void *b) {
+    long long x = *(const long long *)a, y = *(const long long *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sorts x[0..len) and drops its repeats; returns the count kept. */
+static long long distinct(long long *x, long long len) {
+    long long kept = 0;
+    qsort(x, (size_t)len, sizeof *x, by_ll);
+    for (long long i = 0; i < len; i++)
+        if (kept == 0 || x[kept - 1] != x[i]) x[kept++] = x[i];
+    return kept;
+}
+
+/* Is c among the ascending x[0..len)? */
+static int holds(const long long *x, long long len, long long c) {
+    long long a = 0, b = len;
+    while (a < b) {
+        long long mid = a + (b - a) / 2;
+        if (x[mid] < c)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    return a < len && x[a] == c;
+}
+
+/* Is c in the range list d, lo[d] >= 0? */
+static int list_has(const Lists *l, int d, long long c) {
+    const long long *x = l->extra + l->off[d];
+    long long len = l->off[d + 1] - l->off[d];
+    return c >= l->lo[d] && c < l->lo[d] + l->size[d] + len && !holds(x, len, c);
+}
+
+/* The pipeline checks, numbered as _kernel_py.CHECKS; info[2] names the
+   one that failed, info[3] its vertex and info[4] the count found. */
+enum { STRUCTURE_A = 1, STRUCTURE_C, LIST_SIZE, X_SIZE, Y_SIZE, EMPTY_LIST };
+
+/* The seed-independent stages of prob.cfcn_pipeline, as
+   _kernel_py.pipeline_core runs them, on the graph's CSR adjacency (rows
+   in [0, n) checked here) and range lists in near_uniform's form, each
+   lo[d] >= 0: kernels.py hands explicit lists to the twin.
+
+   A is the greedy maximal independent set by increasing vertex; the
+   other vertices are colored by first_fit, in increasing
+   order, into s classes; b = min(s, b_cap), B is the first b classes
+   and C the rest.  in_a, the closed A-neighbors of every vertex, is CSR
+   filled from the rows of A, and in_b, the B-neighbors of every
+   C-vertex, from the rows of B straight into H2's edges.  Then, each
+   in increasing vertex order, the checks: 1..k-1 A-neighbors outside
+   A, b..(k-1)b B-neighbors in C, lists of at least (k-1)b + 2 colors
+   in A.  H1 is colored first-fit: each A-vertex takes the first color
+   of its list that no smaller A-vertex sharing an in_a row of a
+   B-vertex has, so every in_a row of A u B is colored distinctly and
+   its witness is its smallest color.  When C is not empty, X_u and Y_u
+   are the witnesses of u's A-neighbors and of its closed B-neighbors,
+   checked in increasing order against k - 1, (k-1)(b-1) + 1 and the
+   size of L_u.
+
+   Outputs: part holds A then each class (n ints), the bounds of those
+   groups (s + 2 from part + n) and the starts of X_u, Y_u for the i-th
+   B-vertex at rows 2i and 2i + 1 (from part + 2n + 3); h2 the starts of
+   H2's edges and from h2 + n + 2 their vertices, B-indices; colors the
+   H1 color of each A-vertex, in order, and from colors + n the colors of
+   X_u and Y_u, each ascending; info s, b and the failed check, if any.
+   One zeroed block of ints and one of long longs hold the scratch.
+   Status codes: 0 = done, checks failed or not, 1 = declined (H1's
+   greedy dead end, which needs the exact solver), 3 = out of memory, 4 =
+   the row info[3] names a vertex outside [0, n). */
+int pipeline_core(int n, const int *adj_start, const int *adj_vert, int k, int b_cap,
+                  const int *which, const long long *lo, const long long *size,
+                  const long long *off, const long long *extra,
+                  int *part, int *h2, long long *colors, long long *info) {
+    Lists lists = {which, lo, size, off, extra};
+    int row;
+    if (rows_in_range(n, n, adj_start, adj_vert, &row)) {
+        info[3] = row;
+        return BAD_ADJACENCY;
+    }
+    size_t items = (size_t)n + (size_t)adj_start[n];
+    int *mark = calloc(6 * (size_t)n + 4 + items, sizeof *mark);
+    long long *wit = calloc((size_t)n + items, sizeof *wit);
+    if (!mark || !wit) {
+        free(mark);
+        free(wit);
+        return NO_MEMORY;
+    }
+    /* mark: 1 in A, 2 next to A; rank: a vertex's index in B or in C */
+    int *cls = mark + n, *order = cls + n, *rank = order + n, *ia_start = rank + n;
+    int *ia = ia_start + n + 2, *stamp = ia + items, len = 0, s = 0, nb = 0, nc = 0;
+    long long *buf = wit + n, *rm = colors + n, top = 0;
+    int status = FOUND;
+    for (int v = 0; v < n; v++) {
+        cls[v] = -1;
+        if (mark[v]) {
+            order[len++] = v;
+            continue;
+        }
+        /* a neighbor before v is next to A already */
+        mark[v] = 1;
+        for (int i = adj_start[v]; i < adj_start[v + 1]; i++) mark[adj_vert[i]] = 2;
+    }
+    first_fit(adj_start, adj_vert, len, order, cls, stamp);
+    for (int v = 0; v < n; v++)
+        if (cls[v] >= s) s = cls[v] + 1;
+    int b = s < b_cap ? s : b_cap;
+    int *members = part, *bounds = part + n, *rm_start = part + 2 * (size_t)n + 3;
+    int *h2_start = h2, *h2_vert = h2 + (size_t)n + 2;
+    info[0] = s;
+    info[1] = b;
+    /* groups: A is 0, class c is c + 1; counted into bounds[g + 2], so
+       that the fill leaves bounds[g + 1] at the end of group g */
+    for (int v = 0; v < n; v++) bounds[cls[v] + 3]++;
+    for (int g = 2; g <= s + 1; g++) bounds[g] += bounds[g - 1];
+    for (int v = 0; v < n; v++) {
+        members[bounds[cls[v] + 2]++] = v;
+        if (cls[v] >= b)
+            rank[v] = nc++;
+        else if (cls[v] >= 0)
+            rank[v] = nb++;
+    }
+
+    /* in_a from the rows of A, and H2's edges from the rows of B, each
+       counted into start[x + 2] before the fill */
+    for (int a = 0; a < n; a++) {
+        if (cls[a] >= 0) continue;
+        ia_start[a + 2]++;
+        for (int i = adj_start[a]; i < adj_start[a + 1]; i++) ia_start[adj_vert[i] + 2]++;
+    }
+    for (int u = 0; u < n; u++) {
+        if (cls[u] < 0 || cls[u] >= b) continue;
+        for (int i = adj_start[u]; i < adj_start[u + 1]; i++)
+            if (cls[adj_vert[i]] >= b) h2_start[rank[adj_vert[i]] + 2]++;
+    }
+    for (int v = 2; v <= n + 1; v++) ia_start[v] += ia_start[v - 1];
+    for (int e = 2; e <= nc + 1; e++) h2_start[e] += h2_start[e - 1];
+    for (int a = 0; a < n; a++) {
+        if (cls[a] >= 0) continue;
+        ia[ia_start[a + 1]++] = a;
+        for (int i = adj_start[a]; i < adj_start[a + 1]; i++) ia[ia_start[adj_vert[i] + 1]++] = a;
+    }
+    for (int u = 0; u < n; u++) {
+        if (cls[u] < 0 || cls[u] >= b) continue;
+        for (int i = adj_start[u]; i < adj_start[u + 1]; i++)
+            if (cls[adj_vert[i]] >= b) h2_vert[h2_start[rank[adj_vert[i]] + 1]++] = rank[u];
+    }
+
+    long long k1 = (long long)k - 1;
+    for (int v = 0; v < n && !info[2]; v++) {
+        long long count = ia_start[v + 1] - ia_start[v];
+        if (cls[v] >= 0 && (count < 1 || count > k1)) {
+            info[2] = STRUCTURE_A;
+            info[3] = v;
+            info[4] = count;
+        }
+    }
+    for (int v = 0; v < n && !info[2]; v++) {
+        if (cls[v] < b) continue;
+        long long count = h2_start[rank[v] + 1] - h2_start[rank[v]];
+        if (count < b || count > k1 * b) {
+            info[2] = STRUCTURE_C;
+            info[3] = v;
+            info[4] = count;
+        }
+    }
+    for (int a = 0; a < n && !info[2]; a++)
+        if (cls[a] < 0 && size[which[a]] < k1 * b + 2) {
+            info[2] = LIST_SIZE;
+            info[3] = a;
+            info[4] = size[which[a]];
+        }
+    if (info[2]) goto done;
+
+    /* H1: wit[a] is a's color, taken from the colors of the smaller
+       A-vertices on the in_a rows of a's B-neighbors */
+    for (int a = 0; a < n; a++) {
+        if (cls[a] >= 0) continue;
+        long long taken = 0, i = 0, end = size[which[a]];
+        for (int j = adj_start[a]; j < adj_start[a + 1]; j++) {
+            int v = adj_vert[j];
+            if (cls[v] < 0 || cls[v] >= b) continue;
+            for (int x = ia_start[v]; x < ia_start[v + 1]; x++)
+                if (ia[x] < a) buf[taken++] = wit[ia[x]];
+        }
+        taken = distinct(buf, taken);
+        while (i < end && holds(buf, taken, list_color(&lists, which[a], i))) i++;
+        if (i == end) {
+            status = DECLINED;
+            goto done;
+        }
+        wit[a] = list_color(&lists, which[a], i);
+    }
+    for (int v = 0, i = 0; v < n; v++) {
+        if (cls[v] < 0) colors[i++] = wit[v];
+        if (cls[v] < 0 || cls[v] >= b) continue;
+        wit[v] = wit[ia[ia_start[v]]];
+        for (int x = ia_start[v] + 1; x < ia_start[v + 1]; x++)
+            if (wit[ia[x]] < wit[v]) wit[v] = wit[ia[x]];
+    }
+    if (nc == 0) goto done;
+
+    /* X_u and Y_u, written to rm and checked in turn */
+    for (int u = 0, i = 0; u < n; u++) {
+        if (cls[u] < 0 || cls[u] >= b) continue;
+        long long *x = rm + top, nx = 0, ny = 0;
+        for (int j = ia_start[u]; j < ia_start[u + 1]; j++) x[nx++] = wit[ia[j]];
+        nx = distinct(x, nx);
+        long long *y = x + nx;
+        y[ny++] = wit[u];
+        for (int j = adj_start[u]; j < adj_start[u + 1]; j++)
+            if (cls[adj_vert[j]] >= 0 && cls[adj_vert[j]] < b) y[ny++] = wit[adj_vert[j]];
+        ny = distinct(y, ny);
+        int d = which[u], check = nx > k1 ? X_SIZE : ny > k1 * (b - 1) + 1 ? Y_SIZE : 0;
+        if (!check && size[d] <= nx + ny) {
+            /* L_u is empty once reduced when X_u u Y_u covers it */
+            long long covered = 0;
+            for (long long j = 0; j < nx; j++) covered += list_has(&lists, d, x[j]);
+            for (long long j = 0; j < ny; j++) covered += !holds(x, nx, y[j]) && list_has(&lists, d, y[j]);
+            if (covered == size[d]) check = EMPTY_LIST;
+        }
+        if (check) {
+            info[2] = check;
+            info[3] = u;
+            info[4] = check == X_SIZE ? nx : check == Y_SIZE ? ny : 0;
+            goto done;
+        }
+        top += nx + ny;
+        rm_start[2 * i + 1] = rm_start[2 * i] + (int)nx;
+        rm_start[2 * i + 2] = (int)top;
+        i++;
+    }
+done:
+    free(mark);
+    free(wit);
     return status;
 }

@@ -15,14 +15,23 @@ graph's adjacency as CSR (compressed sparse row) arrays: row v is
 vert[start[v]:start[v + 1]].
 
 ``greedy_color`` is the first-fit coloring behind
-``graphs.greedy_color_classes``, on the same CSR arrays, and ``gamma``
-the edge-meeting count behind ``graphs.hypergraph_stats``, on a
-hypergraph's CSR edges (``Hypergraph.csr``); the C kernel computes both
-without bitmasks, to the same results.
+``graphs.greedy_color_classes`` and the pipeline's classes, on the same
+CSR arrays, and ``gamma`` the edge-meeting count behind
+``graphs.hypergraph_stats``, on a hypergraph's CSR edges
+(``Hypergraph.csr``).  The C kernel computes both without bitmasks, to
+the same results: ``gamma`` as an entry of its own and the classes
+inside ``pipeline_core``; ``greedy_color`` has no C entry.
 
 ``near_uniform`` is the sample-and-resample loop behind
 ``prob.near_uniform_color``; the C kernel's draws continue the same
 Mersenne Twister stream, so both color alike.
+
+``pipeline_core`` runs the stages of ``prob.cfcn_pipeline`` that do not
+depend on the seed on a graph's CSR arrays: the core A and the classes,
+``_neighbor_tables`` and ``_check_structure``, ``color_h1`` and
+``reduce_lists``, and H2.  The C kernel runs them in one call, to the
+same Core, and leaves H1's greedy dead ends, which need the exact
+solver, to this one.
 
 There are no pure-Python file readers: without the C kernel, ``fileio``
 reads every graph and hypergraph file record by record.
@@ -31,26 +40,29 @@ reads every graph and hypergraph file record by record.
 found, 1 = exhausted (no solution) or 2 = node budget exceeded;
 ``max_star`` returns t; ``greedy_color`` a color per vertex; ``gamma``
 Gamma; ``near_uniform`` returns (color by vertex, rounds) or raises
-ResampleFailure.  ``check_csr`` is the CSR check of both backends of
-``max_star``, ``greedy_color`` and ``gamma``, and ``check_order`` the
-order check of both ``greedy_color`` backends.
+ResampleFailure; ``pipeline_core`` a Core.  ``check_csr`` is the CSR
+check of ``greedy_color`` and of both backends of ``max_star``, ``gamma``
+and ``pipeline_core``, ``check_order`` the order check of
+``greedy_color`` and ``check_error`` the PipelineError of both
+``pipeline_core`` backends.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from functools import reduce
-from itertools import pairwise
+from itertools import accumulate, chain, pairwise
 from operator import or_
+from typing import NamedTuple
 
-from cfcolor.errors import ResampleFailure
+from cfcolor.errors import PipelineError, ResampleFailure
 from cfcolor.verify import unique_colors
 
 UNDECIDED = -2
 UNCOLORED = -1
-# the errors of both backends of max_star, greedy_color and gamma for
-# CSR arrays and orders they cannot read
+# the errors of the kernels for CSR arrays and orders they cannot read
 BAD_CSR = "CSR starts must rise from 0 to the number of neighbors"
 BAD_ROW = "adjacency row {} names a vertex outside [0, n) or itself"
 BAD_VERTEX = "CSR row {} names a vertex outside [0, n)"
@@ -294,8 +306,7 @@ def max_star(start, vert):
 
 def check_order(n, order):
     """Raise ValueError unless every vertex of `order` lies in [0, n): the
-    check both ``greedy_color`` backends make before any other on the
-    order."""
+    check ``greedy_color`` makes before any other on the order."""
     if order and (min(order) < 0 or max(order) >= n):
         raise ValueError(BAD_ORDER.format(next(v for v in order if not 0 <= v < n)))
 
@@ -422,3 +433,226 @@ def near_uniform(h, lists, seed, max_rounds):
         if 8 * non_unique >= 7 * len(edge):  # pragma: no cover
             raise AssertionError("resampling terminated with a bad edge")
     return color, rounds
+
+
+# the checks of pipeline_core, numbered as the C entry reports them:
+# (stage, message) by number - 1, formatted with the failing vertex v,
+# the count found there, k1 = k - 1, b and need = (k - 1) b + 2
+STRUCTURE_A, STRUCTURE_C, LIST_SIZE, X_SIZE, Y_SIZE, EMPTY_LIST = range(1, 7)
+CHECKS = (
+    ("structure", "vertex {v} has {count} A-neighbors, expected 1..{k1}"),
+    ("structure", "C-vertex {v} has {count} B-neighbors, expected {b}..{k1b}"),
+    ("color_h1", "list of {v} has {count} colors, need {need}"),
+    ("reduce_lists", "|X_{v}| = {count} > k-1"),
+    ("reduce_lists", "|Y_{v}| = {count} exceeds (k-1)(b-1)+1"),
+    ("reduce_lists", "vertex {v} left with empty list"),
+)
+
+
+def check_error(check, v, count, k, b):
+    """The PipelineError of the pipeline check numbered `check`, failed
+    at vertex v with `count` found there."""
+    stage, message = CHECKS[check - 1]
+    k1 = k - 1
+    return PipelineError(
+        stage, message.format(v=v, count=count, k1=k1, b=b, k1b=k1 * b, need=k1 * b + 2)
+    )
+
+
+class Core(NamedTuple):
+    """What ``pipeline_core`` found.  A is members[:bounds[1]] and greedy
+    class i is members[bounds[i + 1]:bounds[i + 2]], each increasing; B
+    is the first b classes and C the rest.  f1 maps each A-vertex to its
+    H1 color; removed holds (X_u, Y_u), two frozensets of colors, for
+    each B-vertex u in increasing order; h2 is H2's CSR edges (start,
+    vert), one per C-vertex in increasing order, of the indices of its
+    B-neighbors in sorted B.  error is (stage, message) of the first
+    failed check, and the fields it leaves unreached are None: f1 when
+    H1 was not colored, removed and h2 when C is empty or a check
+    failed."""
+
+    members: list
+    bounds: list
+    b: int
+    f1: dict | None
+    removed: list | None
+    h2: tuple | None
+    error: tuple | None
+
+
+def pipeline_core(start, vert, lists, k, b_cap):
+    """The stages of ``prob.cfcn_pipeline`` that do not depend on the
+    seed, on a graph's CSR adjacency (start, vert), as a Core: the greedy
+    maximal independent set A by increasing vertex; the first-fit classes
+    of the other vertices in increasing order; b = min(s, b_cap) for s
+    classes; the structure checks; color_h1; and, when C is not empty,
+    reduce_lists and H2.  Bad starts, lists that do not cover every
+    vertex and a row vertex outside [0, n) raise ValueError, in that
+    order; a failed check ends the run, as Core.error.
+    """
+    check_csr(start, vert)
+    n = len(start) - 1
+    if lists.n != n:
+        raise ValueError("lists must cover every vertex")
+    _check_rows(n, start, vert)
+    rows = [vert[a:b] for a, b in pairwise(start)]
+    a_sorted = independent_set(rows)
+    a_set = set(a_sorted)
+    color = greedy_color(start, vert, [v for v in range(n) if v not in a_set])
+    s = max(color, default=UNCOLORED) + 1
+    b = min(s, b_cap)
+    groups = [a_sorted] + [[] for _ in range(s)]
+    for v, c in enumerate(color):
+        if c >= 0:
+            groups[c + 1].append(v)
+    members = list(chain.from_iterable(groups))
+    bounds = list(accumulate(map(len, groups), initial=0))
+    b_set = set(chain.from_iterable(groups[1:b + 1]))
+    c_sorted = sorted(chain.from_iterable(groups[b + 1:]))
+
+    f1 = removed = h2 = None
+    try:
+        in_a, in_b = _neighbor_tables(rows, a_sorted, b_set, c_sorted)
+        _check_structure(in_a, in_b, a_set, k, b)
+        for a in a_sorted:
+            if lists.size(a) < (k - 1) * b + 2:
+                raise check_error(LIST_SIZE, a, lists.size(a), k, b)
+        f1, witness = color_h1(in_a, a_set, b_set, lists)
+        if c_sorted:
+            removed = reduce_lists(rows, in_a, b_set, witness, lists, k, b)
+            b_index = {u: i for i, u in enumerate(sorted(b_set))}
+            h2 = (
+                array("i", accumulate(map(len, in_b.values()), initial=0)),
+                array("i", [b_index[u] for row in in_b.values() for u in row]),
+            )
+    except PipelineError as exc:
+        return Core(members, bounds, b, f1, None, None, exc.args)
+    return Core(members, bounds, b, f1, removed, h2, None)
+
+
+def independent_set(rows):
+    """The greedy maximal independent set of the graph with adjacency
+    rows, scanning vertices by increasing id, in increasing order."""
+    chosen, blocked = [], [False] * len(rows)
+    for v, row in enumerate(rows):
+        if not blocked[v]:
+            chosen.append(v)
+            for w in row:
+                blocked[w] = True
+    return chosen
+
+
+def _neighbor_tables(rows, a_sorted, b_set, c_sorted):
+    """in_a[v], v's closed A-neighbors (v itself for v in A, since A is
+    independent), and in_b[v], each C-vertex's B-neighbors, keyed in
+    increasing order; every row increases.  Only the rows of A and B are
+    read, so the work is their degree sum, not every neighborhood's.
+    """
+    in_a = [[] for _ in rows]
+    for a in a_sorted:
+        in_a[a].append(a)
+        for w in rows[a]:
+            in_a[w].append(a)
+    in_b = {v: [] for v in c_sorted}
+    for u in sorted(b_set):
+        for w in rows[u]:
+            if w in in_b:
+                in_b[w].append(u)
+    return in_a, in_b
+
+
+def _check_structure(in_a, in_b, a_set, k, b):
+    """Every vertex outside A has 1..k-1 A-neighbors and every C-vertex
+    b..(k-1)b B-neighbors; the lowest vertex that fails is named."""
+    for v, row in enumerate(in_a):
+        if v not in a_set and not (1 <= len(row) <= k - 1):
+            raise check_error(STRUCTURE_A, v, len(row), k, b)
+    for v, row in in_b.items():
+        if not (b <= len(row) <= (k - 1) * b):
+            raise check_error(STRUCTURE_C, v, len(row), k, b)
+
+
+def color_h1(in_a, a_set, b_set, lists):
+    """Color the independent core so every vertex of A u B sees a unique
+    color among its closed A-neighbors, which in_a[v] lists in increasing
+    order.
+
+    Greedy: each a in A takes a list color unused by any A-vertex sharing
+    a conflict edge with it; a greedy dead end falls back to the exact
+    solver on the A-neighborhood hypergraph H1.  Requires
+    |L_a| >= (k-1)b + 2 in the pipeline's parlance; callers check sizes.
+    Returns (f1, witness), where f1 maps each a in A to its color and
+    witness[v] for v in A u B is the smallest color that appears once on
+    in_a[v] under f1; an A-vertex is its own witness.
+    """
+    a_sorted = sorted(a_set)
+    vertices = sorted(a_set | b_set)
+    for v in vertices:
+        if not in_a[v]:
+            raise PipelineError(
+                "color_h1", f"vertex {v} in B has no neighbor in A"
+            )
+
+    conflicts = {a: set() for a in a_sorted}
+    for v in vertices:
+        edge = in_a[v]
+        for x in edge:
+            conflicts[x].update(w for w in edge if w != x)
+
+    f = {}
+    greedy_ok = True
+    for a in a_sorted:
+        taken = {f[w] for w in conflicts[a] if w in f}
+        chosen = None
+        for c in lists.colors(a):
+            if c not in taken:
+                chosen = c
+                break
+        if chosen is None:
+            greedy_ok = False
+            break
+        f[a] = chosen
+
+    if not greedy_ok:
+        # imported here: solve imports the kernels, which import this module
+        from cfcolor.graphs import Hypergraph
+        from cfcolor.solve import SolveInstance, solve_list_cf
+
+        a_index = {a: i for i, a in enumerate(a_sorted)}
+        h1 = Hypergraph._from_sorted(
+            len(a_sorted), [tuple(a_index[w] for w in in_a[v]) for v in vertices]
+        )
+        sub = solve_list_cf(SolveInstance(h1), lists.restrict(a_sorted))
+        if sub is None:
+            raise PipelineError("color_h1", "A-core hypergraph is uncolorable")
+        f = {a_sorted[i]: c for i, c in sub.items()}
+
+    witness = {}
+    for v in vertices:
+        unique = unique_colors([f.get(w) for w in in_a[v]])
+        if not unique:  # pragma: no cover
+            raise AssertionError("H1 coloring left an edge without a witness")
+        witness[v] = min(unique)
+    return f, witness
+
+
+def reduce_lists(rows, in_a, b_set, witness, lists, k, b):
+    """The colors to strike from the lists of B: for u in B, X_u holds
+    the witness colors of u's A-neighbors in_a[u] (their own colors) and
+    Y_u those of u's closed B-neighbors, u itself and those in rows[u],
+    from color_h1's witness map.  Returns (X_u, Y_u) as frozensets for
+    each u in increasing order.  The checks name the first u whose X_u or
+    Y_u is too large, or whose list L_u minus both is empty.
+    """
+    removed = []
+    for u in sorted(b_set):
+        xs = frozenset(witness[a] for a in in_a[u])
+        ys = frozenset([witness[u], *(witness[w] for w in rows[u] if w in b_set)])
+        if len(xs) > k - 1:
+            raise check_error(X_SIZE, u, len(xs), k, b)
+        if len(ys) > (k - 1) * (b - 1) + 1:
+            raise check_error(Y_SIZE, u, len(ys), k, b)
+        if sum(lists.contains(u, c) for c in xs | ys) == lists.size(u):
+            raise check_error(EMPTY_LIST, u, 0, k, b)
+        removed.append((xs, ys))
+    return removed

@@ -27,3 +27,15 @@ class ResampleFailure(BudgetExceededError):
         )
         self.rounds = rounds
         self.worst_edge = worst_edge
+
+
+class PipelineError(RuntimeError):
+    """The pipeline failed at a stage; its args are (stage, message), and
+    it reads "[stage] message"."""
+
+    def __init__(self, stage, message):
+        super().__init__(stage, message)
+
+    def __str__(self):
+        stage, message = self.args
+        return f"[{stage}] {message}"

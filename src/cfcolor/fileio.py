@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
+from operator import lt
 
 from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.errors import InputFormatError
@@ -248,6 +249,10 @@ def parse_lists(text, n):
                 entry = (-1,)
             if min(entry) < 0:
                 entry = tuple(_parse_int(lineno, t, "color", 0) for t in tokens[2:])
+            # ListAssignment's form, which format_lists writes: ascending,
+            # no color twice
+            if not all(map(lt, entry, entry[1:])):
+                entry = tuple(sorted(set(entry)))
         elif tokens[0] == "L":
             if len(tokens) != 4:
                 _fail(lineno, "expected `L <vertex> <lo> <hi>`")
@@ -271,7 +276,8 @@ def parse_lists(text, n):
         # the count and the first ten keep the line short on large graphs
         first = ", ".join(map(str, missing[:10])) + (", ..." if missing[10:] else "")
         raise InputFormatError(f"no list for {len(missing)} of {n} vertices: {first}")
-    return ListAssignment(entries)
+    # every list is checked: non-empty, colors >= 0, ranges of step 1
+    return ListAssignment._from_sorted(entries)
 
 
 def format_lists(lists):

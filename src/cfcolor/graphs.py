@@ -19,6 +19,8 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, chain, combinations, pairwise
 
+from cfcolor._kernel_py import greedy_color, independent_set
+
 
 class Graph:
     """Finite, simple, undirected graph with array-backed adjacency."""
@@ -244,14 +246,9 @@ def max_star(g):
 
 
 def maximal_independent_set(g):
-    """Greedy maximal independent set, scanning vertices by increasing id."""
-    chosen = set()
-    blocked = set()
-    for v in range(g.n):
-        if v not in blocked and v not in chosen:
-            chosen.add(v)
-            blocked.update(g.adj[v])
-    return frozenset(chosen)
+    """Greedy maximal independent set, scanning vertices by increasing id:
+    ``_kernel_py.independent_set``, the core A of the pipeline's kernel."""
+    return frozenset(independent_set(g.adj))
 
 
 def greedy_color_classes(g, order):
@@ -262,14 +259,11 @@ def greedy_color_classes(g, order):
 
     The classes partition the colored vertices, each class is
     independent, and every vertex of S_i (i >= 2) has a neighbor in each
-    earlier class.  The colors are ``kernels.greedy_color`` on ``g.csr``,
-    looked up at call time; a vertex outside [0, n) or repeated in order
-    raises ValueError.
+    earlier class.  The colors are ``_kernel_py.greedy_color`` on
+    ``g.csr``; a vertex outside [0, n) or repeated in order raises
+    ValueError.
     """
-    # imported here, so that importing the package builds no kernel
-    from cfcolor import kernels
-
-    color = kernels.greedy_color(*g.csr, order)
+    color = greedy_color(*g.csr, order)
     classes = [[] for _ in range(max(color, default=-1) + 1)]
     for v, c in enumerate(color):
         if c >= 0:

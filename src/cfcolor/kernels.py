@@ -5,10 +5,6 @@
   ``search`` with flat arrays; twin ``_kernel_py.search``;
 - ``max_star(start, vert)``, the largest induced star of a graph, from
   its CSR adjacency arrays (``Graph.csr``); twin ``_kernel_py.max_star``;
-- ``greedy_color(start, vert, order)``, the first-fit color of each
-  vertex of ``order`` over those arrays and -1 for every other vertex,
-  behind ``graphs.greedy_color_classes``; twin
-  ``_kernel_py.greedy_color``;
 - ``gamma(n, start, vert)``, Gamma of a hypergraph on n vertices from its
   CSR edges (``Hypergraph.csr``), the value of
   ``graphs.hypergraph_stats``; twin ``_kernel_py.gamma``.  A vertex
@@ -21,6 +17,14 @@
   or a color of 2^63 or more (TOP_COLOR) and more than INT_MAX vertices,
   edges or incidences; the twin then runs.  Rounds above MAX_BUDGET are
   clamped to it;
+- ``pipeline_core(start, vert, lists, k, b_cap)``, the stages of
+  ``prob.cfcn_pipeline`` that do not depend on the seed, on a graph's
+  CSR adjacency (``Graph.csr``): the core A, the greedy classes, b, the
+  checks, the H1 coloring, X_u and Y_u and H2, as a
+  ``_kernel_py.Core``; twin ``_kernel_py.pipeline_core``.  It reads
+  range lists as ``near_uniform`` does and declines what that declines,
+  explicit lists, a k outside [2, INT_MAX], a negative b_cap and H1's
+  greedy dead ends, which need the exact solver; the twin then runs;
 - ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
   writes it, read into those CSR arrays with every row sorted, and
   ``read_hypergraph(text)``, a `p hgraph` file in canonical form read
@@ -51,14 +55,16 @@ solution found, 1 = exhausted (no solution) or 2 = node budget exceeded.
 ``max_star`` returns t; both backends raise ValueError, through
 ``_kernel_py.check_csr``, for starts that do not rise from 0 to
 len(vert), and for a row that names a vertex outside [0, n) or its own
-vertex.  ``greedy_color`` returns a list of colors and ``gamma`` an int;
-both backends of each raise ValueError for bad starts (``check_csr``),
-then, for ``greedy_color``, for an order vertex outside [0, n)
-(``_kernel_py.check_order``), then for a row that names a vertex outside
-[0, n), then, for ``greedy_color``, for an order that repeats a vertex.
+vertex.  ``gamma`` returns an int; both backends raise ValueError for
+bad starts (``check_csr``), then for a row that names a vertex outside
+[0, n).
 ``near_uniform`` returns (color by vertex, rounds) and raises
 ResampleFailure at the round cap; both backends raise ValueError for an
 edge that names a vertex outside [0, n), as ``gamma`` does.
+``pipeline_core`` returns a Core whose ``error`` is the first failed
+check; both backends raise ValueError for bad starts, lists that do not
+cover every vertex and a row that names a vertex outside [0, n), in
+that order.
 ``read_graph`` returns (start, vert), or None when it declines the text:
 any other text, a self-loop or a duplicate edge.  ``read_hypergraph`` declines any other text, including
 a vertex repeated in an edge.  Each reader checks the header here and
@@ -143,7 +149,7 @@ def _build(cache_dir, compiler):
 
 
 def load(cache_dir, compiler="cc"):
-    """(backend, search, max_star, greedy_color, gamma, near_uniform,
+    """(backend, search, max_star, gamma, near_uniform, pipeline_core,
     read_graph, read_hypergraph): the C kernels built into cache_dir, or
     the pure-Python kernels, with no file readers, when they cannot be
     built or loaded."""
@@ -151,13 +157,12 @@ def load(cache_dir, compiler="cc"):
         lib = ctypes.CDLL(_build(cache_dir, compiler))
     except OSError:  # no compiler, failed compile, unwritable cache, bad library
         return (
-            "pure-python", _kernel_py.search, _kernel_py.max_star,
-            _kernel_py.greedy_color, _kernel_py.gamma, _kernel_py.near_uniform,
-            None, None,
+            "pure-python", _kernel_py.search, _kernel_py.max_star, _kernel_py.gamma,
+            _kernel_py.near_uniform, _kernel_py.pipeline_core, None, None,
         )
     return (
-        "compiled", _bind(lib), _bind_max_star(lib), _bind_greedy_color(lib),
-        _bind_gamma(lib), _bind_near_uniform(lib), _bind_read_graph(lib),
+        "compiled", _bind(lib), _bind_max_star(lib), _bind_gamma(lib),
+        _bind_near_uniform(lib), _bind_pipeline_core(lib), _bind_read_graph(lib),
         _bind_read_hypergraph(lib),
     )
 
@@ -221,42 +226,6 @@ def _bind_max_star(lib):
     return max_star
 
 
-def _status_error(status, entry, n, out):
-    """The error of a greedy_color or hypergraph_gamma status other than
-    0, with the index the C function left in out."""
-    if status == 3:
-        return MemoryError(f"{entry} on {n} vertices ran out of memory")
-    if status == 4:
-        return ValueError(_kernel_py.BAD_VERTEX.format(out))
-    return ValueError(_kernel_py.REPEATED_ORDER.format(out))
-
-
-def _bind_greedy_color(lib):
-    """``_kernel_py.greedy_color`` on the C function of lib."""
-    c_greedy = lib.greedy_color
-    c_greedy.argtypes = [_int, _ptr, _ptr, _int, _ptr, _ptr, _ptr]
-    c_greedy.restype = _int
-
-    def greedy_color(start, vert, order):
-        if start.typecode != "i" or vert.typecode != "i":
-            raise TypeError("greedy_color takes CSR arrays of C ints")
-        _kernel_py.check_csr(start, vert)
-        n = len(start) - 1
-        _kernel_py.check_order(n, order)
-        order = array("i", order)
-        color = array("i", [-1]) * n
-        out = array("i", [0])
-        status = c_greedy(
-            n, _address(start), _address(vert), len(order), _address(order),
-            _address(color), _address(out),
-        )
-        if status:
-            raise _status_error(status, "greedy_color", n, out[0])
-        return color.tolist()
-
-    return greedy_color
-
-
 def _bind_gamma(lib):
     """``_kernel_py.gamma`` on the C function of lib; the pure kernel runs
     instead for a vertex count outside [0, INT_MAX]."""
@@ -272,8 +241,10 @@ def _bind_gamma(lib):
             return _kernel_py.gamma(n, start, vert)
         out = array("i", [0])
         status = c_gamma(n, len(start) - 1, _address(start), _address(vert), _address(out))
-        if status:
-            raise _status_error(status, "gamma", n, out[0])
+        if status == 3:
+            raise MemoryError(f"gamma on {n} vertices ran out of memory")
+        if status == 4:
+            raise ValueError(_kernel_py.BAD_VERTEX.format(out[0]))
         return out[0]
 
     return gamma
@@ -286,19 +257,26 @@ TOP_COLOR = 2**63
 def _resampler_arrays(h, lists):
     """The arrays the C near_uniform reads, or None when it cannot
     represent the input: more than INT_MAX vertices, edges or
-    incidences, an empty list or a color of TOP_COLOR or more.
-
-    They are h.csr, then (which, lo, size, off, extra): vertex v draws
-    from list which[v], one per distinct entry object.  A range or
-    ReducedRange list d is lo[d] >= 0 and its removed colors
-    extra[off[d]:off[d + 1]]; an explicit one is lo[d] = -1 and its
-    colors there."""
+    incidences, or lists that _list_arrays declines.  They are h.csr,
+    then _list_arrays(lists)."""
     if max(h.n, h.m) > INT_MAX:
         return None
     try:
         edge_start, edge_vert = h.csr
     except OverflowError:  # more incidences than C ints
         return None
+    arrays = _list_arrays(lists)
+    return None if arrays is None else (edge_start, edge_vert, *arrays)
+
+
+def _list_arrays(lists):
+    """(which, lo, size, off, extra), the lists as C reads them, or None
+    for an empty list or a color of TOP_COLOR or more.
+
+    Vertex v has list which[v] of size[d] colors, one per distinct entry
+    object.  A range or ReducedRange list d is lo[d] >= 0 and its removed
+    colors extra[off[d]:off[d + 1]]; an explicit one is lo[d] = -1 and
+    its colors there."""
     entries = list(map(lists.colors, range(lists.n)))
     ids = list(map(id, entries))
     index = {key: d for d, key in enumerate(dict.fromkeys(ids))}
@@ -319,7 +297,7 @@ def _resampler_arrays(h, lists):
         size.append(len(e))
         extra.extend(colors)
         off.append(len(extra))
-    return edge_start, edge_vert, which, lo, size, off, extra
+    return which, lo, size, off, extra
 
 
 def _bind_near_uniform(lib):
@@ -353,6 +331,76 @@ def _bind_near_uniform(lib):
         return color.tolist(), result[0]
 
     return near_uniform
+
+
+def _bind_pipeline_core(lib):
+    """``_kernel_py.pipeline_core`` on the C function of lib, which
+    fills blocks allocated here.  The pure kernel runs instead for k
+    outside [2, INT_MAX], a negative b_cap, a graph whose arrays C ints
+    cannot index (2(n + 2m) > INT_MAX), lists that _list_arrays declines
+    or that hold an explicit list, and input the C entry declines."""
+    c_core = lib.pipeline_core
+    c_core.argtypes = [_int, _ptr, _ptr, _int, _int] + [_ptr] * 9
+    c_core.restype = _int
+
+    def pipeline_core(start, vert, lists, k, b_cap):
+        if start.typecode != "i" or vert.typecode != "i":
+            raise TypeError("pipeline_core takes CSR arrays of C ints")
+        _kernel_py.check_csr(start, vert)
+        n, items = len(start) - 1, len(vert)
+        if lists.n != n:
+            raise ValueError("lists must cover every vertex")
+        arrays = None
+        if 2 <= k <= INT_MAX and b_cap >= 0 and 2 * (n + items) + 4 <= INT_MAX:
+            arrays = _list_arrays(lists)
+        # C reads range lists only (lo >= 0)
+        if arrays is None or -1 in arrays[1]:
+            return _kernel_py.pipeline_core(start, vert, lists, k, b_cap)
+        part = array("i", [0]) * (4 * n + 4)
+        h2 = array("i", [0]) * (n + 2 + items)
+        colors = array("q", [0]) * (2 * n + 2 * items)
+        info = array("q", [0]) * 5
+        # b = min(s, b_cap), and there are at most n classes; the buffers
+        # stay referenced here until the C call returns
+        status = c_core(
+            n, _address(start), _address(vert), k, min(b_cap, n), *map(_address, arrays),
+            _address(part), _address(h2), _address(colors), _address(info),
+        )
+        if status == 3:
+            raise MemoryError(f"pipeline_core on {n} vertices ran out of memory")
+        if status == 4:
+            raise ValueError(_kernel_py.BAD_VERTEX.format(info[3]))
+        if status == 1:
+            return _kernel_py.pipeline_core(start, vert, lists, k, b_cap)
+        return _core_result(n, k, part, h2, colors, info)
+
+    return pipeline_core
+
+
+def _core_result(n, k, part, h2, colors, info):
+    """The Core of the blocks that the C pipeline_core filled."""
+    s, b, check, v, count = info
+    members = part[:n].tolist()
+    bounds = part[n:n + s + 2].tolist()
+    a_count = bounds[1]
+    f1 = None
+    if not 0 < check <= _kernel_py.LIST_SIZE:
+        f1 = dict(zip(members[:a_count], colors[:a_count].tolist()))
+    if check:
+        error = _kernel_py.check_error(check, v, count, k, b).args
+        return _kernel_py.Core(members, bounds, b, f1, None, None, error)
+    nb, nc = bounds[b + 1] - a_count, n - bounds[b + 1]
+    if not nc:
+        return _kernel_py.Core(members, bounds, b, f1, None, None, None)
+    # X_u and Y_u of the i-th B-vertex start at rows 2i and 2i + 1
+    rows = part[2 * n + 3:2 * n + 4 + 2 * nb].tolist()
+    rm = colors[n:n + rows[-1]].tolist()
+    removed = [
+        (frozenset(rm[rows[i]:rows[i + 1]]), frozenset(rm[rows[i + 1]:rows[i + 2]]))
+        for i in range(0, 2 * nb, 2)
+    ]
+    edges = (h2[:nc + 1], h2[n + 2:n + 2 + h2[nc]])
+    return _kernel_py.Core(members, bounds, b, f1, removed, edges, None)
 
 
 def _header(text, kind):
@@ -422,7 +470,7 @@ def _bind_read_hypergraph(lib):
 
 
 (
-    BACKEND, search, max_star, greedy_color, gamma, near_uniform, read_graph,
+    BACKEND, search, max_star, gamma, near_uniform, pipeline_core, read_graph,
     read_hypergraph,
 ) = load(os.path.join(HERE, "__pycache__"))
 

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from cfcolor import kernels
+# the twin's stages, bound here too: the benchmark's tracer times them
+# as prob.color_h1 and prob.reduce_lists
+from cfcolor._kernel_py import color_h1, reduce_lists  # noqa: F401
 from cfcolor.coloring import ListAssignment, PartialColoring
-from cfcolor.errors import ResampleFailure
-from cfcolor.graphs import (
-    Hypergraph,
-    derived_hypergraph,
-    greedy_color_classes,
-    hypergraph_stats,
-    max_star,
-    maximal_independent_set,
-)
+from cfcolor.errors import PipelineError, ResampleFailure
+from cfcolor.graphs import Hypergraph, derived_hypergraph, hypergraph_stats, max_star
 from cfcolor.solve import SolveInstance, solve_list_cf
-from cfcolor.verify import unique_colors, verify_cf
+from cfcolor.verify import verify_cf
 
 FULL_ALPHA_FLOOR = 2**12
 FULL_ALPHA_LOG_COEFF = 136
@@ -41,13 +38,6 @@ CONSTANTS = {
     False: dict(b_floor=2**12, b_log_coeff=272, r_coeff=2**18, list_factor=LIST_FACTOR),
     True: dict(b_floor=2, b_log_coeff=0.0, r_coeff=32.0, list_factor=LIST_FACTOR),
 }
-
-
-class PipelineError(RuntimeError):
-    """The pipeline failed; the message starts with the stage, in brackets."""
-
-    def __init__(self, stage, message):
-        super().__init__(f"[{stage}] {message}")
 
 
 def lemma_lists(h, list_factor):
@@ -176,138 +166,14 @@ class PipelineTrace:
         return out
 
 
-def color_h1(in_a, a_set, b_set, lists):
-    """Color the independent core so every vertex of A u B sees a unique
-    color among its closed A-neighbors, which in_a[v] lists in increasing
-    order.
-
-    Greedy: each a in A takes a list color unused by any A-vertex sharing
-    a conflict edge with it; a greedy dead end falls back to the exact
-    solver on the A-neighborhood hypergraph H1.  Requires
-    |L_a| >= (k-1)b + 2 in the pipeline's parlance; callers check sizes.
-    Returns (f1, witness), where witness[v] for v in A u B is the smallest
-    color that appears once on in_a[v] under f1; an A-vertex is its own
-    witness.
-    """
-    a_sorted = sorted(a_set)
-    vertices = sorted(a_set | b_set)
-    for v in vertices:
-        if not in_a[v]:
-            raise PipelineError(
-                "color_h1", f"vertex {v} in B has no neighbor in A"
-            )
-
-    conflicts = {a: set() for a in a_sorted}
-    for v in vertices:
-        edge = in_a[v]
-        for x in edge:
-            conflicts[x].update(w for w in edge if w != x)
-
-    f = {}
-    greedy_ok = True
-    for a in a_sorted:
-        taken = {f[w] for w in conflicts[a] if w in f}
-        chosen = None
-        for c in lists.colors(a):
-            if c not in taken:
-                chosen = c
-                break
-        if chosen is None:
-            greedy_ok = False
-            break
-        f[a] = chosen
-
-    if not greedy_ok:
-        a_index = {a: i for i, a in enumerate(a_sorted)}
-        h1 = Hypergraph._from_sorted(
-            len(a_sorted), [tuple(a_index[w] for w in in_a[v]) for v in vertices]
-        )
-        inst = SolveInstance(h1)
-        sub = solve_list_cf(inst, lists.restrict(a_sorted))
-        if sub is None:
-            raise PipelineError("color_h1", "A-core hypergraph is uncolorable")
-        f = {a_sorted[i]: c for i, c in sub.items()}
-
-    witness = {}
-    for v in vertices:
-        unique = unique_colors([f.get(w) for w in in_a[v]])
-        if not unique:  # pragma: no cover
-            raise AssertionError("H1 coloring left an edge without a witness")
-        witness[v] = min(unique)
-    return PartialColoring(f), witness
-
-
-def reduce_lists(g, in_a, b_set, witness, lists, k, b):
-    """Strike protected colors from the lists of B.
-
-    For u in B, X_u holds the witness colors of u's A-neighbors in_a[u]
-    (their own colors) and Y_u those of u's closed B-neighbors, from
-    color_h1's witness map; the reduced list is L_u minus both, which
-    `without` returns sorted and free of repeats.  Returns (assignment
-    over sorted(B), X_u map, Y_u map).
-    """
-    removed_x = {}
-    removed_y = {}
-    entries = []
-    for u in sorted(b_set):
-        xs = {witness[a] for a in in_a[u]}
-        ys = {witness[w] for w in g.closed[u] if w in b_set}
-        if len(xs) > k - 1:
-            raise PipelineError("reduce_lists", f"|X_{u}| = {len(xs)} > k-1")
-        if len(ys) > (k - 1) * (b - 1) + 1:
-            raise PipelineError(
-                "reduce_lists", f"|Y_{u}| = {len(ys)} exceeds (k-1)(b-1)+1"
-            )
-        reduced = lists.without(u, xs | ys)
-        if not reduced:
-            raise PipelineError("reduce_lists", f"vertex {u} left with empty list")
-        removed_x[u] = frozenset(xs)
-        removed_y[u] = frozenset(ys)
-        entries.append(reduced)
-    return ListAssignment._from_sorted(entries), removed_x, removed_y
-
-
-def _neighbor_tables(g, a_set, b_set, c_set):
-    """in_a[v], v's closed A-neighbors (v itself for v in A, since A is
-    independent), and in_b[v], each C-vertex's B-neighbors, keyed in the
-    order of c_set; every row increases.  Only the rows of A and B are
-    read, so the work is their degree sum, not every neighborhood's.
-    """
-    in_a = [[] for _ in range(g.n)]
-    for a in sorted(a_set):
-        for w in g.closed[a]:
-            in_a[w].append(a)
-    in_b = {v: [] for v in c_set}
-    for u in sorted(b_set):
-        for w in g.adj[u]:
-            if w in c_set:
-                in_b[w].append(u)
-    return in_a, in_b
-
-
-def _check_structure(in_a, in_b, a_set, k, b):
-    for v, row in enumerate(in_a):
-        if v not in a_set and not (1 <= len(row) <= k - 1):
-            raise PipelineError(
-                "structure",
-                f"vertex {v} has {len(row)} A-neighbors, expected 1..{k - 1}",
-            )
-    for v, row in in_b.items():
-        if not (b <= len(row) <= (k - 1) * b):
-            raise PipelineError(
-                "structure",
-                f"C-vertex {v} has {len(row)} B-neighbors, expected {b}..{(k - 1) * b}",
-            )
-
-
 def cfcn_pipeline(
     g, lists, rng_seed, scaled_mode=False, k_override=None, retry_limit=RETRY_LIMIT
 ):
     """Full CFCN* list-coloring pipeline for K_{1,k}-free graphs.
 
-    Builds a maximal independent core A, greedily classes the rest, colors
-    A exactly, then resamples the near-uniform B-neighborhood hypergraph
-    for the deep classes.  The output always passes verification against
+    Builds a maximal independent core A, greedily classes the rest and
+    colors A, all in one ``kernels.pipeline_core`` call, then resamples
+    the near-uniform B-neighborhood hypergraph for the deep classes.  The output always passes verification against
     the closed-neighborhood hypergraph and the original lists.  Only the
     resampling depends on the seed: a failed resampling retries with a
     fresh seed, and after retry_limit attempts, or at once when a stage
@@ -399,60 +265,40 @@ def cfcn_pipeline(
 
 
 def _core(g, lists, constants, k, delta, trace):
-    """The stages that do not depend on the seed: the core A, the classes,
-    the H1 coloring f1, the reduced lists and H2, with b from the
-    CONSTANTS row `constants`.  Returns (f1, None) when C is empty, else
-    (f1, (h2, reduced lists, B in order, b)).
+    """The stages that do not depend on the seed, with b from the
+    CONSTANTS row `constants`: ``kernels.pipeline_core``, looked up at
+    call time, finds the core A, the classes, the H1 coloring f1, X_u and
+    Y_u and H2 in one call and runs every check but Gamma's; the trace
+    and the reduced lists L_u minus X_u and Y_u are built here.  Returns
+    (f1, None) when C is empty, else (f1, (h2, reduced lists, B in
+    order, b)).
     """
-    a_set = maximal_independent_set(g)
-    # A-vertices stay uncolored, so greedy-coloring the rest of g in
-    # increasing order gives the classes of g minus A
-    classes = greedy_color_classes(
-        g, order=[v for v in range(g.n) if v not in a_set]
-    )
-    s = len(classes)
     # Delta = 0 takes the log term at Delta = 1, below b_floor in both rows
     log_term = math.ceil(constants["b_log_coeff"] * math.log(4 * max(delta, 1)))
-    b = min(s, max(constants["b_floor"], log_term))
-    b_set = set().union(*classes[:b]) if classes else set()
-    c_set = set().union(*classes[b:]) if s > b else set()
-
-    trace.independent_set = a_set
-    trace.classes = classes
-    trace.s = s
+    core = kernels.pipeline_core(*g.csr, lists, k, max(constants["b_floor"], log_term))
+    members, bounds, b = core.members, core.bounds, core.b
+    trace.independent_set = frozenset(members[:bounds[1]])
+    trace.classes = tuple(frozenset(members[i:j]) for i, j in pairwise(bounds[1:]))
+    trace.s = len(trace.classes)
     trace.b = b
-    trace.part_b = frozenset(b_set)
-    trace.part_c = frozenset(c_set)
+    trace.part_b = frozenset(members[bounds[1]:bounds[b + 1]])
+    trace.part_c = frozenset(members[bounds[b + 1]:])
+    if core.f1 is not None:
+        trace.f1 = PartialColoring(core.f1)
+    if core.error is not None:
+        raise PipelineError(*core.error)
+    if core.h2 is None:
+        return trace.f1, None
 
-    in_a, in_b = _neighbor_tables(g, a_set, b_set, c_set)
-    _check_structure(in_a, in_b, a_set, k, b)
-
-    needed = (k - 1) * b + 2
-    for a in a_set:
-        if lists.size(a) < needed:
-            raise PipelineError(
-                "color_h1", f"list of {a} has {lists.size(a)} colors, need {needed}"
-            )
-    f1, witness = color_h1(in_a, a_set, b_set, lists)
-    trace.f1 = f1
-
-    if not c_set:
-        return f1, None
-
-    reduced, removed_x, removed_y = reduce_lists(
-        g, in_a, b_set, witness, lists, k=k, b=b
+    b_sorted = sorted(trace.part_b)
+    trace.removed_x = {u: xs for u, (xs, _) in zip(b_sorted, core.removed)}
+    trace.removed_y = {u: ys for u, (_, ys) in zip(b_sorted, core.removed)}
+    # L_u minus X_u and Y_u, which the kernel checked to be non-empty
+    reduced = ListAssignment._from_sorted(
+        [lists.without(u, xs | ys) for u, (xs, ys) in zip(b_sorted, core.removed)]
     )
-    trace.removed_x = removed_x
-    trace.removed_y = removed_y
-
-    b_sorted = sorted(b_set)
-    b_index = {v: i for i, v in enumerate(b_sorted)}
-    # every C-vertex has at least b >= 1 B-neighbors (checked above)
-    h2 = Hypergraph._from_sorted(
-        len(b_sorted), [tuple(b_index[w] for w in in_b[v]) for v in sorted(c_set)]
-    )
-
+    h2 = Hypergraph._from_csr(len(b_sorted), *core.h2)
     gamma = hypergraph_stats(h2)
     if gamma > delta * delta:
         raise PipelineError("h2", f"Gamma {gamma} exceeds Delta^2 {delta * delta}")
-    return f1, (h2, reduced, b_sorted, b)
+    return trace.f1, (h2, reduced, b_sorted, b)

@@ -1,10 +1,12 @@
 """The compiled and pure-Python kernels must explore the identical search
 tree: equal status, equal result, equal node count, on every input; and
-their max_star must find the same largest induced star, their
-greedy_color the same first-fit colors and their gamma the same Gamma,
-each refusing the same input with the same error.  Their
+their max_star must find the same largest induced star and their gamma
+the same Gamma, each refusing the same input with the same error.  Their
 near_uniform must draw the colors and resample the edges of the
-full-rescan loop, and fail at the same round and edge.  The C
+full-rescan loop, and fail at the same round and edge, and their
+pipeline_core must find the same core, classes, checks, H1 colors and
+H2; the classes are the first-fit colors of greedy_color, which has no
+C entry of its own.  The C
 read_graph and read_hypergraph, which have no pure-Python twins, must
 read a file into the arrays of what fileio's record loop reads from it,
 and leave every other text to that loop.  A kernel whose allocation
@@ -370,8 +372,7 @@ def test_greedy_color_parity_on_random_graphs():
         p = rng.choice([0.0, 0.1, 0.3, 0.7])
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         for order in (list(range(n)), rng.sample(range(n), rng.randint(0, n)), []):
-            want = _first_fit_colors(g, order)
-            assert kernels.greedy_color(*g.csr, order) == pure.greedy_color(*g.csr, order) == want
+            assert pure.greedy_color(*g.csr, order) == _first_fit_colors(g, order)
 
 
 def test_gamma_parity_on_random_hypergraphs():
@@ -391,19 +392,29 @@ def test_gamma_parity_on_random_hypergraphs():
 
 def test_greedy_color_and_gamma_parity_on_the_benchmark_line_graphs():
     # the pipeline's classes, of the vertices outside a maximal independent
-    # set, and Gamma of the closed neighborhoods, which meet far more
-    # edges than the pipeline's H2
+    # set, as the active pipeline_core finds them without handing the
+    # request to its twin, and Gamma of the closed neighborhoods, which
+    # meet far more edges than the pipeline's H2
     for g in _benchmark_line_graphs():
         a_set = graphs.maximal_independent_set(g)
         order = [v for v in range(g.n) if v not in a_set]
-        assert kernels.greedy_color(*g.csr, order) == pure.greedy_color(*g.csr, order)
+        _, _, r = prob.pipeline_list_size(g, True)
+        core, in_c = _same_core(*g.csr, ListAssignment.uniform_range(g.n, r), 3, 2)
+        assert in_c or kernels.BACKEND != "compiled"
+        assert core.members[:core.bounds[1]] == sorted(a_set)
+        color = [-1] * g.n
+        for c in range(len(core.bounds) - 2):
+            for v in core.members[core.bounds[c + 1]:core.bounds[c + 2]]:
+                color[v] = c
+        assert color == pure.greedy_color(*g.csr, order)
         closed = graphs.derived_hypergraph(g, "closed")
         assert kernels.gamma(g.n, *closed.csr) == pure.gamma(g.n, *closed.csr)
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])
 def test_greedy_color_and_gamma_refuse_what_they_cannot_read(backend):
-    greedy = kernels.greedy_color if backend == "active" else pure.greedy_color
+    # greedy_color has no C entry: both runs check the twin
+    greedy = pure.greedy_color
     gamma = kernels.gamma if backend == "active" else pure.gamma
     # starts that would read outside vert
     for start, vert in (([], []), ([1, 1], [0]), ([0, 2, 1, 2], [1, 2])):
@@ -537,9 +548,9 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
         "pure-python",
         pure.search,
         pure.max_star,
-        pure.greedy_color,
         pure.gamma,
         pure.near_uniform,
+        pure.pipeline_core,
         None,
         None,
     )
@@ -547,7 +558,7 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     if kernels.BACKEND != "compiled":
         pytest.skip("no C compiler to build _kernel.c")
     (
-        backend, search, max_star, greedy_color, gamma, near_uniform, read_graph,
+        backend, search, max_star, gamma, near_uniform, pipeline_core, read_graph,
         read_hypergraph,
     ) = kernels.load(tmp_path)
     assert backend == "compiled"
@@ -562,9 +573,13 @@ def test_loader_falls_back_then_reuses_its_cache(tmp_path):
     # all the kernels come from the one library: the path 0 - 1 - 2
     path = _csr([[1], [0, 2], [1]])
     assert max_star(*path) == pure.max_star(*path) == 2
-    assert greedy_color(*path, [1, 0]) == pure.greedy_color(*path, [1, 0]) == [1, 0, -1]
     # as edges, the rows {1}, {0, 2}, {1}: only the two copies of {1} meet
     assert gamma(3, *path) == pure.gamma(3, *path) == 1
+    # A = {0, 2} and the class {1}, which k = 2 lets have one A-neighbor
+    lists = ListAssignment.uniform_range(3, 4)
+    core = pure.pipeline_core(*path, lists, 2, 1)
+    assert pipeline_core(*path, lists, 2, 1) == core
+    assert core.error == ("structure", "vertex 1 has 2 A-neighbors, expected 1..1")
     text = "p graph 3 2\ne 2 3\ne 1 2\n"
     assert read_graph(text) == path == fileio._parse_graph_records(text).csr
     text = "p hgraph 3 2\nh 3 1\nh 2\n"
@@ -657,6 +672,9 @@ def test_near_uniform_edge_cases_on_both_backends():
             bad = Hypergraph._from_sorted(3, edges)
             with pytest.raises(ValueError, match=f"^CSR row {row} names a vertex outside"):
                 near_uniform(bad, one, 3, 5)
+        # and with n < 0 no vertex lies inside
+        with pytest.raises(ValueError, match="^CSR row 0 names a vertex outside"):
+            near_uniform(Hypergraph._from_sorted(-1, [(0,)]), one, 3, 5)
     # 2^32 + 1 colors are drawn from two Twister words, as is
     # list_factor 10^14 times 6 (50 bits); a negative seed
     _same_resampling(h, ListAssignment.uniform_range(12, 2**32 + 1), 5, 10)
@@ -756,6 +774,186 @@ def test_read_hypergraph_leaves_other_texts_to_the_record_loop(text):
         assert str(got.value) == str(exc)
     else:
         assert fileio.parse_hypergraph(text) == want
+
+
+def _same_core(start, vert, lists, k, b_cap):
+    """The active backend's pipeline_core, after checking that the pure
+    kernel gives the same, and whether the compiled entry ran it to the
+    end rather than handing it to the pure kernel."""
+    with mock.patch.object(pure, "pipeline_core", wraps=pure.pipeline_core) as twin:
+        got = kernels.pipeline_core(start, vert, lists, k, b_cap)
+    assert got == pure.pipeline_core(start, vert, lists, k, b_cap)
+    return got, kernels.BACKEND == "compiled" and not twin.called
+
+
+def _core_lists(n, size, rng):
+    """_resampler_lists' lists of at least `size` colors, and a mix of
+    the three kinds, chosen vertex by vertex."""
+    kinds = _resampler_lists(n, size, rng)
+    mixed = [kinds[rng.choice(sorted(kinds))].colors(v) for v in range(n)]
+    return {**kinds, "mixed": ListAssignment._from_sorted(mixed)}
+
+
+def _outcome(core):
+    """The stage of a Core's failed check, or whether it built H2."""
+    return core.error[0] if core.error else "h2" if core.h2 else "no C"
+
+
+def test_pipeline_core_parity_on_random_line_graphs():
+    # line graphs of G(n, p) with n <= 30, whose k is 3; k = 2 and small
+    # lists fail the checks, and large b_cap leaves C empty
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(120):
+        g, _ = line_graph(graphs.random_graph(rng.randint(3, 30), rng.choice([0.1, 0.2, 0.3]), rng))
+        k, b_cap = rng.choice([2, 3, 3, 3, 4]), rng.choice([1, 2, 2, 3, 10**9])
+        size = (k - 1) * min(b_cap, g.n) + 2 + rng.choice([-1, 0, 0, 5])
+        for kind, lists in _core_lists(g.n, max(size, 1), rng).items():
+            core, in_c = _same_core(*g.csr, lists, k, b_cap)
+            outcomes.add((kind, _outcome(core)))
+            # no input here is a greedy dead end, so the compiled entry
+            # runs every one without an explicit list
+            explicit = any(isinstance(lists.colors(v), tuple) for v in range(g.n))
+            assert in_c == (kernels.BACKEND == "compiled" and not explicit)
+    for kind in ("range", "reduced", "explicit", "mixed"):
+        assert {(kind, o) for o in ("structure", "color_h1", "h2", "no C")} <= outcomes
+
+
+def test_pipeline_core_parity_on_the_benchmark_line_graphs():
+    # the pipeline requests' core: k = 3, b_cap 2, r colors in range
+    # lists, which the compiled entry runs, and in explicit lists drawn
+    # from 2r colors for a few graphs, which it hands to the pure kernel
+    rng = random.Random(6)
+    for i, g in enumerate(_benchmark_line_graphs()):
+        _, _, r = prob.pipeline_list_size(g, True)
+        cases = [ListAssignment.uniform_range(g.n, r)]
+        if i < 5:
+            cases.append(ListAssignment([rng.sample(range(2 * r), r) for _ in range(g.n)]))
+        for j, lists in enumerate(cases):
+            core, in_c = _same_core(*g.csr, lists, 3, 2)
+            assert core.error is None and core.h2 is not None
+            assert in_c == (kernels.BACKEND == "compiled" and j == 0)
+
+
+def _core_cases():
+    """(graph, lists, k, b_cap, error) reaching each check of
+    pipeline_core but |X_u|'s, which the structure check leaves
+    unreachable (test_reduce_lists_checks calls it), and H1's greedy dead
+    ends, all on range lists, which the compiled entry reads."""
+    k5 = list(combinations(range(5), 2))
+    wide = ListAssignment([range(i, 13) for i in range(4)])
+    return [
+        # vertex 1 of the path 0 - 1 - 2 has two A-neighbors, k = 2 allows one
+        (Graph(3, [(0, 1), (1, 2)]), ListAssignment.uniform_range(3, 8), 2, 2,
+         ("structure", "vertex 1 has 2 A-neighbors, expected 1..1")),
+        # C-vertices 7 and 8 have three B-neighbors, k = 2 and b = 2 allow two
+        (Graph(9, [(0, 1), (0, 4), (0, 5), (1, 4), (1, 6), (2, 3), (2, 6), (2, 7), (2, 8),
+                   (3, 7), (3, 8), (4, 8), (5, 7), (5, 8), (6, 7)]),
+         ListAssignment.uniform_range(9, 8), 2, 2,
+         ("structure", "C-vertex 7 has 3 B-neighbors, expected 2..2")),
+        # A-vertices 2 and 8 have one color, k = 3 and b = 2 need six
+        (Graph(9, [(0, 1), (0, 4), (2, 7), (3, 5), (3, 6), (4, 7), (4, 8), (6, 8)]),
+         ListAssignment([range(1) if v in (2, 8) else range(8) for v in range(9)]), 3, 2,
+         ("color_h1", "list of 2 has 1 colors, need 6")),
+        # B-vertex 4 and its B-neighbors 5 and 6 have the witnesses 0, 1
+        # and 2 of their A-neighbors 0, 1 and 2; k = 2 and b = 2 allow two
+        (Graph(8, [(0, 4), (1, 5), (2, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7)]),
+         ListAssignment([range(a, a + 4) for a in range(4)] + [range(6)] * 4), 2, 2,
+         ("reduce_lists", "|Y_4| = 3 exceeds (k-1)(b-1)+1")),
+        # the one color of B-vertex 2 is the witness of its A-neighbor 0
+        (Graph(4, [(0, 2), (0, 3), (2, 3)]),
+         ListAssignment([range(4), range(4), range(1), range(4)]), 3, 1,
+         ("reduce_lists", "vertex 2 left with empty list")),
+        # a B-vertex on each pair of A = {0..4} asks for a proper coloring
+        # of K5 from four colors: greedy is stuck at 4, the solver too
+        (Graph(15, [(a, 5 + i) for i, pair in enumerate(k5) for a in pair]),
+         ListAssignment.uniform_range(15, 4), 3, 1,
+         ("color_h1", "A-core hypergraph is uncolorable")),
+        # A-vertex 4 shares a B-vertex with each of 0..3, whose first
+        # colors 0..3 are its whole list: greedy is stuck, the solver is
+        # not.  A-vertex i has the range i..12 without i + 1..9
+        (Graph(9, [(i, 5 + i) for i in range(4)] + [(4, 5 + i) for i in range(4)]),
+         ListAssignment._from_sorted(
+             [wide.without(i, set(range(i + 1, 10))) for i in range(4)] + [range(4)] * 5
+         ), 3, 1, None),
+    ]
+
+
+def test_pipeline_core_checks_on_both_backends():
+    # the compiled entry runs every check itself and hands H1's dead ends
+    # to the pure kernel, which falls back to the exact solver
+    for g, lists, k, b_cap, error in _core_cases():
+        core, in_c = _same_core(*g.csr, lists, k, b_cap)
+        assert core.error == error
+        dead_end = error is None or "uncolorable" in error[1]
+        assert in_c != dead_end or kernels.BACKEND != "compiled"
+    assert core.f1 == {0: 10, 1: 1, 2: 2, 3: 3, 4: 0} and core.h2 is None
+    # X_2 u Y_2 = {0, 1} does not empty B-vertex 2's list {0, 2}, the
+    # range 0..2 without 1: a removed color is no color of the list
+    g = Graph(4, [(0, 2), (1, 2), (0, 3), (2, 3)])
+    reduced = ListAssignment([range(3)] * 4).without(2, {1})
+    lists = ListAssignment._from_sorted([range(4), range(4), reduced, range(4)])
+    core, in_c = _same_core(*g.csr, lists, 3, 1)
+    assert core.error is None and core.removed == [(frozenset({0, 1}), frozenset({0}))]
+    assert in_c or kernels.BACKEND != "compiled"
+
+
+def test_pipeline_core_declines_to_the_pure_kernel():
+    # range lists run in C; one explicit list, colors of 2^63 or more,
+    # in an explicit list or a range, and a k above INT_MAX are the pure
+    # kernel's
+    g = Graph(4, [(0, 2), (0, 3), (2, 3)])
+    core, in_c = _same_core(*g.csr, ListAssignment([range(4)] * 4), 3, 1)
+    assert in_c == (kernels.BACKEND == "compiled")
+    for last, k in (((0, 1, 2, 3), 3), (tuple(range(2**63 - 2, 2**63 + 2)), 3),
+                    (range(2**70, 2**70 + 4), 3), (range(4), 2**40)):
+        lists = ListAssignment([range(4)] * 3 + [last])
+        core, in_c = _same_core(*g.csr, lists, k, 1)
+        assert not in_c
+    assert core.error == ("color_h1", f"list of 0 has 4 colors, need {2**40 + 1}")
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_pipeline_core_refuses_what_it_cannot_read(backend):
+    core = kernels.pipeline_core if backend == "active" else pure.pipeline_core
+    lists = ListAssignment.uniform_range(2, 8)
+    for start, vert in (([], []), ([1, 1], [0]), ([0, 2, 1], [1, 0])):
+        with pytest.raises(ValueError, match="CSR starts must rise"):
+            core(array("i", start), array("i", vert), lists, 3, 2)
+    for rows, row in (([[1], [3]], 1), ([[-1], [0]], 0), ([[], [2**31 - 1]], 1)):
+        with pytest.raises(ValueError, match=f"^CSR row {row} names a vertex outside"):
+            core(*_csr(rows), lists, 3, 2)
+        # the lists are checked before the rows
+        with pytest.raises(ValueError, match="^lists must cover every vertex$"):
+            core(*_csr(rows), ListAssignment.uniform_range(3, 8), 3, 2)
+
+
+_PIPELINE_CORE_OUT_OF_MEMORY = """
+import resource
+from array import array
+from cfcolor import kernels
+from cfcolor.coloring import ListAssignment
+assert kernels.BACKEND == "compiled"
+n = 1 << 22
+start, vert = array("i", [0]) * (n + 1), array("i")
+lists = ListAssignment.uniform_range(n, 4)
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 60 * n, size + 60 * n))
+try:
+    kernels.pipeline_core(start, vert, lists, 3, 2)
+except MemoryError as exc:
+    print(exc)
+"""
+
+
+@requires_compiled
+def test_pipeline_core_out_of_memory_is_a_memory_error():
+    # 2^22 isolated vertices: the blocks allocated in Python take about 40
+    # bytes a vertex, and C's scratch 40 more, so an address space 60
+    # bytes a vertex above the input's holds the first but not the second
+    done = run_python(_PIPELINE_CORE_OUT_OF_MEMORY, timeout=120)
+    assert done.stdout == "pipeline_core on 4194304 vertices ran out of memory\n"
 
 
 _NEAR_UNIFORM_OUT_OF_MEMORY = """

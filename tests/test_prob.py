@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from cfcolor import prob
+from cfcolor import _kernel_py as pure
+from cfcolor import kernels, prob
 from cfcolor.coloring import ListAssignment
 from cfcolor.graphs import (
     derived_hypergraph,
@@ -178,8 +179,8 @@ def pipeline_lists(g, scaled_mode=False, k_override=None):
 
 def test_neighbor_tables_match_direct_scans():
     # the tables from the rows of A and B equal those from every
-    # vertex's row, and in_b is keyed in the order of c_set, which names
-    # the C-vertex of a structure error
+    # vertex's row, and in_b is keyed in increasing order, so that a
+    # structure error names the lowest C-vertex that fails
     for g in claw_free_corpus(5, 12, seed=27):
         a_set = maximal_independent_set(g)
         classes = greedy_color_classes(
@@ -187,13 +188,38 @@ def test_neighbor_tables_match_direct_scans():
         )
         for b in range(len(classes) + 1):
             b_set = set().union(*classes[:b])
-            c_set = set().union(*classes[b:])
-            in_a, in_b = prob._neighbor_tables(g, a_set, b_set, c_set)
+            c_sorted = sorted(set().union(*classes[b:]))
+            in_a, in_b = pure._neighbor_tables(g.adj, sorted(a_set), b_set, c_sorted)
             assert in_a == [
                 [w for w in g.closed[v] if w in a_set] for v in range(g.n)
             ]
-            want = {v: [w for w in g.adj[v] if w in b_set] for v in c_set}
+            want = {v: [w for w in g.adj[v] if w in b_set] for v in c_sorted}
             assert list(in_b.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_checks_name_the_lowest_failing_vertex(backend, monkeypatch):
+    """Two C-vertices with too many B-neighbors, and two A-vertices with
+    short lists: each check names the lower one, where set iteration
+    order would name C-vertex 8 and A-vertex 8."""
+    if backend == "pure":
+        monkeypatch.setattr(kernels, "pipeline_core", pure.pipeline_core)
+    from cfcolor.graphs import Graph
+
+    # k = 2 and b = 2: C-vertices 7 and 8 have 3 B-neighbors each
+    g = Graph(9, [(0, 1), (0, 4), (0, 5), (1, 4), (1, 6), (2, 3), (2, 6), (2, 7), (2, 8),
+                  (3, 7), (3, 8), (4, 8), (5, 7), (5, 8), (6, 7)])
+    _, trace = prob.cfcn_pipeline(g, pipeline_lists(g, True, 2), 0, True, 2)
+    assert trace.delegated and trace.b == 2 and {7, 8} <= trace.part_c
+    assert trace.failures == (
+        "attempt 1: [structure] C-vertex 7 has 3 B-neighbors, expected 2..2",
+    )
+    # k = 3 and b = 2: A-vertices 2 and 8 have one color, below (k-1)b + 2
+    g = Graph(9, [(0, 1), (0, 4), (2, 7), (3, 5), (3, 6), (4, 7), (4, 8), (6, 8)])
+    lists = ListAssignment([range(1) if v in (2, 8) else range(8) for v in range(9)])
+    core = kernels.pipeline_core(*g.csr, lists, 3, 2)
+    assert {2, 8} <= set(core.members[:core.bounds[1]]) and core.b == 2
+    assert core.error == ("color_h1", "list of 2 has 1 colors, need 6")
 
 
 def test_pipeline_full_constants_color_claw_free_graphs():
@@ -329,8 +355,8 @@ def test_color_h1_covers_a_union_b():
     b = set(range(g.n)) - a
     in_a = [[x for x in g.closed[v] if x in a] for v in range(g.n)]
     lists = ListAssignment.uniform_range(g.n, 64)
-    f1, witness = prob.color_h1(in_a, a, b, lists)
-    assert set(f1.domain) == a
+    f1, witness = pure.color_h1(in_a, a, b, lists)
+    assert set(f1) == a
     # every vertex of A u B sees a unique color among closed A-neighbors,
     # and its witness is the smallest such color
     assert set(witness) == set(range(g.n))
@@ -342,23 +368,25 @@ def test_color_h1_covers_a_union_b():
     # a B-vertex without an A-neighbor is reported before any coloring
     in_a[max(b)] = []
     with pytest.raises(prob.PipelineError, match=f"vertex {max(b)} in B has no"):
-        prob.color_h1(in_a, a, b, lists)
+        pure.color_h1(in_a, a, b, lists)
 
 
 def test_color_h1_falls_back_to_the_exact_solver(monkeypatch):
+    from cfcolor import solve
+
     solved = []
-    solve_list_cf = prob.solve_list_cf
+    solve_list_cf = solve.solve_list_cf
     monkeypatch.setattr(
-        prob, "solve_list_cf", lambda *a: solved.append(1) or solve_list_cf(*a)
+        solve, "solve_list_cf", lambda *a: solved.append(1) or solve_list_cf(*a)
     )
     # B-vertex 3 sees all of A = {0, 1, 2}: greedy gives 0 and 1 the two
     # colors of {1, 2} and is stuck at 2, which the solver on H1 colors
     in_a = [[0], [1], [2], [0, 1, 2]]
     a, b = {0, 1, 2}, {3}
     lists = ListAssignment([(1, 2)] * 4)
-    f1, witness = prob.color_h1(in_a, a, b, lists)
+    f1, witness = pure.color_h1(in_a, a, b, lists)
     assert solved == [1]
-    assert set(f1.domain) == a
+    assert set(f1) == a
     assert all(f1[v] in lists.colors(v) for v in a)
     assert witness == {v: smallest_once(f1, in_a[v]) for v in range(4)}
 
@@ -367,7 +395,7 @@ def test_color_h1_falls_back_to_the_exact_solver(monkeypatch):
     with pytest.raises(
         prob.PipelineError, match=r"^\[color_h1\] A-core hypergraph is uncolorable$"
     ):
-        prob.color_h1(in_a, a, {3, 4, 5}, ListAssignment([(1, 2)] * 6))
+        pure.color_h1(in_a, a, {3, 4, 5}, ListAssignment([(1, 2)] * 6))
 
 
 @pytest.mark.parametrize(
@@ -390,7 +418,7 @@ def test_reduce_lists_checks(in_a_2, witness, lists_2, message):
     in_a = [[0], [1], in_a_2, [1]]
     lists = ListAssignment([(1, 2, 3), (1, 2, 3), lists_2, (1, 2, 3)])
     with pytest.raises(prob.PipelineError, match=message):
-        prob.reduce_lists(g, in_a, {2, 3}, witness, lists, k=2, b=1)
+        pure.reduce_lists(g.adj, in_a, {2, 3}, witness, lists, k=2, b=1)
 
 
 def test_pipeline_retries_only_the_resampling(monkeypatch):
@@ -408,14 +436,14 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
 
     g = claw_free_corpus(1, 12, seed=22)[0]
     lists = pipeline_lists(g, True)
-    color_h1 = prob.color_h1
-    h1_calls, seeds = [], []
+    pipeline_core = kernels.pipeline_core
+    core_calls, seeds = [], []
 
-    def counted_color_h1(*args, **kwargs):
-        h1_calls.append(1)
-        return color_h1(*args, **kwargs)
+    def counted_pipeline_core(*args, **kwargs):
+        core_calls.append(1)
+        return pipeline_core(*args, **kwargs)
 
-    monkeypatch.setattr(prob, "color_h1", counted_color_h1)
+    monkeypatch.setattr(kernels, "pipeline_core", counted_pipeline_core)
     for error, tried in (
         (prob.ResampleFailure(1, 0), [7, 8, 9, 10]),
         (ValueError("minimum edge size 1 below required alpha 2"), [7]),
@@ -425,13 +453,13 @@ def test_pipeline_retries_only_the_resampling(monkeypatch):
             raise error
 
         monkeypatch.setattr(prob, "near_uniform_color", failing_lemma)
-        h1_calls.clear()
+        core_calls.clear()
         seeds.clear()
         f, trace = prob.cfcn_pipeline(g, lists, 7, True, retry_limit=4)
         assert verify_cf(derived_hypergraph(g, "closed"), f, lists=lists).valid
         assert trace.delegated and trace.part_c
         assert seeds == tried and len(trace.failures) == len(tried)
-        assert trace.attempts == len(tried) and h1_calls == [1]
+        assert trace.attempts == len(tried) and core_calls == [1]
     # the lemma's ValueError is recorded under the h2 stage
     assert trace.failures == (
         "attempt 1: [h2] minimum edge size 1 below required alpha 2",

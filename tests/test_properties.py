@@ -171,6 +171,32 @@ def test_graph_format_round_trip(g):
     assert fileio.parse_graph(fileio.format_graph(g)) == g
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8),
+            st.tuples(st.integers(0, 5), st.integers(1, 5)).map(lambda t: range(t[0], sum(t))),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([[3, 1, 3, 2], [5], [0, 0], range(2, 4)])
+@settings(max_examples=150, deadline=None)
+def test_parsed_lists_are_normalized(rows):
+    # `l` records in any order and with repeats read as ListAssignment
+    # normalizes them: ascending, every color once
+    text = "".join(
+        f"L {v + 1} {row.start} {row.stop}\n" if isinstance(row, range)
+        else f"l {v + 1} " + " ".join(map(str, row)) + "\n"
+        for v, row in enumerate(rows)
+    )
+    lists = fileio.parse_lists(text, len(rows))
+    assert lists == ListAssignment(rows)
+    for v, row in enumerate(rows):
+        assert lists.colors(v) == (row if isinstance(row, range) else tuple(sorted(set(row))))
+
+
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_pimds_search_is_sound_and_complete(g):
