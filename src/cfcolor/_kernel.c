@@ -57,7 +57,7 @@
    round cap, 3 = out of memory, 4 = an edge names a vertex outside
    [0, n), 5 = the final check failed.
 
-   pipeline_core finds what _kernel_py.pipeline_core finds, reading range
+   pipeline_core finds what _kernel_py.pipeline_core finds, reading the
    lists as near_uniform reads them, and fills blocks that kernels.py
    allocates.  Status codes: 0 = done, whether a check failed or not, 1 =
    declined (an H1 greedy dead end), 3 = out of memory, 4 = a row names
@@ -853,10 +853,11 @@ static int holds(const long long *x, long long len, long long c) {
     return a < len && x[a] == c;
 }
 
-/* Is c in the range list d, lo[d] >= 0? */
+/* Is c in list d: among its colors, or in its range but not removed? */
 static int list_has(const Lists *l, int d, long long c) {
     const long long *x = l->extra + l->off[d];
     long long len = l->off[d + 1] - l->off[d];
+    if (l->lo[d] < 0) return holds(x, len, c);
     return c >= l->lo[d] && c < l->lo[d] + l->size[d] + len && !holds(x, len, c);
 }
 
@@ -866,8 +867,7 @@ enum { STRUCTURE_A = 1, STRUCTURE_C, LIST_SIZE, X_SIZE, Y_SIZE, EMPTY_LIST };
 
 /* The seed-independent stages of prob.cfcn_pipeline, as
    _kernel_py.pipeline_core runs them, on the graph's CSR adjacency (rows
-   in [0, n) checked here) and range lists in near_uniform's form, each
-   lo[d] >= 0: kernels.py hands explicit lists to the twin.
+   in [0, n) checked here) and lists in near_uniform's form.
 
    A is the greedy maximal independent set by increasing vertex; the
    other vertices are colored by first_fit, in increasing

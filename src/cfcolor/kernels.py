@@ -22,9 +22,10 @@
   CSR adjacency (``Graph.csr``): the core A, the greedy classes, b, the
   checks, the H1 coloring, X_u and Y_u and H2, as a
   ``_kernel_py.Core``; twin ``_kernel_py.pipeline_core``.  It reads
-  range lists as ``near_uniform`` does and declines what that declines,
-  explicit lists, a k outside [2, INT_MAX], a negative b_cap and H1's
-  greedy dead ends, which need the exact solver; the twin then runs;
+  lists as ``near_uniform`` does and declines what that declines, a k
+  outside [2, INT_MAX], a negative b_cap, arrays that C ints cannot
+  index and H1's greedy dead ends, which need the exact solver; the
+  twin then runs;
 - ``read_graph(text)``, a graph file exactly as ``fileio.format_graph``
   writes it, read into those CSR arrays with every row sorted, and
   ``read_hypergraph(text)``, a `p hgraph` file in canonical form read
@@ -338,7 +339,7 @@ def _bind_pipeline_core(lib):
     fills blocks allocated here.  The pure kernel runs instead for k
     outside [2, INT_MAX], a negative b_cap, a graph whose arrays C ints
     cannot index (2(n + 2m) > INT_MAX), lists that _list_arrays declines
-    or that hold an explicit list, and input the C entry declines."""
+    and H1's greedy dead ends, which the C entry declines."""
     c_core = lib.pipeline_core
     c_core.argtypes = [_int, _ptr, _ptr, _int, _int] + [_ptr] * 9
     c_core.restype = _int
@@ -350,11 +351,9 @@ def _bind_pipeline_core(lib):
         n, items = len(start) - 1, len(vert)
         if lists.n != n:
             raise ValueError("lists must cover every vertex")
-        arrays = None
-        if 2 <= k <= INT_MAX and b_cap >= 0 and 2 * (n + items) + 4 <= INT_MAX:
-            arrays = _list_arrays(lists)
-        # C reads range lists only (lo >= 0)
-        if arrays is None or -1 in arrays[1]:
+        fits = 2 <= k <= INT_MAX and b_cap >= 0 and 2 * (n + items) + 4 <= INT_MAX
+        arrays = _list_arrays(lists) if fits else None
+        if arrays is None:
             return _kernel_py.pipeline_core(start, vert, lists, k, b_cap)
         part = array("i", [0]) * (4 * n + 4)
         h2 = array("i", [0]) * (n + 2 + items)

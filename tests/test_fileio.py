@@ -416,6 +416,64 @@ def test_the_c_reader_reads_what_the_record_loop_reads():
     assert min(accepted.count(True), accepted.count(False)) > 100
 
 
+
+def _hypergraph_mutant(text, rng):
+    """text with one mutation: a line or a token dropped, a vertex
+    repeated on its edge line, a space, a tab or a leading zero added,
+    or a header count moved by one."""
+    lines = text.splitlines()
+    kind = rng.randrange(7)
+    i = rng.randrange(1 if kind == 2 else 0, len(lines))
+    tokens = lines[i].split(" ")
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        del tokens[rng.randrange(len(tokens))]
+    elif kind == 2:
+        tokens.insert(rng.randrange(1, len(tokens) + 1), rng.choice(tokens[1:]))
+    elif kind == 5:
+        j = rng.randrange(len(tokens))
+        tokens[j] = "0" + tokens[j]
+    elif kind == 6:
+        counts = [int(t) for t in lines[0].split(" ")[2:]]
+        counts[rng.randrange(2)] += rng.choice((-1, 1))
+        lines[0] = "p hgraph %d %d" % tuple(counts)
+    else:
+        j = rng.randrange(len(text) + 1)
+        return text[:j] + " \t"[kind - 3] + text[j:]
+    if kind in (1, 2, 5):
+        lines[i] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@requires_compiled
+def test_the_c_hypergraph_reader_reads_what_the_record_loop_reads():
+    # read_graph's contract, for read_hypergraph: a mutated text of a
+    # small random hypergraph that the C reader accepts is the Hypergraph
+    # and csr of the record loop; any other text parse_hypergraph leaves
+    # to the record loop, with its Hypergraph or its exact error
+    rng = random.Random(22)
+    accepted = []
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        edges = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        text = f"p hgraph {n} {len(edges)}\n" + "".join(
+            "h " + " ".join(str(v + 1) for v in e) + "\n" for e in edges
+        )
+        h = Hypergraph(n, edges)
+        assert kernels.read_hypergraph(text) == (n, *h.csr)
+        mutant = _hypergraph_mutant(text, rng)
+        want = _graph_or_error(fileio._parse_hypergraph_records, mutant)
+        csr = kernels.read_hypergraph(mutant)
+        accepted.append(csr is not None)
+        got = _graph_or_error(fileio.parse_hypergraph, mutant)
+        assert got == want, mutant
+        if csr is not None:
+            assert csr == (got.n, *got.csr) == (want.n, *want.csr), mutant
+    # both sides of the contract are reached
+    assert min(accepted.count(True), accepted.count(False)) > 100
+
+
 _WIDE_HEADER = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -812,81 +812,84 @@ def test_pipeline_core_parity_on_random_line_graphs():
             core, in_c = _same_core(*g.csr, lists, k, b_cap)
             outcomes.add((kind, _outcome(core)))
             # no input here is a greedy dead end, so the compiled entry
-            # runs every one without an explicit list
-            explicit = any(isinstance(lists.colors(v), tuple) for v in range(g.n))
-            assert in_c == (kernels.BACKEND == "compiled" and not explicit)
+            # runs every one, whatever its kind of lists
+            assert in_c == (kernels.BACKEND == "compiled")
     for kind in ("range", "reduced", "explicit", "mixed"):
         assert {(kind, o) for o in ("structure", "color_h1", "h2", "no C")} <= outcomes
 
 
 def test_pipeline_core_parity_on_the_benchmark_line_graphs():
     # the pipeline requests' core: k = 3, b_cap 2, r colors in range
-    # lists, which the compiled entry runs, and in explicit lists drawn
-    # from 2r colors for a few graphs, which it hands to the pure kernel
+    # lists, and in explicit lists drawn from 2r colors for a few graphs;
+    # the compiled entry runs both
     rng = random.Random(6)
     for i, g in enumerate(_benchmark_line_graphs()):
         _, _, r = prob.pipeline_list_size(g, True)
         cases = [ListAssignment.uniform_range(g.n, r)]
         if i < 5:
             cases.append(ListAssignment([rng.sample(range(2 * r), r) for _ in range(g.n)]))
-        for j, lists in enumerate(cases):
+        for lists in cases:
             core, in_c = _same_core(*g.csr, lists, 3, 2)
             assert core.error is None and core.h2 is not None
-            assert in_c == (kernels.BACKEND == "compiled" and j == 0)
+            assert in_c == (kernels.BACKEND == "compiled")
 
 
 def _core_cases():
-    """(graph, lists, k, b_cap, error) reaching each check of
+    """(graph, lists, k, b_cap, error, in_c) reaching each check of
     pipeline_core but |X_u|'s, which the structure check leaves
     unreachable (test_reduce_lists_checks calls it), and H1's greedy dead
-    ends, all on range lists, which the compiled entry reads."""
+    ends; in_c is whether the compiled entry runs the case to the end,
+    which it does for all but the dead ends.  The last case is a dead end
+    that the solver colors."""
     k5 = list(combinations(range(5), 2))
     wide = ListAssignment([range(i, 13) for i in range(4)])
+    emptied = ("reduce_lists", "vertex 2 left with empty list")
     return [
         # vertex 1 of the path 0 - 1 - 2 has two A-neighbors, k = 2 allows one
         (Graph(3, [(0, 1), (1, 2)]), ListAssignment.uniform_range(3, 8), 2, 2,
-         ("structure", "vertex 1 has 2 A-neighbors, expected 1..1")),
+         ("structure", "vertex 1 has 2 A-neighbors, expected 1..1"), True),
         # C-vertices 7 and 8 have three B-neighbors, k = 2 and b = 2 allow two
         (Graph(9, [(0, 1), (0, 4), (0, 5), (1, 4), (1, 6), (2, 3), (2, 6), (2, 7), (2, 8),
                    (3, 7), (3, 8), (4, 8), (5, 7), (5, 8), (6, 7)]),
          ListAssignment.uniform_range(9, 8), 2, 2,
-         ("structure", "C-vertex 7 has 3 B-neighbors, expected 2..2")),
+         ("structure", "C-vertex 7 has 3 B-neighbors, expected 2..2"), True),
         # A-vertices 2 and 8 have one color, k = 3 and b = 2 need six
         (Graph(9, [(0, 1), (0, 4), (2, 7), (3, 5), (3, 6), (4, 7), (4, 8), (6, 8)]),
          ListAssignment([range(1) if v in (2, 8) else range(8) for v in range(9)]), 3, 2,
-         ("color_h1", "list of 2 has 1 colors, need 6")),
+         ("color_h1", "list of 2 has 1 colors, need 6"), True),
         # B-vertex 4 and its B-neighbors 5 and 6 have the witnesses 0, 1
         # and 2 of their A-neighbors 0, 1 and 2; k = 2 and b = 2 allow two
         (Graph(8, [(0, 4), (1, 5), (2, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7)]),
          ListAssignment([range(a, a + 4) for a in range(4)] + [range(6)] * 4), 2, 2,
-         ("reduce_lists", "|Y_4| = 3 exceeds (k-1)(b-1)+1")),
-        # the one color of B-vertex 2 is the witness of its A-neighbor 0
-        (Graph(4, [(0, 2), (0, 3), (2, 3)]),
-         ListAssignment([range(4), range(4), range(1), range(4)]), 3, 1,
-         ("reduce_lists", "vertex 2 left with empty list")),
+         ("reduce_lists", "|Y_4| = 3 exceeds (k-1)(b-1)+1"), True),
+        # the one color of B-vertex 2 is the witness of its A-neighbor 0,
+        # whether its list is a range or explicit; the explicit (1,) holds
+        # no witness and keeps its color
+        *((Graph(4, [(0, 2), (0, 3), (2, 3)]),
+           ListAssignment([range(4), range(4), last, range(4)]), 3, 1, error, True)
+          for last, error in ((range(1), emptied), ((0,), emptied), ((1,), None))),
         # a B-vertex on each pair of A = {0..4} asks for a proper coloring
         # of K5 from four colors: greedy is stuck at 4, the solver too
         (Graph(15, [(a, 5 + i) for i, pair in enumerate(k5) for a in pair]),
          ListAssignment.uniform_range(15, 4), 3, 1,
-         ("color_h1", "A-core hypergraph is uncolorable")),
+         ("color_h1", "A-core hypergraph is uncolorable"), False),
         # A-vertex 4 shares a B-vertex with each of 0..3, whose first
         # colors 0..3 are its whole list: greedy is stuck, the solver is
         # not.  A-vertex i has the range i..12 without i + 1..9
         (Graph(9, [(i, 5 + i) for i in range(4)] + [(4, 5 + i) for i in range(4)]),
          ListAssignment._from_sorted(
              [wide.without(i, set(range(i + 1, 10))) for i in range(4)] + [range(4)] * 5
-         ), 3, 1, None),
+         ), 3, 1, None, False),
     ]
 
 
 def test_pipeline_core_checks_on_both_backends():
     # the compiled entry runs every check itself and hands H1's dead ends
     # to the pure kernel, which falls back to the exact solver
-    for g, lists, k, b_cap, error in _core_cases():
+    for g, lists, k, b_cap, error, runs_in_c in _core_cases():
         core, in_c = _same_core(*g.csr, lists, k, b_cap)
         assert core.error == error
-        dead_end = error is None or "uncolorable" in error[1]
-        assert in_c != dead_end or kernels.BACKEND != "compiled"
+        assert in_c == (runs_in_c and kernels.BACKEND == "compiled")
     assert core.f1 == {0: 10, 1: 1, 2: 2, 3: 3, 4: 0} and core.h2 is None
     # X_2 u Y_2 = {0, 1} does not empty B-vertex 2's list {0, 2}, the
     # range 0..2 without 1: a removed color is no color of the list
@@ -899,13 +902,14 @@ def test_pipeline_core_checks_on_both_backends():
 
 
 def test_pipeline_core_declines_to_the_pure_kernel():
-    # range lists run in C; one explicit list, colors of 2^63 or more,
+    # range lists and an explicit list run in C; colors of 2^63 or more,
     # in an explicit list or a range, and a k above INT_MAX are the pure
     # kernel's
     g = Graph(4, [(0, 2), (0, 3), (2, 3)])
-    core, in_c = _same_core(*g.csr, ListAssignment([range(4)] * 4), 3, 1)
-    assert in_c == (kernels.BACKEND == "compiled")
-    for last, k in (((0, 1, 2, 3), 3), (tuple(range(2**63 - 2, 2**63 + 2)), 3),
+    for last in (range(4), (0, 1, 2, 3)):
+        core, in_c = _same_core(*g.csr, ListAssignment([range(4)] * 3 + [last]), 3, 1)
+        assert in_c == (kernels.BACKEND == "compiled")
+    for last, k in ((tuple(range(2**63 - 2, 2**63 + 2)), 3),
                     (range(2**70, 2**70 + 4), 3), (range(4), 2**40)):
         lists = ListAssignment([range(4)] * 3 + [last])
         core, in_c = _same_core(*g.csr, lists, k, 1)
