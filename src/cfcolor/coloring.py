@@ -5,11 +5,15 @@ operation.  Lists are either explicit sorted sets or implicit contiguous
 ranges [lo, hi), held as `range` objects, or such a range without a few
 colors, held as a `ReducedRange` -- the latter two avoid materializing the
 huge lists the randomized pipeline works with.
+
+A `ListAssignment` holds each distinct list once, as a palette, and each
+vertex's palette index: which vertices share a list is decided there.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 
 
@@ -78,98 +82,107 @@ class ReducedRange:
         return f"ReducedRange({self.span!r}, {self.removed!r})"
 
 
-class ListAssignment:
-    """Per-vertex color list.
+def _checked(e):
+    """The list e: a range of step 1 as it is, else a sorted tuple."""
+    if isinstance(e, range):
+        # range(0, 1) == range(0, 1, 5): only step 1 is a list
+        if e.step != 1:
+            raise ValueError("implicit range lists must have step 1")
+        # len() of a longer range raises OverflowError
+        if e.stop - e.start > sys.maxsize:
+            raise ValueError(f"implicit range lists hold at most {sys.maxsize} colors")
+    else:
+        e = tuple(sorted(set(e)))
+    if not e:
+        raise ValueError("every list must be non-empty")
+    if e[0] < 0:
+        raise ValueError("colors must be non-negative")
+    return e
 
-    Each entry is either a sorted tuple of colors or a `range` with step
-    1 for the implicit list {lo, .., hi-1}; `without` and `_from_sorted`
-    also give ReducedRange entries.  All three index, slice, measure and
-    test membership alike, so the accessors need no case split.
+
+class ListAssignment:
+    """Per-vertex color list: `palettes`, the distinct lists in first-use
+    order, equal lists once, and `which[v]`, the index of v's list there.
+
+    A list is a sorted tuple of colors or a `range` with step 1 for the
+    implicit list {lo, .., hi-1}; `without` and `_from_sorted` also give
+    ReducedRanges.  All three index, slice, measure and test membership
+    alike, so the accessors need no case split.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ("n", "palettes", "which")
 
     def __init__(self, entries):
-        normalized = []
-        for e in entries:
-            if isinstance(e, range):
-                # range(0, 1) == range(0, 1, 5): only step 1 is a list
-                if e.step != 1:
-                    raise ValueError("implicit range lists must have step 1")
-                # len() of a longer range raises OverflowError
-                if e.stop - e.start > sys.maxsize:
-                    raise ValueError(
-                        f"implicit range lists hold at most {sys.maxsize} colors"
-                    )
-                colors = e
-            else:
-                colors = tuple(sorted(set(e)))
-            if not colors:
-                raise ValueError("every list must be non-empty")
-            if colors[0] < 0:
-                raise ValueError("colors must be non-negative")
-            normalized.append(colors)
-        self.n = len(normalized)
-        self._entries = tuple(normalized)
+        self._index(map(_checked, entries))
+
+    def _index(self, entries):
+        """Set palettes and which from the vertices' lists; returns self."""
+        index = {}
+        self.which = array("i", [index.setdefault(e, len(index)) for e in entries])
+        self.palettes, self.n = tuple(index), len(self.which)
+        return self
 
     @classmethod
     def _from_sorted(cls, entries):
         """The assignment with lists `entries`, which the caller has
         already checked to be non-empty: sorted, duplicate-free tuples of
         non-negative colors, or ReducedRanges."""
+        return cls.__new__(cls)._index(entries)
+
+    @classmethod
+    def _shared(cls, n, colors):
+        """n vertices with the one checked list `colors`."""
         lists = cls.__new__(cls)
-        lists._entries = tuple(entries)
-        lists.n = len(lists._entries)
+        lists.which = array("i", [0]) * n
+        lists.n = len(lists.which)
+        lists.palettes = (colors,) if lists.n else ()
         return lists
 
     @classmethod
     def uniform(cls, n, colors):
-        colors = tuple(sorted(set(colors)))
-        return cls([colors] * n)
+        return cls._shared(n, _checked(tuple(colors)) if n > 0 else None)
 
     @classmethod
     def uniform_range(cls, n, size, lo=0):
-        # the one range is checked once
-        return cls._from_sorted(cls([range(lo, lo + size)])._entries * n)
+        return cls._shared(n, _checked(range(lo, lo + size)))
 
     def size(self, v):
-        return len(self._entries[v])
+        return len(self.palettes[self.which[v]])
 
     def colors(self, v):
         """Colors of L_v, ascending."""
-        return self._entries[v]
+        return self.palettes[self.which[v]]
 
     def contains(self, v, color):
-        return color in self._entries[v]
+        return color in self.palettes[self.which[v]]
 
     def sample(self, v, rng):
         """Uniform color from L_v."""
-        e = self._entries[v]
+        e = self.palettes[self.which[v]]
         return e[rng.randrange(len(e))]
 
     def without(self, v, removed):
         """L_v minus `removed`: a ReducedRange for a range list, whose
         cost is the removed colors it holds, not the colors kept, and a
         sorted tuple for any other list."""
-        e = self._entries[v]
+        e = self.palettes[self.which[v]]
         if not isinstance(e, range):
             return tuple(c for c in e if c not in removed)
         return ReducedRange(e, sorted({c for c in removed if c in e}))
 
     def is_k_assignment(self, k):
-        return all(self.size(v) == k for v in range(self.n))
+        return all(len(e) == k for e in self.palettes)
 
     def restrict(self, vertices):
-        """Entries for the given vertices, in the given order."""
-        return ListAssignment([self._entries[v] for v in vertices])
+        """Lists of the given vertices, in the given order."""
+        return ListAssignment(map(self.colors, vertices))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ListAssignment) and self._entries == other._entries
-        )
+        same = isinstance(other, ListAssignment) and self.palettes == other.palettes
+        return same and self.which == other.which
 
     def __hash__(self):
-        return hash(self._entries)
+        return hash((self.palettes, self.which.tobytes()))
 
     def __repr__(self):
         return f"ListAssignment(n={self.n})"

@@ -67,13 +67,14 @@ check; both backends raise ValueError for bad starts, lists that do not
 cover every vertex and a row that names a vertex outside [0, n), in
 that order.
 ``read_graph`` returns (start, vert), or None when it declines the text:
-any other text, a self-loop or a duplicate edge.  ``read_hypergraph`` declines any other text, including
-a vertex repeated in an edge.  Each reader checks the header here and
-sizes the block that C fills from the header's counts only when the
-text can back them: for a graph N at most the text's length and M at
-most a sixth of it, for a hypergraph M at most a quarter of it and one
-vertex per two bytes.  Any entry whose allocation fails raises
-MemoryError; this module is the only one that reads a C status.
+any other text, a self-loop or a duplicate edge.
+``read_hypergraph`` declines any other text, including a vertex repeated
+in an edge.  Each reader checks the header here and sizes the block that
+C fills from the header's counts only when the text can back them: for a
+graph N at most the text's length and M at most a sixth of it, for a
+hypergraph M at most a quarter of it and one vertex per two bytes.  Any
+entry whose allocation fails raises MemoryError; this module is the only
+one that reads a C status.
 """
 
 from __future__ import annotations
@@ -255,35 +256,16 @@ def _bind_gamma(lib):
 TOP_COLOR = 2**63
 
 
-def _resampler_arrays(h, lists):
-    """The arrays the C near_uniform reads, or None when it cannot
-    represent the input: more than INT_MAX vertices, edges or
-    incidences, or lists that _list_arrays declines.  They are h.csr,
-    then _list_arrays(lists)."""
-    if max(h.n, h.m) > INT_MAX:
-        return None
-    try:
-        edge_start, edge_vert = h.csr
-    except OverflowError:  # more incidences than C ints
-        return None
-    arrays = _list_arrays(lists)
-    return None if arrays is None else (edge_start, edge_vert, *arrays)
-
-
 def _list_arrays(lists):
     """(which, lo, size, off, extra), the lists as C reads them, or None
     for an empty list or a color of TOP_COLOR or more.
 
-    Vertex v has list which[v] of size[d] colors, one per distinct entry
-    object.  A range or ReducedRange list d is lo[d] >= 0 and its removed
-    colors extra[off[d]:off[d + 1]]; an explicit one is lo[d] = -1 and
-    its colors there."""
-    entries = list(map(lists.colors, range(lists.n)))
-    ids = list(map(id, entries))
-    index = {key: d for d, key in enumerate(dict.fromkeys(ids))}
-    which = array("i", map(index.__getitem__, ids))
+    which is ``lists.which``: vertex v has palette d = which[v] of
+    ``lists.palettes``, of size[d] colors.  A range or ReducedRange palette
+    d is lo[d] >= 0 and its removed colors extra[off[d]:off[d + 1]]; an
+    explicit one is lo[d] = -1 and its colors there."""
     lo, size, off, extra = array("q"), array("q"), array("q", [0]), array("q")
-    for e in dict(zip(ids, entries)).values():
+    for e in lists.palettes:
         if not e:
             return None
         if isinstance(e, range):
@@ -298,19 +280,25 @@ def _list_arrays(lists):
         size.append(len(e))
         extra.extend(colors)
         off.append(len(extra))
-    return which, lo, size, off, extra
+    return lists.which, lo, size, off, extra
 
 
 def _bind_near_uniform(lib):
     """``_kernel_py.near_uniform`` on the C function of lib.  The pure
-    kernel runs instead on input that _resampler_arrays declines;
-    max_rounds is clamped to MAX_BUDGET, which no run gets near."""
+    kernel runs instead for more than INT_MAX vertices, edges or
+    incidences and for lists that _list_arrays declines; max_rounds is
+    clamped to MAX_BUDGET, which no run gets near."""
     c_near = lib.near_uniform
     c_near.argtypes = [_int, _int] + [_ptr] * 8 + [ctypes.c_longlong, _ptr, _ptr]
     c_near.restype = _int
 
     def near_uniform(h, lists, seed, max_rounds):
-        arrays = _resampler_arrays(h, lists)
+        arrays = _list_arrays(lists) if max(h.n, h.m) <= INT_MAX else None
+        if arrays is not None:
+            try:
+                arrays = (*h.csr, *arrays)
+            except OverflowError:  # more incidences than C ints
+                arrays = None
         if arrays is None:
             return _kernel_py.near_uniform(h, lists, seed, max_rounds)
         state = array("I", random.Random(seed).getstate()[1])

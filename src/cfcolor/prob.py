@@ -173,12 +173,12 @@ def cfcn_pipeline(
 
     Builds a maximal independent core A, greedily classes the rest and
     colors A, all in one ``kernels.pipeline_core`` call, then resamples
-    the near-uniform B-neighborhood hypergraph for the deep classes.  The output always passes verification against
-    the closed-neighborhood hypergraph and the original lists.  Only the
-    resampling depends on the seed: a failed resampling retries with a
-    fresh seed, and after retry_limit attempts, or at once when a stage
-    that does not depend on the seed fails, the run delegates to the
-    exact solver (recorded in the trace).
+    the near-uniform B-neighborhood hypergraph for the deep classes.  Its
+    output always verifies against the closed-neighborhood hypergraph and
+    the original lists.  Only the resampling depends on the seed: a
+    failed resampling retries with a fresh seed, and after retry_limit
+    attempts, or at once when a stage that does not depend on the seed
+    fails, the run delegates to the exact solver (recorded in the trace).
 
     The constants of b and r are the row of CONSTANTS that scaled_mode
     picks: the paper's, or the desk-scale ones; the trace records it.  In

@@ -48,19 +48,17 @@ class SolveInstance:
 def _dense_colors(lists, n_cap):
     """Map a ListAssignment onto dense kernel colors.
 
-    Returns (dense_lists, colors_by_dense).  Every list is cut to its
+    Returns (dense_lists, colors_by_dense).  Every palette is cut to its
     first n_cap colors: the other vertices use fewer colors than that, so
     a vertex colored outside its cut list can take a color of it that no
-    other vertex uses, which keeps every edge's unique color.  Equal cut
-    lists share one dense list, so identical lists are mapped once and
-    the kernel sees that the search is color-symmetric.  The union of the
+    other vertex uses, which keeps every edge's unique color.  Each
+    palette is mapped once and shared by its vertices, so the kernel sees
+    that a search over one palette is color-symmetric.  The union of the
     cut range lists is measured before any color is listed.
     """
-    entries = [lists.colors(v)[:n_cap] for v in range(lists.n)]
-    distinct = dict.fromkeys(entries)
+    cut = [e[:n_cap] for e in lists.palettes]
     covered = end = 0
-    ranges = sorted((e.start, e.stop) for e in distinct if isinstance(e, range))
-    for lo, hi in ranges:
+    for lo, hi in sorted((e.start, e.stop) for e in cut if isinstance(e, range)):
         if hi > end:
             covered += hi - max(lo, end)
             end = hi
@@ -68,15 +66,14 @@ def _dense_colors(lists, n_cap):
         raise BudgetExceededError(
             f"range lists span {covered} colors, over the dense-color cap"
         )
-    universe = sorted({c for e in distinct for c in e})
+    universe = sorted({c for e in cut for c in e})
     if len(universe) > MAX_DENSE_COLORS:
         raise BudgetExceededError(
             f"color universe of size {len(universe)} exceeds the dense-color cap"
         )
     dense_of = {c: i for i, c in enumerate(universe)}
-    for e in distinct:
-        distinct[e] = [dense_of[c] for c in e]
-    return [distinct[e] for e in entries], universe
+    dense = [[dense_of[c] for c in e] for e in cut]
+    return [dense[d] for d in lists.which], universe
 
 
 def _kernel_result(search, budget, found):

@@ -96,7 +96,7 @@ def verify_cf(h, f, lists=None, require_total=False):
     list_violations = []
     if lists is not None:
         for v, c in f.items():
-            if not lists.contains(v, c):
+            if not (0 <= v < lists.n and lists.contains(v, c)):
                 list_violations.append(v)
 
     totality_violations = []

@@ -23,7 +23,7 @@ import pytest
 
 from cfcolor import _kernel_py as pure
 from cfcolor import cli, fileio, graphs, kernels, prob
-from cfcolor.coloring import ListAssignment
+from cfcolor.coloring import ListAssignment, ReducedRange
 from cfcolor.errors import InputFormatError, ResampleFailure
 from cfcolor.graphs import Graph, Hypergraph, line_graph
 from util import (
@@ -792,6 +792,27 @@ def _core_lists(n, size, rng):
     kinds = _resampler_lists(n, size, rng)
     mixed = [kinds[rng.choice(sorted(kinds))].colors(v) for v in range(n)]
     return {**kinds, "mixed": ListAssignment._from_sorted(mixed)}
+
+
+def test_equal_lists_are_one_palette():
+    # held as one shared object or as separate equal ones, the lists are
+    # one palette: the assignments compare and hash alike, and C reads
+    # the same arrays from both
+    span = range(3, 40)
+    kinds = (
+        (lambda: range(3, 40), ListAssignment),
+        (lambda: ReducedRange(span, (5, 9)), ListAssignment._from_sorted),
+        (lambda: tuple(range(2, 9, 3)), ListAssignment._from_sorted),
+    )
+    for make, build in kinds:
+        shared, separate = build([make()] * 5), build([make() for _ in range(5)])
+        assert shared == separate and hash(shared) == hash(separate)
+        assert kernels._list_arrays(shared) == kernels._list_arrays(separate)
+        assert len(shared.palettes) == len(separate.palettes) == 1
+    mixed = ListAssignment([range(4), (2, 1), range(4), (1, 2)])
+    assert mixed.palettes == (range(4), (1, 2)) and list(mixed.which) == [0, 1, 0, 1]
+    lists = ListAssignment.uniform_range(6, 4)
+    assert lists.palettes == (range(4),) and list(lists.which) == [0] * 6
 
 
 def _outcome(core):

@@ -75,6 +75,18 @@ def test_colored_vertices_outside_the_hypergraph_lie_in_no_edge():
     assert report.edge_violations == (0, 1, 2)
 
 
+def test_colored_vertices_without_a_list_break_the_lists():
+    # a vertex outside [0, lists.n) has no list that holds its color: -1
+    # must not read the last vertex's list, and 2 must be reported, not
+    # raise
+    h = Hypergraph(2, [(0, 1)])
+    lists = ListAssignment([(5,), (7,)])
+    report = verify_cf(h, PartialColoring({0: 5, -1: 7}), lists=lists)
+    assert not report.valid and report.list_violations == (-1,)
+    report = verify_cf(h, PartialColoring({2: 7}), lists=lists)
+    assert not report.valid and report.list_violations == (2,)
+
+
 def test_report_lines_mention_each_violation():
     h = Hypergraph(2, [(0, 1)])
     f = PartialColoring({0: 1, 1: 1})
