@@ -2,14 +2,17 @@
 used by the randomized coloring pipeline.
 
 Vertices are dense integers 0..n-1.  All objects are immutable after
-construction; operations never mutate their arguments.  A graph builds its
-closed neighborhoods once, on first use, as `Graph.closed`; every closed
-neighborhood in the package is read from there.  Its adjacency as the CSR
-int arrays that the C kernels read is `Graph.csr`, which a graph read from
-a file gets from the reader; a hypergraph's edges as CSR arrays are
-`Hypergraph.csr`, likewise.  A hypergraph's incidence is built once, on
-first use, as `Hypergraph.incidence`; a derived neighborhood hypergraph
-gets its graph's rows.
+construction; operations never mutate their arguments.  A graph holds its
+adjacency in one of two forms and builds the other once, on first use:
+`Graph.adj`, a tuple of sorted rows, which a graph built from edges or
+adjacency sets gets, and `Graph.csr`, the CSR int arrays that the C
+kernels read, which a graph read from a file gets from the reader.  Its
+closed neighborhoods are built once, on first use, from `csr`, as
+`Graph.closed`; every closed neighborhood in the package is read from
+there.  A hypergraph's edges as CSR arrays are `Hypergraph.csr`, likewise
+from the reader or built on first use.  A hypergraph's incidence is built
+once, on first use, as `Hypergraph.incidence`; a derived neighborhood
+hypergraph gets its graph's rows.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from array import array
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, chain, combinations, pairwise
+from operator import sub
 
 from cfcolor._kernel_py import greedy_color, independent_set
 
@@ -25,7 +29,7 @@ from cfcolor._kernel_py import greedy_color, independent_set
 class Graph:
     """Finite, simple, undirected graph with array-backed adjacency."""
 
-    __slots__ = ("n", "adj", "__dict__")
+    __slots__ = ("n", "__dict__")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -61,18 +65,27 @@ class Graph:
     def _from_csr(cls, start, vert):
         """The graph whose row v is vert[start[v]:start[v + 1]], int arrays
         that the caller has already checked to hold a simple graph with
-        sorted rows; they become its `csr`."""
+        sorted rows; they become its `csr`, and its `adj` is built from
+        them only when something reads it."""
         g = cls.__new__(cls)
         g.n = len(start) - 1
-        flat = vert.tolist()
-        g.adj = tuple([tuple(flat[a:b]) for a, b in pairwise(start)])
         g.csr = start, vert
         return g
 
     @cached_property
+    def adj(self):
+        """Row v: the neighbors of v as a sorted tuple.  A graph built from
+        edges or adjacency sets is given it; a graph read from a file
+        builds it from `csr` on first use."""
+        start, vert = self.csr
+        flat = vert.tolist()
+        return tuple([tuple(flat[a:b]) for a, b in pairwise(start)])
+
+    @cached_property
     def csr(self):
         """(start, vert): the adjacency as int arrays, row v being
-        vert[start[v]:start[v + 1]]."""
+        vert[start[v]:start[v + 1]].  A graph read from a file is given
+        it; any other graph builds it from `adj` on first use."""
         return (
             array("i", accumulate(map(len, self.adj), initial=0)),
             array("i", chain.from_iterable(self.adj)),
@@ -84,11 +97,16 @@ class Graph:
 
     @cached_property
     def closed(self):
-        """N[v] for every vertex v: v inserted into its sorted adjacency."""
+        """N[v] for every vertex v, built once, on first use, from `csr`
+        and never from `adj`: v bisected into its row of the flat list and
+        inserted there."""
+        start, vert = self.csr
+        flat = vert.tolist()
         out = []
-        for v, nbrs in enumerate(self.adj):
-            i = bisect_left(nbrs, v)
-            out.append(nbrs[:i] + (v,) + nbrs[i:])
+        for v, (a, b) in enumerate(pairwise(start)):
+            row = flat[a:b]
+            row.insert(bisect_left(row, v), v)
+            out.append(tuple(row))
         return tuple(out)
 
     @property
@@ -96,7 +114,10 @@ class Graph:
         return len(self.edges)
 
     def max_degree(self):
-        return max((len(a) for a in self.adj), default=0)
+        """The largest row length, start[v + 1] - start[v], read from
+        `csr`'s row starts."""
+        start = self.csr[0]
+        return max(map(sub, start[1:], start), default=0)
 
     def has_isolated_vertex(self):
         return any(not a for a in self.adj)

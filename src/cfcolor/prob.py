@@ -47,6 +47,16 @@ def lemma_lists(h, list_factor):
     return ListAssignment.uniform_range(h.n, list_factor * max(max_size, 1))
 
 
+def _first_short_list(lists, need):
+    """The lowest vertex whose list has fewer than `need` colors, or None.
+    Each palette is measured once; the palettes are in first-use order,
+    so the first short one is first used by that vertex."""
+    for i, palette in enumerate(lists.palettes):
+        if len(palette) < need:
+            return lists.which.index(i)
+    return None
+
+
 def required_alpha(gamma):
     """The lemma's minimum edge size max(2^12, ceil(136 ln(16 Gamma)))."""
     # with Gamma = 0 no two edges meet, and the floor alone applies
@@ -94,11 +104,9 @@ def near_uniform_color(
             f"minimum edge size {min(sizes)} below required alpha {alpha}"
         )
     need = list_factor * max(sizes, default=0)
-    for v in range(h.n):
-        if lists.size(v) < need:
-            raise ValueError(
-                f"list of vertex {v} has {lists.size(v)} colors, need {need}"
-            )
+    v = _first_short_list(lists, need)
+    if v is not None:
+        raise ValueError(f"list of vertex {v} has {lists.size(v)} colors, need {need}")
     color, rounds = kernels.near_uniform(h, lists, rng_seed, max_rounds)
     return PartialColoring(dict(enumerate(color))), rounds
 
@@ -192,11 +200,11 @@ def cfcn_pipeline(
     if lists.n != g.n:
         raise ValueError("lists must cover every vertex")
     k, delta, r = pipeline_list_size(g, scaled_mode, k_override)
-    for v in range(g.n):
-        if lists.size(v) < max(r, 1):
-            raise ValueError(
-                f"list of vertex {v} has {lists.size(v)} colors, pipeline needs {r}"
-            )
+    v = _first_short_list(lists, max(r, 1))
+    if v is not None:
+        raise ValueError(
+            f"list of vertex {v} has {lists.size(v)} colors, pipeline needs {r}"
+        )
 
     closed = derived_hypergraph(g, "closed")
     constants = CONSTANTS[bool(scaled_mode)]

@@ -73,18 +73,29 @@ def verify_cf(h, f, lists=None, require_total=False):
     Only the colored vertices count, so they are counted through
     h.incidence: each puts itself into the edges containing it, and the
     work is their degrees plus one step per edge, not the sum of the edge
-    sizes.  A colored vertex outside [0, h.n) lies in no edge.
+    sizes.  A colored vertex outside [0, h.n) lies in no edge.  The
+    vertices are put in by ascending color (a stable sort), so each edge
+    lists its colored vertices color-sorted, and the head's color is the
+    smallest.  It is unique when the head is the edge's only colored
+    vertex or the next vertex has another color: then the head is the
+    witness, at no further cost.  Only the other edges count their colors
+    with `unique_colors`.
     """
     fmap = dict(f.items())
     incidence = h.incidence
     colored = [[] for _ in range(h.m)]
-    for v in fmap:
+    for v in sorted(fmap, key=fmap.__getitem__):
         if 0 <= v < h.n:
             for i in incidence[v]:
                 colored[i].append(v)
     witnesses = []
     edge_violations = []
     for i, vertices in enumerate(colored):
+        if vertices:
+            head = fmap[vertices[0]]
+            if len(vertices) == 1 or fmap[vertices[1]] != head:
+                witnesses.append(EdgeWitness(i, vertices[0], head))
+                continue
         colors = [fmap[v] for v in vertices]
         unique = unique_colors(colors)
         if unique:

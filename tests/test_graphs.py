@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cfcolor.coloring import PartialColoring
+from cfcolor import fileio, kernels, prob
+from cfcolor.coloring import ListAssignment, PartialColoring
 from cfcolor.graphs import (
     Graph,
     Hypergraph,
@@ -119,6 +120,63 @@ def test_derived_incidence_is_the_graphs_rows():
             assert verify_cf(h, f) == verify_cf(plain, f)
             checked[mode] += 1
     assert checked["open"] > 30 and checked["closed"] == len(cases)
+
+
+def _graph_files():
+    """(n, edges, text) for the one-vertex graph, a graph with no edge,
+    isolated vertices beside edges, and random graphs with their edges
+    shuffled; every other edge has its ends swapped."""
+    rng = random.Random(13)
+    cases = [(1, []), (4, []), (6, [(0, 3), (3, 5)]), (7, [(6, 2), (1, 2), (5, 1)])]
+    for _ in range(20):
+        g = random_graph(rng.randint(2, 40), rng.choice([0.05, 0.2, 0.5, 1.0]), rng)
+        cases.append((g.n, rng.sample(g.edges, len(g.edges))))
+    for n, edges in cases:
+        edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+        lines = [f"p graph {n} {len(edges)}"] + [f"e {u + 1} {v + 1}" for u, v in edges]
+        yield n, edges, "\n".join(lines) + "\n"
+
+
+def test_graphs_born_from_csr_equal_the_built_ones():
+    # a graph read by the C reader holds only its csr; it builds `closed`
+    # and max_degree() from that without building `adj`, and every view
+    # of it must equal those of the record loop's graph and of the one
+    # built edge by edge.  The C reader takes only files with an edge, so
+    # a graph made from the built graph's arrays stands in for it on the
+    # others, and on the pure-Python backend
+    for n, edges, text in _graph_files():
+        built = Graph(n, edges)
+        readings = [
+            fileio.parse_graph(text),
+            fileio._parse_graph_records(text),
+            built,
+            Graph._from_csr(*Graph(n, edges).csr),
+        ]
+        assert "adj" not in vars(readings[3])
+        if edges and kernels.read_graph is not None:
+            assert "adj" not in vars(readings[0])
+        born = [g for g in readings if "adj" not in vars(g)]
+        views = [(g.closed, g.max_degree(), g.csr) for g in readings]
+        assert all("adj" not in vars(g) for g in born)
+        assert views == [views[2]] * 4
+        for g in readings:
+            assert (g.n, g.adj, g.edges) == (n, built.adj, built.edges)
+        assert built.max_degree() == max(map(len, built.adj), default=0)
+
+
+def test_a_pipeline_request_builds_no_adjacency_rows():
+    # on a graph read from a file, max_star and pipeline_core read its
+    # csr and verify_cf its closed rows, so the request builds no `adj`;
+    # reading it then builds it, from csr, once.  With no C reader, a
+    # graph made from the same arrays stands in for the parsed one
+    big = _benchmark_line_graph()
+    text = fileio.format_graph(big)
+    g = fileio.parse_graph(text) if kernels.read_graph else Graph._from_csr(*big.csr)
+    _, _, r = prob.pipeline_list_size(g, True)
+    _, trace = prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, r), 1, True)
+    assert not trace.delegated
+    assert "adj" not in vars(g)
+    assert g.adj == big.adj and "adj" in vars(g)
 
 
 def test_hypergraph_rejects_a_repeated_vertex():

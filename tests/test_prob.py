@@ -147,9 +147,19 @@ def test_near_uniform_color_matches_full_rescan_at_scale():
 def test_near_uniform_color_rejects_small_lists():
     rng = random.Random(2)
     h = random_hypergraph(40, 10, 16, 20, rng)
+    need = 32 * max(len(e) for e in h.edges)
     lists = ListAssignment.uniform_range(h.n, 10)
-    with pytest.raises(ValueError, match="list of vertex"):
+    message = rf"^list of vertex 0 has 10 colors, need {need}$"
+    with pytest.raises(ValueError, match=message):
         prob.near_uniform_color(h, lists, 0, alpha_override=16)
+    # checked palette by palette, the message still names the lowest short
+    # vertex: 17, whose list 30 shares, and not 25, whose list is shorter
+    entries = [range(need)] * h.n
+    entries[17] = entries[30] = range(10)
+    entries[25] = range(7)
+    message = rf"^list of vertex 17 has 10 colors, need {need}$"
+    with pytest.raises(ValueError, match=message):
+        prob.near_uniform_color(h, ListAssignment(entries), 0, alpha_override=16)
 
 
 def test_near_uniform_color_rejects_small_edges():
@@ -338,8 +348,19 @@ def test_pipeline_determinism():
 
 def test_pipeline_rejects_undersized_lists():
     g = claw_free_corpus(1, 10, seed=25)[0]
-    with pytest.raises(ValueError, match="pipeline needs"):
+    _, _, r = prob.pipeline_list_size(g)
+    message = rf"^list of vertex 0 has 3 colors, pipeline needs {r}$"
+    with pytest.raises(ValueError, match=message):
         prob.cfcn_pipeline(g, ListAssignment.uniform_range(g.n, 3), 0)
+    # checked palette by palette, the message still names the lowest short
+    # vertex: 5, whose list 11 shares, and not 8, whose list is shorter
+    assert g.n == 14
+    entries = [range(r)] * g.n
+    entries[5] = entries[11] = range(3)
+    entries[8] = range(2)
+    message = rf"^list of vertex 5 has 3 colors, pipeline needs {r}$"
+    with pytest.raises(ValueError, match=message):
+        prob.cfcn_pipeline(g, ListAssignment(entries), 0)
 
 
 def smallest_once(f1, vertices):

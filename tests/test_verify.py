@@ -13,9 +13,8 @@ def test_valid_partial_coloring_with_witnesses():
     f = PartialColoring({0: 5, 3: 5})
     report = verify_cf(h, f)
     assert report.valid
-    assert [w.edge_index for w in report.witnesses] == [0, 1]
-    assert report.witnesses[0].vertex == 0
-    assert report.witnesses[0].color == 5
+    # each edge has one colored vertex, its witness
+    assert report.witnesses == (EdgeWitness(0, 0, 5), EdgeWitness(1, 3, 5))
 
 
 def test_smallest_unique_color_is_the_witness():
@@ -24,14 +23,26 @@ def test_smallest_unique_color_is_the_witness():
     report = verify_cf(h, f)
     assert report.witnesses[0].color == 2
     assert report.witnesses[0].vertex == 1
+    # colors that fall as vertex ids rise; an edge whose smallest color is
+    # unique, and one whose smallest color repeats while a larger one is
+    # unique
+    h = Hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5), (1, 3, 4)])
+    f = PartialColoring({0: 9, 1: 6, 2: 4, 3: 1, 4: 1, 5: 0})
+    assert verify_cf(h, f).witnesses == (
+        EdgeWitness(0, 3, 1),
+        EdgeWitness(1, 5, 0),
+        EdgeWitness(2, 1, 6),
+    )
 
 
 def test_edge_with_no_unique_color_fails():
-    h = Hypergraph(4, [(0, 1), (2, 3)])
-    f = PartialColoring({0: 1, 1: 1, 2: 1, 3: 2})
+    h = Hypergraph(6, [(0, 1), (2, 3), (0, 1, 4, 5)])
+    f = PartialColoring({0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 3})
     report = verify_cf(h, f)
     assert not report.valid
-    assert report.edge_violations == (0,)
+    # in edge 2 every color repeats
+    assert report.edge_violations == (0, 2)
+    assert report.witnesses == (EdgeWitness(1, 2, 1),)
 
 
 def test_fully_uncolored_edge_fails():
@@ -73,6 +84,10 @@ def test_colored_vertices_outside_the_hypergraph_lie_in_no_edge():
     report = verify_cf(closed, PartialColoring({-1: 5, 3: 5}))
     assert not report.valid and report.witnesses == ()
     assert report.edge_violations == (0, 1, 2)
+    # outside vertices with the smallest color must not head an edge
+    report = verify_cf(h, PartialColoring({-1: 0, 0: 1, 1: 3, 5: 0, 2: 3}))
+    assert report.witnesses == (EdgeWitness(0, 0, 1),)
+    assert report.edge_violations == (1,)
 
 
 def test_colored_vertices_without_a_list_break_the_lists():
